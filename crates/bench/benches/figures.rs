@@ -24,31 +24,55 @@ fn bench_figures(c: &mut Criterion) {
         b.iter(|| black_box(ClusterSpec::supercloud().table1()))
     });
     g.bench_function("fig03_runtimes_and_waits", |b| {
-        b.iter(|| black_box(Fig3::compute(&out.dataset)))
+        b.iter(|| black_box(Fig3::try_compute(&out.dataset).unwrap()))
     });
-    g.bench_function("fig04_utilization_cdfs", |b| b.iter(|| black_box(Fig4::compute(&views))));
-    g.bench_function("fig05_interface_boxes", |b| b.iter(|| black_box(Fig5::compute(&views))));
-    g.bench_function("fig06_phases", |b| b.iter(|| black_box(Fig6::compute(&out.detailed))));
+    g.bench_function("fig04_utilization_cdfs", |b| {
+        b.iter(|| black_box(Fig4::try_compute(&views).unwrap()))
+    });
+    g.bench_function("fig05_interface_boxes", |b| {
+        b.iter(|| black_box(Fig5::try_compute(&views).unwrap()))
+    });
+    g.bench_function("fig06_phases", |b| {
+        b.iter(|| black_box(Fig6::try_compute(&out.detailed).unwrap()))
+    });
     g.bench_function("fig07_variability_bottlenecks", |b| {
-        b.iter(|| black_box(Fig7::compute(&out.detailed, &views)))
+        b.iter(|| black_box(Fig7::try_compute(&out.detailed, &views).unwrap()))
     });
-    g.bench_function("fig08_bottleneck_pairs", |b| b.iter(|| black_box(Fig8::compute(&views))));
-    g.bench_function("fig09_power", |b| b.iter(|| black_box(Fig9::compute(&views))));
-    g.bench_function("fig10_user_averages", |b| b.iter(|| black_box(Fig10::compute(&users))));
-    g.bench_function("fig11_user_variability", |b| b.iter(|| black_box(Fig11::compute(&users))));
-    g.bench_function("fig12_spearman", |b| b.iter(|| black_box(Fig12::compute(&users))));
-    g.bench_function("fig13_multi_gpu", |b| b.iter(|| black_box(Fig13::compute(&views, &users))));
-    g.bench_function("fig14_cross_gpu_balance", |b| b.iter(|| black_box(Fig14::compute(&views))));
-    g.bench_function("fig15_lifecycle_mix", |b| b.iter(|| black_box(Fig15::compute(&views))));
-    g.bench_function("fig16_class_boxes", |b| b.iter(|| black_box(Fig16::compute(&views))));
-    g.bench_function("fig17_user_mixes", |b| b.iter(|| black_box(Fig17::compute(&users))));
+    g.bench_function("fig08_bottleneck_pairs", |b| {
+        b.iter(|| black_box(Fig8::try_compute(&views).unwrap()))
+    });
+    g.bench_function("fig09_power", |b| b.iter(|| black_box(Fig9::try_compute(&views).unwrap())));
+    g.bench_function("fig10_user_averages", |b| {
+        b.iter(|| black_box(Fig10::try_compute(&users).unwrap()))
+    });
+    g.bench_function("fig11_user_variability", |b| {
+        b.iter(|| black_box(Fig11::try_compute(&users).unwrap()))
+    });
+    g.bench_function("fig12_spearman", |b| {
+        b.iter(|| black_box(Fig12::try_compute(&users).unwrap()))
+    });
+    g.bench_function("fig13_multi_gpu", |b| {
+        b.iter(|| black_box(Fig13::try_compute(&views, &users).unwrap()))
+    });
+    g.bench_function("fig14_cross_gpu_balance", |b| {
+        b.iter(|| black_box(Fig14::try_compute(&views).unwrap()))
+    });
+    g.bench_function("fig15_lifecycle_mix", |b| {
+        b.iter(|| black_box(Fig15::try_compute(&views).unwrap()))
+    });
+    g.bench_function("fig16_class_boxes", |b| {
+        b.iter(|| black_box(Fig16::try_compute(&views).unwrap()))
+    });
+    g.bench_function("fig17_user_mixes", |b| {
+        b.iter(|| black_box(Fig17::try_compute(&users).unwrap()))
+    });
     g.finish();
 
     // The whole evaluation at once — the cost of `AnalysisReport`.
     let mut g = c.benchmark_group("pipeline");
     g.sample_size(10);
     g.bench_function("all_figures", |b| {
-        b.iter(|| black_box(sc_core::AnalysisReport::from_sim(out)))
+        b.iter(|| black_box(sc_core::AnalysisReport::try_from_sim(out).unwrap()))
     });
     g.finish();
 }

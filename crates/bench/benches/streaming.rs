@@ -1,7 +1,6 @@
 //! Benchmarks of the streaming telemetry engine: the mergeable one-pass
-//! aggregators in sc-stats, the SPSC channel and ordered parallel
-//! stream in sc-par, and the end-to-end producer-to-aggregator path
-//! that replaced the materialize-everything batch stage.
+//! aggregators in sc-stats and the end-to-end producer-to-aggregator
+//! path that replaced the materialize-everything batch stage.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use rand::rngs::StdRng;
@@ -73,38 +72,6 @@ fn bench_aggregators(c: &mut Criterion) {
     g.finish();
 }
 
-fn bench_channels(c: &mut Criterion) {
-    let mut g = c.benchmark_group("streaming_channels");
-    g.bench_function("spsc_send_recv_100k", |b| {
-        b.iter(|| {
-            let (tx, mut rx) = sc_par::spsc::channel::<u64>(256);
-            std::thread::scope(|scope| {
-                scope.spawn(move || {
-                    for i in 0..100_000u64 {
-                        if tx.send(i).is_err() {
-                            break;
-                        }
-                    }
-                });
-                let mut sum = 0u64;
-                while let Some(v) = rx.recv() {
-                    sum += v;
-                }
-                black_box(sum)
-            })
-        })
-    });
-    g.bench_function("par_stream_order_10k", |b| {
-        let items: Vec<u64> = (0..10_000).collect();
-        b.iter(|| {
-            let mut folded = 0u64;
-            sc_par::par_stream(&items, |&i| i.wrapping_mul(0x9e37_79b9), |_, r| folded ^= r);
-            black_box(folded)
-        })
-    });
-    g.finish();
-}
-
 fn bench_stream_detail(c: &mut Criterion) {
     let mut g = c.benchmark_group("streaming_detail");
     g.sample_size(20);
@@ -125,5 +92,5 @@ fn bench_stream_detail(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, bench_aggregators, bench_channels, bench_stream_detail);
+criterion_group!(benches, bench_aggregators, bench_stream_detail);
 criterion_main!(benches);

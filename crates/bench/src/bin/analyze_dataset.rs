@@ -51,6 +51,8 @@ fn main() {
         dataset.funnel().gpu_jobs,
         dataset.funnel().unique_users
     );
-    let report = DatasetReport::from_dataset(&dataset);
+    // A well-formed dataset can still lack a population some figure
+    // needs (Fig. 3 needs CPU jobs): report the stage, don't panic.
+    let report = DatasetReport::try_from_dataset(&dataset).unwrap_or_else(|e| fail(&e.to_string()));
     println!("{}", report.render_text());
 }

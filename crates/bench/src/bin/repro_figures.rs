@@ -683,11 +683,10 @@ byte-identical across all three rows — not scaling.)\n\n\
 The O(aggregate state) memory claim is demonstrated by a 1M-job run \
 (`--scale 13.366`, 1,000,044 jobs — 13.4x the sample volume): peak RSS \
 grows only with the recorded dataset (one epilog record per job, plus \
-O(threads) in-flight series scratch bounded by the SPSC channel \
-capacity), not with the synthesized sample count. Measured: 776 MiB \
-peak RSS for 57.4 s of telemetry (17,425 jobs/sec) — 9.5x the RSS of \
-the 74,820-job run for 13.4x the jobs, where the batch engine's \
-materialized series alone would have needed tens of GiB. \
+O(threads) series scratch), not with the synthesized sample count. \
+Measured: 776 MiB peak RSS for 57.4 s of telemetry (17,425 jobs/sec) \
+— 9.5x the RSS of the 74,820-job run for 13.4x the jobs, where the \
+batch engine's materialized series alone would have needed tens of GiB. \
 `peak_rss_bytes` is recorded in every `--bench-json` report and \
 regression-gated by `scripts/check_bench.py`.\n";
 
@@ -1001,7 +1000,8 @@ fn main() {
     }
     eprintln!("simulated in {:?}; analyzing ...", t0.elapsed());
     let t0 = std::time::Instant::now();
-    let report = AnalysisReport::from_sim_logged(&out, &stage_log);
+    let report = AnalysisReport::try_from_sim_logged(&out, &stage_log)
+        .unwrap_or_else(|e| fail(&e.to_string()));
     let analysis_secs = t0.elapsed().as_secs_f64();
 
     // The Chrome sidecar carries the wall-clock stage spans (trace
@@ -1105,7 +1105,8 @@ fn main() {
         let result = match &sink {
             Some(s) => exp.run_observed(&trace, &Obs::new(s)),
             None => exp.run(&trace),
-        };
+        }
+        .unwrap_or_else(|e| fail(&format!("policy A/B: {e}")));
         eprintln!("policy A/B done in {:?}", t0.elapsed());
         println!("{}", result.fig.render());
         if let Some(fig) = &result.oracle_fig {

@@ -10,7 +10,7 @@
 //! serialization to an identical value, and (at `--run-scale`, default
 //! 0.002) generate a non-empty trace. It then feeds a corpus of
 //! malformed documents to the parser and requires every one to come
-//! back as a typed [`ScenarioError`] carrying line context — a panic
+//! back as a typed [`sc_scenario::ScenarioError`] carrying line context — a panic
 //! or an accepted document fails the gate. Extra `FILE` arguments are
 //! validated the same way (parse + round-trip + smoke trace), so the
 //! gate also covers user-supplied scenario files.

@@ -98,11 +98,9 @@ impl Interarrival {
     }
 
     /// Validates the law's parameters, returning the typed error the
-    /// scenario layer surfaces as a range diagnostic. [`sample_gap`]
+    /// scenario layer surfaces as a range diagnostic. `sample_gap`
     /// still panics on bad inputs — `validate` exists so config paths
     /// reject them long before any sampling happens.
-    ///
-    /// [`sample_gap`]: Interarrival::sample_gap
     pub fn validate(&self) -> Result<(), FailureConfigError> {
         let mtbf = self.mtbf_secs();
         if !(mtbf.is_finite() && mtbf > 0.0) {

@@ -239,7 +239,7 @@ pub struct SimOutput {
     /// restore counters) — the substrate of the ClusterTimeline figure.
     pub timeline: Timeline,
     /// Mergeable one-pass summary of the telemetry stage, folded in
-    /// input order as epilogs stream out of the parallel batch —
+    /// input order over the epilogs of the parallel batch —
     /// aggregate state only, byte-identical at any thread budget.
     pub telemetry_summary: TelemetryStreamSummary,
     /// Per-job-size reliability accounting (ETTF/ETTR, failure rates,
@@ -784,51 +784,44 @@ impl Simulation {
         );
         let event_loop_secs = wall.elapsed().as_secs_f64();
 
-        // Streaming telemetry synthesis, decoupled from the event
-        // loop. Each epilog is a pure function of (job spec, start,
-        // end, exit), so producers parallelize freely; `par_stream`
-        // delivers results in completion order through bounded SPSC
-        // channels, which keeps the dataset byte-identical to the old
-        // materialize-everything batch at any thread count while
-        // bounding in-flight epilogs to O(threads x channel capacity).
+        // Telemetry synthesis, decoupled from the event loop. Each
+        // epilog is a pure function of (job spec, start, end, exit), so
+        // `par_map` synthesizes them on any thread budget and returns
+        // them in completion order.
         let batch_t0 = std::time::Instant::now();
+        let epilogs = sc_par::par_map(&completions, |c| {
+            self.synthesize_epilog(
+                &jobs[c.trace_idx],
+                c.start_time,
+                c.end_time,
+                c.exit,
+                c.cap_w,
+                detailed_fraction,
+                &sampler,
+            )
+        });
+        // Scalar stats and the streaming summary fold in input order, so
+        // float addition order (and therefore every output byte) is the
+        // same at any thread count.
         let mut sched_records: Vec<SchedulerRecord> = Vec::with_capacity(jobs.len());
         let mut gpu_records: Vec<GpuJobRecord> = Vec::new();
         let mut detailed: Vec<DetailedJobStats> = Vec::new();
         let mut telemetry_summary = TelemetryStreamSummary::new();
-        sc_par::par_stream(
-            &completions,
-            |c| {
-                self.synthesize_epilog(
-                    &jobs[c.trace_idx],
-                    c.start_time,
-                    c.end_time,
-                    c.exit,
-                    c.cap_w,
-                    detailed_fraction,
-                    &sampler,
-                )
-            },
-            |_, epilog| {
-                // Scalar stats and the streaming summary accumulate in
-                // input order (par_stream reorders deliveries), exactly
-                // as the inline path summed them (float addition order
-                // matters for reproducibility).
-                stats.gpu_hours += epilog.sched.gpu_hours();
-                if epilog.sched.exit == ExitStatus::NodeFailure {
-                    stats.hardware_failures += 1;
-                }
-                if let Some(gpu) = &epilog.gpu {
-                    telemetry_summary.record_gpu_job(epilog.sched.run_time(), &gpu.per_gpu);
-                }
-                if let Some(d) = &epilog.detailed {
-                    telemetry_summary.record_detail(&d.phases);
-                }
-                sched_records.push(epilog.sched);
-                gpu_records.extend(epilog.gpu);
-                detailed.extend(epilog.detailed);
-            },
-        );
+        for epilog in epilogs {
+            stats.gpu_hours += epilog.sched.gpu_hours();
+            if epilog.sched.exit == ExitStatus::NodeFailure {
+                stats.hardware_failures += 1;
+            }
+            if let Some(gpu) = &epilog.gpu {
+                telemetry_summary.record_gpu_job(epilog.sched.run_time(), &gpu.per_gpu);
+            }
+            if let Some(d) = &epilog.detailed {
+                telemetry_summary.record_detail(&d.phases);
+            }
+            sched_records.push(epilog.sched);
+            gpu_records.extend(epilog.gpu);
+            detailed.extend(epilog.detailed);
+        }
         let telemetry_secs = batch_t0.elapsed().as_secs_f64();
 
         (

@@ -26,19 +26,6 @@ pub struct Fig3 {
 impl Fig3 {
     /// Computes the figure from the joined dataset.
     ///
-    /// # Panics
-    ///
-    /// Panics if the dataset has no GPU or no CPU jobs.
-    pub fn compute(dataset: &Dataset) -> Self {
-        match Self::try_compute(dataset) {
-            Ok(fig) => fig,
-            Err(e) => panic!("fig3: {e}"),
-        }
-    }
-
-    /// Computes the figure, returning a typed error on a degenerate
-    /// dataset instead of panicking.
-    ///
     /// # Errors
     ///
     /// Returns [`StatsError::EmptyInput`] when the dataset has no GPU
@@ -141,7 +128,7 @@ mod tests {
 
     #[test]
     fn gpu_jobs_run_longer_than_cpu_jobs() {
-        let fig = Fig3::compute(&small_sim().dataset);
+        let fig = Fig3::try_compute(&small_sim().dataset).unwrap();
         assert!(
             fig.gpu_runtime_min.median() > 2.0 * fig.cpu_runtime_min.median(),
             "gpu median {} vs cpu {}",
@@ -152,7 +139,7 @@ mod tests {
 
     #[test]
     fn gpu_jobs_wait_less_than_cpu_jobs() {
-        let fig = Fig3::compute(&small_sim().dataset);
+        let fig = Fig3::try_compute(&small_sim().dataset).unwrap();
         // The paper's headline: GPU jobs clear the queue almost
         // instantly, CPU jobs do not.
         assert!(fig.gpu_wait_secs.fraction_at_most(60.0) > 0.9);
@@ -161,7 +148,7 @@ mod tests {
 
     #[test]
     fn render_includes_both_panels() {
-        let fig = Fig3::compute(&small_sim().dataset);
+        let fig = Fig3::try_compute(&small_sim().dataset).unwrap();
         let text = fig.render();
         assert!(text.contains("Fig. 3(a)"));
         assert!(text.contains("Fig. 3(b)"));

@@ -25,19 +25,6 @@ pub struct Fig4 {
 impl Fig4 {
     /// Computes the figure from GPU-job views.
     ///
-    /// # Panics
-    ///
-    /// Panics if `views` is empty.
-    pub fn compute(views: &[GpuJobView<'_>]) -> Self {
-        match Self::try_compute(views) {
-            Ok(fig) => fig,
-            Err(e) => panic!("fig4: {e}"),
-        }
-    }
-
-    /// Computes the figure, returning a typed error when `views` is
-    /// empty (or holds non-finite aggregates) instead of panicking.
-    ///
     /// # Errors
     ///
     /// Returns [`StatsError::EmptyInput`] for an empty view set.
@@ -106,7 +93,7 @@ mod tests {
     #[test]
     fn sm_dominates_memory_bandwidth() {
         let views = small_views();
-        let fig = Fig4::compute(&views);
+        let fig = Fig4::try_compute(&views).unwrap();
         // "SM is more heavily utilized than memory bandwidth."
         assert!(fig.sm.median() > fig.mem.median());
         assert!(fig.mem.median() < 8.0, "mem median {}", fig.mem.median());
@@ -115,7 +102,7 @@ mod tests {
     #[test]
     fn most_jobs_underutilize_everything() {
         let views = small_views();
-        let fig = Fig4::compute(&views);
+        let fig = Fig4::try_compute(&views).unwrap();
         // "only 20% of the jobs have more than 50% SM utilization" —
         // directionally: a minority exceeds 50% on each resource.
         assert!(fig.sm.fraction_above(50.0) < 0.45);
@@ -126,7 +113,7 @@ mod tests {
     #[test]
     fn pcie_distribution_is_spread_out() {
         let views = small_views();
-        let fig = Fig4::compute(&views);
+        let fig = Fig4::try_compute(&views).unwrap();
         // Fig. 4b's "linearly increasing CDF": mass is not clumped —
         // interquartile range is a large slice of the support.
         let iqr = fig.pcie_rx.quantile(0.75) - fig.pcie_rx.quantile(0.25);
@@ -136,7 +123,7 @@ mod tests {
     #[test]
     fn render_and_compare() {
         let views = small_views();
-        let fig = Fig4::compute(&views);
+        let fig = Fig4::try_compute(&views).unwrap();
         assert!(fig.render().contains("Fig. 4(b)"));
         assert_eq!(fig.comparisons().len(), 6);
     }

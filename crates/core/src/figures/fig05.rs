@@ -30,20 +30,6 @@ pub struct InterfaceRow {
 impl Fig5 {
     /// Computes the figure from GPU-job views.
     ///
-    /// # Panics
-    ///
-    /// Panics if any interface has no jobs at all (the calibrated trace
-    /// always populates all four).
-    pub fn compute(views: &[GpuJobView<'_>]) -> Self {
-        match Self::try_compute(views) {
-            Ok(fig) => fig,
-            Err(e) => panic!("fig5: {e}"),
-        }
-    }
-
-    /// Computes the figure, returning a typed error when an interface
-    /// has no jobs instead of panicking.
-    ///
     /// # Errors
     ///
     /// Returns [`StatsError::EmptyInput`] when any interface has no
@@ -134,7 +120,7 @@ mod tests {
     #[test]
     fn other_jobs_have_highest_utilization() {
         let views = small_views();
-        let fig = Fig5::compute(&views);
+        let fig = Fig5::try_compute(&views).unwrap();
         // "these 'other' jobs have the highest SM and memory utilization
         // … map-reduce and interactive jobs tend to have low SM and
         // memory utilization."
@@ -155,7 +141,7 @@ mod tests {
     #[test]
     fn interface_mix_matches_sec3() {
         let views = small_views();
-        let fig = Fig5::compute(&views);
+        let fig = Fig5::try_compute(&views).unwrap();
         let other = fig.row(SubmissionInterface::Other).job_share;
         assert!((other - 0.65).abs() < 0.12, "other share {other}");
         let shares: f64 = fig.rows.iter().map(|r| r.job_share).sum();
@@ -165,7 +151,7 @@ mod tests {
     #[test]
     fn render_lists_all_interfaces() {
         let views = small_views();
-        let text = Fig5::compute(&views).render();
+        let text = Fig5::try_compute(&views).unwrap().render();
         for label in ["map-reduce", "batch", "interactive", "other"] {
             assert!(text.contains(label), "missing {label}");
         }

@@ -22,19 +22,6 @@ pub struct Fig6 {
 impl Fig6 {
     /// Computes the figure from the detailed-subset statistics.
     ///
-    /// # Panics
-    ///
-    /// Panics if the subset is empty or no job alternates phases.
-    pub fn compute(detailed: &[DetailedJobStats]) -> Self {
-        match Self::try_compute(detailed) {
-            Ok(fig) => fig,
-            Err(e) => panic!("fig6: {e}"),
-        }
-    }
-
-    /// Computes the figure, returning a typed error on a degenerate
-    /// subset instead of panicking.
-    ///
     /// # Errors
     ///
     /// Returns [`StatsError::EmptyInput`] when the subset is empty or no
@@ -109,7 +96,7 @@ mod tests {
     #[test]
     fn phases_are_irregular() {
         let out = small_sim();
-        let fig = Fig6::compute(&out.detailed);
+        let fig = Fig6::try_compute(&out.detailed).unwrap();
         // "both idle (median 126%) and active (median 169%) phases have
         // a high CoV" — phases must not look periodic.
         assert!(fig.idle_cov.median() > 50.0, "idle CoV {}", fig.idle_cov.median());
@@ -119,7 +106,7 @@ mod tests {
     #[test]
     fn active_share_is_bimodal_with_high_median() {
         let out = small_sim();
-        let fig = Fig6::compute(&out.detailed);
+        let fig = Fig6::try_compute(&out.detailed).unwrap();
         // Median job mostly active; a quarter of jobs mostly idle.
         assert!(fig.active_pct.median() > 50.0);
         assert!(fig.active_pct.quantile(0.25) < fig.active_pct.median());
@@ -128,7 +115,7 @@ mod tests {
     #[test]
     fn render_and_comparisons() {
         let out = small_sim();
-        let fig = Fig6::compute(&out.detailed);
+        let fig = Fig6::try_compute(&out.detailed).unwrap();
         assert!(fig.render().contains("Fig. 6(b)"));
         assert_eq!(fig.comparisons().len(), 5);
     }

@@ -27,19 +27,6 @@ impl Fig7 {
     /// Computes the figure. Panel (a) uses the detailed subset; panel
     /// (b) uses every analyzed job's max aggregates.
     ///
-    /// # Panics
-    ///
-    /// Panics if either input is empty.
-    pub fn compute(detailed: &[DetailedJobStats], views: &[GpuJobView<'_>]) -> Self {
-        match Self::try_compute(detailed, views) {
-            Ok(fig) => fig,
-            Err(e) => panic!("fig7: {e}"),
-        }
-    }
-
-    /// Computes the figure, returning a typed error on degenerate
-    /// inputs instead of panicking.
-    ///
     /// # Errors
     ///
     /// Returns [`StatsError::EmptyInput`] when either input is empty or
@@ -151,7 +138,7 @@ mod tests {
     fn sm_is_the_dominant_bottleneck_and_memory_is_not() {
         let out = small_sim();
         let views = small_views();
-        let fig = Fig7::compute(&out.detailed, &views);
+        let fig = Fig7::try_compute(&out.detailed, &views).unwrap();
         let sm = fig.bottleneck(GpuResource::Sm);
         let mem = fig.bottleneck(GpuResource::Memory);
         assert!(sm > 0.08, "SM bottleneck fraction {sm}");
@@ -163,7 +150,7 @@ mod tests {
     fn active_phase_cov_is_moderate() {
         let out = small_sim();
         let views = small_views();
-        let fig = Fig7::compute(&out.detailed, &views);
+        let fig = Fig7::try_compute(&out.detailed, &views).unwrap();
         // Paper medians are 8–15%; ours must be in the same regime
         // (clearly nonzero, clearly below the interval-length CoVs).
         let m = fig.sm_cov.median();
@@ -174,7 +161,7 @@ mod tests {
     fn radar_covers_five_resources() {
         let out = small_sim();
         let views = small_views();
-        let fig = Fig7::compute(&out.detailed, &views);
+        let fig = Fig7::try_compute(&out.detailed, &views).unwrap();
         assert_eq!(fig.bottlenecks.len(), 5);
         assert!(fig.render().contains("radar"));
         assert_eq!(fig.comparisons().len(), 6);

@@ -21,19 +21,6 @@ pub struct Fig8 {
 impl Fig8 {
     /// Computes both panels from the job views' max aggregates.
     ///
-    /// # Panics
-    ///
-    /// Panics if `views` is empty.
-    pub fn compute(views: &[GpuJobView<'_>]) -> Self {
-        match Self::try_compute(views) {
-            Ok(fig) => fig,
-            Err(e) => panic!("fig8: {e}"),
-        }
-    }
-
-    /// Computes both panels, returning a typed error for an empty view
-    /// set instead of panicking.
-    ///
     /// # Errors
     ///
     /// Returns [`StatsError::EmptyInput`] when `views` is empty.
@@ -113,7 +100,7 @@ mod tests {
     #[test]
     fn pairs_never_exceed_their_singles() {
         let views = small_views();
-        let fig = Fig8::compute(&views);
+        let fig = Fig8::try_compute(&views).unwrap();
         for (a, b, f) in &fig.pairs {
             let fa = fig.singles.iter().find(|(r, _)| r == a).unwrap().1;
             let fb = fig.singles.iter().find(|(r, _)| r == b).unwrap().1;
@@ -124,7 +111,7 @@ mod tests {
     #[test]
     fn every_pair_is_a_minority() {
         let views = small_views();
-        let fig = Fig8::compute(&views);
+        let fig = Fig8::try_compute(&views).unwrap();
         // "jobs experiencing any two or more resource bottlenecks during
         // the same run are less than 10%" (with slack for small samples).
         for (_, _, f) in &fig.pairs {
@@ -135,7 +122,7 @@ mod tests {
     #[test]
     fn rx_sm_pair_is_the_largest_involving_sm() {
         let views = small_views();
-        let fig = Fig8::compute(&views);
+        let fig = Fig8::try_compute(&views).unwrap();
         let rx_sm = fig.pair(GpuResource::PcieRx, GpuResource::Sm);
         let mem_sm = fig.pair(GpuResource::Memory, GpuResource::Sm);
         assert!(rx_sm >= mem_sm, "rx∧sm {rx_sm} vs mem∧sm {mem_sm}");
@@ -144,7 +131,7 @@ mod tests {
     #[test]
     fn render_has_ten_pairs() {
         let views = small_views();
-        let fig = Fig8::compute(&views);
+        let fig = Fig8::try_compute(&views).unwrap();
         assert_eq!(fig.pairs.len(), 10);
         assert_eq!(fig.singles.len(), 5);
         assert!(fig.render().contains("∧"));

@@ -35,19 +35,6 @@ pub struct Fig9 {
 impl Fig9 {
     /// Computes the figure from the job views' power aggregates.
     ///
-    /// # Panics
-    ///
-    /// Panics if `views` is empty.
-    pub fn compute(views: &[GpuJobView<'_>]) -> Self {
-        match Self::try_compute(views) {
-            Ok(fig) => fig,
-            Err(e) => panic!("fig9: {e}"),
-        }
-    }
-
-    /// Computes the figure, returning a typed error for an empty view
-    /// set instead of panicking.
-    ///
     /// # Errors
     ///
     /// Returns [`StatsError::EmptyInput`] when `views` is empty and
@@ -129,7 +116,7 @@ mod tests {
     #[test]
     fn power_is_far_below_tdp() {
         let views = small_views();
-        let fig = Fig9::compute(&views);
+        let fig = Fig9::try_compute(&views).unwrap();
         // "most jobs consume less than half or even a third of the
         // available power on average."
         assert!(fig.avg_power.median() < 100.0, "avg median {}", fig.avg_power.median());
@@ -140,7 +127,7 @@ mod tests {
     #[test]
     fn capping_at_150w_leaves_majority_unimpacted() {
         let views = small_views();
-        let fig = Fig9::compute(&views);
+        let fig = Fig9::try_compute(&views).unwrap();
         let cap150 = fig.caps[0];
         assert!(cap150.unimpacted > 0.5, "unimpacted {}", cap150.unimpacted);
         assert!(cap150.impacted_by_avg < 0.15, "avg impacted {}", cap150.impacted_by_avg);
@@ -160,7 +147,7 @@ mod tests {
     #[test]
     fn render_mentions_all_caps() {
         let views = small_views();
-        let text = Fig9::compute(&views).render();
+        let text = Fig9::try_compute(&views).unwrap().render();
         for cap in ["150", "200", "250"] {
             assert!(text.contains(cap));
         }

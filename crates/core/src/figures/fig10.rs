@@ -28,19 +28,6 @@ pub struct Fig10 {
 impl Fig10 {
     /// Computes the figure from per-user statistics.
     ///
-    /// # Panics
-    ///
-    /// Panics if `stats` is empty.
-    pub fn compute(stats: &[UserStats]) -> Self {
-        match Self::try_compute(stats) {
-            Ok(fig) => fig,
-            Err(e) => panic!("fig10: {e}"),
-        }
-    }
-
-    /// Computes the figure, returning a typed error on degenerate user
-    /// statistics instead of panicking.
-    ///
     /// # Errors
     ///
     /// Returns [`StatsError::EmptyInput`] when `stats` is empty and
@@ -151,7 +138,7 @@ mod tests {
     #[test]
     fn user_averages_exceed_job_median() {
         let stats = small_user_stats();
-        let fig = Fig10::compute(&stats);
+        let fig = Fig10::try_compute(&stats).unwrap();
         // The lognormal means pull per-user averages far above the
         // 30-minute job median — the paper's 392-minute effect.
         assert!(
@@ -164,7 +151,7 @@ mod tests {
     #[test]
     fn activity_is_concentrated() {
         let stats = small_user_stats();
-        let fig = Fig10::compute(&stats);
+        let fig = Fig10::try_compute(&stats).unwrap();
         assert!(fig.top20_job_share > 0.5, "top-20% share {}", fig.top20_job_share);
         assert!(fig.top5_job_share < fig.top20_job_share);
         assert!(fig.median_jobs_per_user < stats.iter().map(|s| s.jobs).max().unwrap() as f64);
@@ -173,7 +160,7 @@ mod tests {
     #[test]
     fn most_users_have_low_utilization() {
         let stats = small_user_stats();
-        let fig = Fig10::compute(&stats);
+        let fig = Fig10::try_compute(&stats).unwrap();
         // "Only 32% and 5% of the users have an average SM and memory
         // utilization of > 20%" — directionally, minorities.
         assert!(fig.avg_sm.fraction_above(20.0) < 0.6);
@@ -183,7 +170,7 @@ mod tests {
     #[test]
     fn render_and_rows() {
         let stats = small_user_stats();
-        let fig = Fig10::compute(&stats);
+        let fig = Fig10::try_compute(&stats).unwrap();
         assert!(fig.render().contains("Fig. 10"));
         assert_eq!(fig.comparisons().len(), 10);
     }

@@ -22,19 +22,6 @@ pub struct Fig11 {
 impl Fig11 {
     /// Computes the figure from per-user statistics.
     ///
-    /// # Panics
-    ///
-    /// Panics if no user has two or more jobs.
-    pub fn compute(stats: &[UserStats]) -> Self {
-        match Self::try_compute(stats) {
-            Ok(fig) => fig,
-            Err(e) => panic!("fig11: {e}"),
-        }
-    }
-
-    /// Computes the figure, returning a typed error when no user has
-    /// two or more jobs instead of panicking.
-    ///
     /// # Errors
     ///
     /// Returns [`StatsError::EmptyInput`] when no multi-job users
@@ -115,7 +102,7 @@ mod tests {
     #[test]
     fn users_are_internally_heterogeneous() {
         let stats = small_user_stats();
-        let fig = Fig11::compute(&stats);
+        let fig = Fig11::try_compute(&stats).unwrap();
         // "the behavior of different jobs submitted by a user varies
         // greatly" — median CoV of run time is far above 50%.
         assert!(fig.cov_runtime.median() > 80.0, "runtime CoV median {}", fig.cov_runtime.median());
@@ -125,7 +112,7 @@ mod tests {
     #[test]
     fn some_users_exceed_1000_percent() {
         let stats = small_user_stats();
-        let fig = Fig11::compute(&stats);
+        let fig = Fig11::try_compute(&stats).unwrap();
         // "some users have a job run time CoV of over 1000%" — the tail
         // must be long. At the test fixture's scale (~60 users) the
         // extreme order statistic is noisy, so require the max to sit
@@ -142,7 +129,7 @@ mod tests {
     #[test]
     fn render_and_rows() {
         let stats = small_user_stats();
-        let fig = Fig11::compute(&stats);
+        let fig = Fig11::try_compute(&stats).unwrap();
         assert!(fig.render().contains("Fig. 11"));
         assert_eq!(fig.comparisons().len(), 6);
     }

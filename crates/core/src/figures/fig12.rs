@@ -68,19 +68,6 @@ impl Fig12 {
     /// Computes the correlations over users with at least two jobs
     /// (CoV metrics are undefined otherwise).
     ///
-    /// # Panics
-    ///
-    /// Panics if fewer than three multi-job users exist.
-    pub fn compute(stats: &[UserStats]) -> Self {
-        match Self::try_compute(stats) {
-            Ok(fig) => fig,
-            Err(e) => panic!("fig12: {e}"),
-        }
-    }
-
-    /// Computes the correlations, returning a typed error when too few
-    /// multi-job users exist instead of panicking.
-    ///
     /// # Errors
     ///
     /// Returns [`StatsError::InsufficientData`] (via [`spearman`]) when
@@ -167,7 +154,7 @@ mod tests {
     #[test]
     fn expert_users_have_higher_average_utilization() {
         let stats = small_user_stats();
-        let fig = Fig12::compute(&stats);
+        let fig = Fig12::try_compute(&stats).unwrap();
         // "a high positive correlation exists between the number of
         // jobs / GPU hours of a user and the average SM/memory
         // utilization across jobs."
@@ -183,7 +170,7 @@ mod tests {
     #[test]
     fn variability_is_not_explained_by_activity() {
         let stats = small_user_stats();
-        let fig = Fig12::compute(&stats);
+        let fig = Fig12::try_compute(&stats).unwrap();
         // "the correlation … and the CoV of SM/memory utilization across
         // jobs is quite low (< 0.5)."
         let cov_sm = fig.cell(BehaviorMetric::CovSm);
@@ -194,7 +181,7 @@ mod tests {
     #[test]
     fn all_rhos_in_range() {
         let stats = small_user_stats();
-        let fig = Fig12::compute(&stats);
+        let fig = Fig12::try_compute(&stats).unwrap();
         for c in &fig.cells {
             assert!((-1.0..=1.0).contains(&c.vs_jobs.rho));
             assert!((-1.0..=1.0).contains(&c.vs_gpu_hours.rho));

@@ -77,19 +77,6 @@ pub struct Fig13 {
 impl Fig13 {
     /// Computes the figure.
     ///
-    /// # Panics
-    ///
-    /// Panics if `views` or `stats` is empty.
-    pub fn compute(views: &[GpuJobView<'_>], stats: &[UserStats]) -> Self {
-        match Self::try_compute(views, stats) {
-            Ok(fig) => fig,
-            Err(e) => panic!("fig13: {e}"),
-        }
-    }
-
-    /// Computes the figure, returning a typed error on degenerate
-    /// inputs instead of panicking.
-    ///
     /// # Errors
     ///
     /// Returns [`StatsError::EmptyInput`] when `views` or `stats` is
@@ -218,7 +205,7 @@ mod tests {
     fn buckets_partition_jobs_and_hours() {
         let views = small_views();
         let stats = small_user_stats();
-        let fig = Fig13::compute(&views, &stats);
+        let fig = Fig13::try_compute(&views, &stats).unwrap();
         let jobs: f64 = fig.rows.iter().map(|r| r.job_share).sum();
         let hours: f64 = fig.rows.iter().map(|r| r.hours_share).sum();
         assert!((jobs - 1.0).abs() < 1e-9);
@@ -229,7 +216,7 @@ mod tests {
     fn single_gpu_dominates_jobs_but_not_hours() {
         let views = small_views();
         let stats = small_user_stats();
-        let fig = Fig13::compute(&views, &stats);
+        let fig = Fig13::try_compute(&views, &stats).unwrap();
         let single = fig.row(SizeBucket::One);
         assert!((single.job_share - 0.84).abs() < 0.06, "single share {}", single.job_share);
         // Multi-GPU jobs consume a disproportionate share of hours.
@@ -245,7 +232,7 @@ mod tests {
     fn majority_of_users_touch_multi_gpu() {
         let views = small_views();
         let stats = small_user_stats();
-        let fig = Fig13::compute(&views, &stats);
+        let fig = Fig13::try_compute(&views, &stats).unwrap();
         assert!(fig.users_with_multi_gpu > 0.25, "{}", fig.users_with_multi_gpu);
         assert!(fig.users_with_9_gpus < fig.users_with_3_gpus);
         assert!(fig.users_with_3_gpus < fig.users_with_multi_gpu);
@@ -255,7 +242,7 @@ mod tests {
     fn waits_do_not_grow_with_size() {
         let views = small_views();
         let stats = small_user_stats();
-        let fig = Fig13::compute(&views, &stats);
+        let fig = Fig13::try_compute(&views, &stats).unwrap();
         // "multi-GPU jobs … do not experience an increase in wait times
         // in proportion to their sizes" — all medians are tiny.
         for r in &fig.rows {

@@ -32,20 +32,6 @@ pub struct Fig14 {
 impl Fig14 {
     /// Computes the figure over the multi-GPU jobs in `views`.
     ///
-    /// # Panics
-    ///
-    /// Panics if there are no multi-GPU jobs.
-    pub fn compute(views: &[GpuJobView<'_>]) -> Self {
-        match Self::try_compute(views) {
-            Ok(fig) => fig,
-            Err(e) => panic!("fig14: {e}"),
-        }
-    }
-
-    /// Computes the figure, returning a typed error when no multi-GPU
-    /// jobs (or no jobs with ≥2 active GPUs) exist instead of
-    /// panicking.
-    ///
     /// # Errors
     ///
     /// Returns [`StatsError::EmptyInput`] when either panel has no
@@ -153,7 +139,7 @@ mod tests {
     #[test]
     fn forty_percent_of_multi_gpu_jobs_strand_gpus() {
         let views = small_views();
-        let fig = Fig14::compute(&views);
+        let fig = Fig14::try_compute(&views).unwrap();
         assert!(
             (fig.half_idle_fraction - 0.40).abs() < 0.15,
             "half-idle fraction {}",
@@ -164,7 +150,7 @@ mod tests {
     #[test]
     fn removing_idle_gpus_collapses_the_cov() {
         let views = small_views();
-        let fig = Fig14::compute(&views);
+        let fig = Fig14::try_compute(&views).unwrap();
         // "if only the active GPUs of the job are considered … the CoV
         // tends to be much lower."
         assert!(
@@ -179,7 +165,7 @@ mod tests {
     #[test]
     fn distribution_is_bimodal() {
         let views = small_views();
-        let fig = Fig14::compute(&views);
+        let fig = Fig14::try_compute(&views).unwrap();
         // Roughly half the jobs near zero CoV, a large cluster very high.
         assert!(fig.sm_cov_all.fraction_at_most(25.0) > 0.3);
         assert!(fig.sm_cov_all.fraction_above(80.0) > 0.2);

@@ -29,19 +29,6 @@ pub struct Fig15 {
 impl Fig15 {
     /// Computes the mix over the analyzed GPU jobs.
     ///
-    /// # Panics
-    ///
-    /// Panics if `views` is empty or some class is entirely absent.
-    pub fn compute(views: &[GpuJobView<'_>]) -> Self {
-        match Self::try_compute(views) {
-            Ok(fig) => fig,
-            Err(e) => panic!("fig15: {e}"),
-        }
-    }
-
-    /// Computes the mix, returning a typed error when `views` is empty
-    /// or a class is entirely absent instead of panicking.
-    ///
     /// # Errors
     ///
     /// Returns [`StatsError::EmptyInput`] in both degenerate cases.
@@ -170,7 +157,7 @@ mod tests {
     #[test]
     fn shares_are_distributions() {
         let views = small_views();
-        let fig = Fig15::compute(&views);
+        let fig = Fig15::try_compute(&views).unwrap();
         let jobs: f64 = fig.shares.iter().map(|s| s.job_share).sum();
         let hours: f64 = fig.shares.iter().map(|s| s.hours_share).sum();
         assert!((jobs - 1.0).abs() < 1e-9);
@@ -180,7 +167,7 @@ mod tests {
     #[test]
     fn non_mature_work_dominates_gpu_hours() {
         let views = small_views();
-        let fig = Fig15::compute(&views);
+        let fig = Fig15::try_compute(&views).unwrap();
         // "only 39% of the GPU hours are consumed by mature jobs, while
         // 61% … by other types" — mature hours ≪ mature job share.
         let mature = fig.share(Mature);
@@ -196,7 +183,7 @@ mod tests {
     #[test]
     fn ide_jobs_consume_disproportionate_hours() {
         let views = small_views();
-        let fig = Fig15::compute(&views);
+        let fig = Fig15::try_compute(&views).unwrap();
         let ide = fig.share(Ide);
         // 3.5% of jobs, 18% of hours: at least a 2.5× amplification.
         assert!(
@@ -210,7 +197,7 @@ mod tests {
     #[test]
     fn exploratory_jobs_run_longer_than_mature() {
         let views = small_views();
-        let fig = Fig15::compute(&views);
+        let fig = Fig15::try_compute(&views).unwrap();
         assert!(
             fig.share(Exploratory).median_runtime_min > fig.share(Mature).median_runtime_min * 0.8,
             "exploratory {} vs mature {}",

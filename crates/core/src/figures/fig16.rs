@@ -29,19 +29,6 @@ pub struct Fig16 {
 impl Fig16 {
     /// Computes the boxes.
     ///
-    /// # Panics
-    ///
-    /// Panics if any class has no jobs.
-    pub fn compute(views: &[GpuJobView<'_>]) -> Self {
-        match Self::try_compute(views) {
-            Ok(fig) => fig,
-            Err(e) => panic!("fig16: {e}"),
-        }
-    }
-
-    /// Computes the boxes, returning a typed error when a class has no
-    /// jobs instead of panicking.
-    ///
     /// # Errors
     ///
     /// Returns [`StatsError::EmptyInput`] when any class is
@@ -131,7 +118,7 @@ mod tests {
     #[test]
     fn development_and_ide_sit_idle() {
         let views = small_views();
-        let fig = Fig16::compute(&views);
+        let fig = Fig16::try_compute(&views).unwrap();
         // "the median SM utilization of mature jobs, exploratory jobs,
         // development jobs, and IDE jobs is 21%, 15%, 0%, and 0%."
         assert!(
@@ -146,7 +133,7 @@ mod tests {
     #[test]
     fn mature_leads_exploratory_leads_development() {
         let views = small_views();
-        let fig = Fig16::compute(&views);
+        let fig = Fig16::try_compute(&views).unwrap();
         assert!(fig.row(Mature).sm.median >= fig.row(Exploratory).sm.median * 0.7);
         assert!(fig.row(Exploratory).sm.median > fig.row(Development).sm.median);
     }
@@ -154,7 +141,7 @@ mod tests {
     #[test]
     fn ide_p75_is_near_zero() {
         let views = small_views();
-        let fig = Fig16::compute(&views);
+        let fig = Fig16::try_compute(&views).unwrap();
         // "even the 75th percentile SM utilization of IDE jobs is 0%."
         assert!(fig.row(Ide).sm.q3 < 5.0, "IDE p75 {}", fig.row(Ide).sm.q3);
         assert!(fig.render().contains("(c) memory size"));

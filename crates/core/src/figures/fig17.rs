@@ -25,19 +25,6 @@ pub struct Fig17 {
 impl Fig17 {
     /// Computes the figure from per-user statistics.
     ///
-    /// # Panics
-    ///
-    /// Panics if `stats` is empty.
-    pub fn compute(stats: &[UserStats]) -> Self {
-        match Self::try_compute(stats) {
-            Ok(fig) => fig,
-            Err(e) => panic!("fig17: {e}"),
-        }
-    }
-
-    /// Computes the figure, returning a typed error when `stats` is
-    /// empty instead of panicking.
-    ///
     /// # Errors
     ///
     /// Returns [`StatsError::EmptyInput`] when `stats` is empty.
@@ -118,7 +105,7 @@ mod tests {
     #[test]
     fn mixes_sorted_and_normalized() {
         let stats = small_user_stats();
-        let fig = Fig17::compute(&stats);
+        let fig = Fig17::try_compute(&stats).unwrap();
         for w in fig.job_mixes.windows(2) {
             assert!(w[0][0] <= w[1][0] + 1e-12);
         }
@@ -131,7 +118,7 @@ mod tests {
     #[test]
     fn many_users_are_mostly_non_mature() {
         let stats = small_user_stats();
-        let fig = Fig17::compute(&stats);
+        let fig = Fig17::try_compute(&stats).unwrap();
         // Paper: >50% of users below 40% mature; we require a clear
         // plurality under small-sample noise.
         assert!(fig.users_mature_below_40 > 0.30, "{}", fig.users_mature_below_40);
@@ -145,7 +132,7 @@ mod tests {
     #[test]
     fn render_shows_both_panels() {
         let stats = small_user_stats();
-        let text = Fig17::compute(&stats).render();
+        let text = Fig17::try_compute(&stats).unwrap().render();
         assert!(text.contains("Fig. 17(a)"));
         assert!(text.contains("Fig. 17(b)"));
     }

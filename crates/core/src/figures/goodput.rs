@@ -54,19 +54,6 @@ pub struct GoodputFig {
 impl GoodputFig {
     /// Computes the breakdown from a simulation output.
     ///
-    /// # Panics
-    ///
-    /// Panics if the output has no job fates (an empty trace).
-    pub fn compute(out: &SimOutput) -> Self {
-        match Self::try_compute(out) {
-            Ok(fig) => fig,
-            Err(e) => panic!("goodput: {e}"),
-        }
-    }
-
-    /// Computes the breakdown, returning a typed error for an empty
-    /// trace instead of panicking.
-    ///
     /// # Errors
     ///
     /// Returns [`StatsError::EmptyInput`] when the output has no job
@@ -168,7 +155,7 @@ mod tests {
 
     #[test]
     fn ledger_balances_without_injection() {
-        let fig = GoodputFig::compute(small_sim());
+        let fig = GoodputFig::try_compute(small_sim()).unwrap();
         let total = fig.useful_gpu_hours + fig.lost_gpu_hours + fig.idle_gpu_hours;
         assert!(
             (fig.allocated_gpu_hours - total).abs() <= 1e-6 * fig.allocated_gpu_hours,
@@ -193,7 +180,7 @@ mod tests {
             ..Default::default()
         })
         .run(&trace);
-        let fig = GoodputFig::compute(&out);
+        let fig = GoodputFig::try_compute(&out).unwrap();
         assert!(fig.lost_gpu_hours > 0.0);
         assert!(fig.jobs_retried > 0);
         assert!(fig.jobs_recovered > 0, "some retried job should survive");

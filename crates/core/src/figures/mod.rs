@@ -1,7 +1,8 @@
 //! One module per figure of the paper's evaluation.
 //!
-//! Every module exposes a `FigXX` struct with a `compute` constructor
-//! (pure function of the simulation output), a `render` method printing
+//! Every module exposes a `FigXX` struct with a `try_compute`
+//! constructor (pure function of the simulation output, returning a
+//! typed error on a degenerate input), a `render` method printing
 //! the same rows/series the paper plots, and a `comparisons` method
 //! returning paper-vs-measured rows for `EXPERIMENTS.md`.
 

@@ -52,19 +52,6 @@ pub struct PolicyArm {
 impl PolicyArm {
     /// Computes one arm's scalars from a simulation output.
     ///
-    /// # Panics
-    ///
-    /// Panics if the output has no records (an empty trace).
-    pub fn compute(label: &str, out: &SimOutput) -> Self {
-        match Self::try_compute(label, out) {
-            Ok(arm) => arm,
-            Err(e) => panic!("policy arm: {e}"),
-        }
-    }
-
-    /// Computes one arm's scalars, returning a typed error for an
-    /// empty trace instead of panicking.
-    ///
     /// # Errors
     ///
     /// Returns [`StatsError::EmptyInput`] when the output has no
@@ -126,12 +113,21 @@ fn pct_delta(a: f64, b: f64) -> f64 {
 
 impl PolicyAbFig {
     /// Computes the deltas from two runs of the same trace.
-    pub fn compute(policy_name: &str, baseline: &SimOutput, policy: &SimOutput) -> Self {
-        PolicyAbFig {
+    ///
+    /// # Errors
+    ///
+    /// Returns [`StatsError::EmptyInput`] when either output has no
+    /// records.
+    pub fn try_compute(
+        policy_name: &str,
+        baseline: &SimOutput,
+        policy: &SimOutput,
+    ) -> Result<Self, StatsError> {
+        Ok(PolicyAbFig {
             policy_name: policy_name.to_string(),
-            baseline: PolicyArm::compute("baseline", baseline),
-            policy: PolicyArm::compute(policy_name, policy),
-        }
+            baseline: PolicyArm::try_compute("baseline", baseline)?,
+            policy: PolicyArm::try_compute(policy_name, policy)?,
+        })
     }
 
     /// `(metric, baseline, policy, delta%)` rows for the scalar metrics.
@@ -224,7 +220,7 @@ mod tests {
     #[test]
     fn identical_arms_have_zero_deltas() {
         let out = small_sim();
-        let fig = PolicyAbFig::compute("off", out, out);
+        let fig = PolicyAbFig::try_compute("off", out, out).unwrap();
         for (name, _, _, d) in fig.rows() {
             assert_eq!(d, 0.0, "{name} delta must be zero for identical arms");
         }
@@ -236,7 +232,7 @@ mod tests {
 
     #[test]
     fn arm_scalars_are_sane() {
-        let arm = PolicyArm::compute("baseline", small_sim());
+        let arm = PolicyArm::try_compute("baseline", small_sim()).unwrap();
         assert!(arm.mean_queue_wait_secs >= 0.0);
         assert!(arm.p95_queue_wait_secs >= arm.mean_queue_wait_secs * 0.0);
         assert!(arm.goodput_fraction > 0.0 && arm.goodput_fraction <= 1.0);

@@ -65,20 +65,6 @@ pub struct StreamingTelemetryFig {
 impl StreamingTelemetryFig {
     /// Computes the cross-validation from a simulation output.
     ///
-    /// # Panics
-    ///
-    /// Panics when the output streamed no GPU jobs (an empty or
-    /// CPU-only trace).
-    pub fn compute(out: &SimOutput) -> Self {
-        match Self::try_compute(out) {
-            Ok(fig) => fig,
-            Err(e) => panic!("streaming telemetry: {e}"),
-        }
-    }
-
-    /// Computes the cross-validation, returning a typed error for an
-    /// output with no streamed GPU jobs.
-    ///
     /// # Errors
     ///
     /// Returns [`StatsError::EmptyInput`] when the streamed summary
@@ -219,7 +205,7 @@ mod tests {
 
     #[test]
     fn streamed_aggregates_match_batch_rederivation() {
-        let fig = StreamingTelemetryFig::compute(small_sim());
+        let fig = StreamingTelemetryFig::try_compute(small_sim()).unwrap();
         assert!(fig.checks.len() >= 7, "all aggregates must be checked: {fig:?}");
         for c in &fig.checks {
             assert!(c.pass(), "{} off by {:.3e} (bound {:.0e})", c.metric, c.rel_err(), c.bound);
@@ -233,8 +219,8 @@ mod tests {
 
     #[test]
     fn render_is_stable_and_flags_passes() {
-        let a = StreamingTelemetryFig::compute(small_sim());
-        let b = StreamingTelemetryFig::compute(small_sim());
+        let a = StreamingTelemetryFig::try_compute(small_sim()).unwrap();
+        let b = StreamingTelemetryFig::try_compute(small_sim()).unwrap();
         assert_eq!(a.render(), b.render());
         assert!(a.render().contains("all checks within bounds: yes"));
     }

@@ -41,21 +41,6 @@ pub struct ClusterTimelineFig {
 impl ClusterTimelineFig {
     /// Computes the figure from a simulation output.
     ///
-    /// # Panics
-    ///
-    /// Panics if the output's timeline is empty (cannot happen for a
-    /// run with at least one event: the loop always closes the series
-    /// with a final sample).
-    pub fn compute(out: &SimOutput) -> Self {
-        match Self::try_compute(out) {
-            Ok(fig) => fig,
-            Err(e) => panic!("timeline: {e}"),
-        }
-    }
-
-    /// Computes the figure, returning a typed error for an empty
-    /// timeline instead of panicking.
-    ///
     /// # Errors
     ///
     /// Returns [`StatsError::EmptyInput`] when the timeline has no
@@ -145,7 +130,7 @@ mod tests {
 
     #[test]
     fn timeline_figure_summarizes_the_run() {
-        let fig = ClusterTimelineFig::compute(small_sim());
+        let fig = ClusterTimelineFig::try_compute(small_sim()).unwrap();
         assert!(fig.samples.len() >= 2, "need an opening and a closing sample");
         assert!(fig.peak_running > 0);
         assert!(fig.peak_gpus_in_use > 0);
@@ -162,7 +147,7 @@ mod tests {
 
     #[test]
     fn curves_cover_the_whole_horizon() {
-        let fig = ClusterTimelineFig::compute(small_sim());
+        let fig = ClusterTimelineFig::try_compute(small_sim()).unwrap();
         for (name, points) in fig.curves() {
             assert_eq!(points.len(), fig.samples.len(), "{name}");
             for pair in points.windows(2) {

@@ -26,8 +26,9 @@
 //! // Full 125-day reproduction (takes a couple of minutes):
 //! let trace = Trace::generate(&WorkloadSpec::supercloud(), 42);
 //! let out = Simulation::supercloud().run(&trace);
-//! let report = AnalysisReport::from_sim(&out);
+//! let report = AnalysisReport::try_from_sim(&out)?;
 //! println!("{}", report.render_text());
+//! # Ok::<(), sc_core::PipelineError>(())
 //! ```
 
 #![warn(missing_docs)]

@@ -89,43 +89,19 @@ pub struct AnalysisReport {
 impl AnalysisReport {
     /// Computes every figure from a simulation output.
     ///
-    /// # Panics
-    ///
-    /// Panics if the output lacks the populations a figure needs (e.g.
-    /// no multi-GPU jobs, no detailed subset) — run a large enough
-    /// trace.
-    pub fn from_sim(out: &SimOutput) -> Self {
-        Self::from_sim_logged(out, &StageLog::new())
-    }
-
-    /// Like [`AnalysisReport::from_sim`] but returning a typed error
-    /// when a figure's population is missing.
-    ///
     /// # Errors
     ///
-    /// Returns the first failing stage as a [`PipelineError`].
+    /// Returns the first failing stage as a [`PipelineError`] when the
+    /// output lacks the populations a figure needs (e.g. no multi-GPU
+    /// jobs, no detailed subset).
     pub fn try_from_sim(out: &SimOutput) -> Result<Self, PipelineError> {
         Self::try_from_sim_logged(out, &StageLog::new())
     }
 
-    /// Like [`AnalysisReport::from_sim`], recording a wall-clock span
-    /// per pipeline stage (view building, user stats, each figure)
+    /// Like [`AnalysisReport::try_from_sim`], recording a wall-clock
+    /// span per pipeline stage (view building, user stats, each figure)
     /// into `log` — the substrate of the Chrome trace export. The
-    /// report itself is identical to `from_sim`'s.
-    ///
-    /// # Panics
-    ///
-    /// Panics under the same conditions as [`AnalysisReport::from_sim`].
-    pub fn from_sim_logged(out: &SimOutput, log: &StageLog) -> Self {
-        match Self::try_from_sim_logged(out, log) {
-            Ok(report) => report,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// The `Result`-based core of the pipeline: computes every figure,
-    /// recording one span per stage, and surfaces the first degenerate
-    /// input as a typed error instead of panicking.
+    /// report itself is identical to `try_from_sim`'s.
     ///
     /// # Errors
     ///
@@ -331,19 +307,6 @@ pub struct DatasetReport {
 }
 
 impl DatasetReport {
-    /// Computes every dataset-only figure.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the dataset lacks a population some figure needs
-    /// (e.g. no multi-GPU jobs).
-    pub fn from_dataset(dataset: &sc_telemetry::Dataset) -> Self {
-        match Self::try_from_dataset(dataset) {
-            Ok(report) => report,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
     /// Computes every dataset-only figure, returning a typed error when
     /// a figure's population is missing — the entry point for datasets
     /// that went through [`mod@crate::ingest`] repair and may be thinner
@@ -355,7 +318,7 @@ impl DatasetReport {
     pub fn try_from_dataset(dataset: &sc_telemetry::Dataset) -> Result<Self, PipelineError> {
         let views = gpu_views(dataset);
         let users = user_stats(&views);
-        // Same fan-out as `AnalysisReport::from_sim`, minus the two
+        // Same fan-out as `AnalysisReport::try_from_sim`, minus the two
         // figures that need the detailed time-series subset.
         let mut fig3 = None;
         let mut fig4 = None;
@@ -441,15 +404,15 @@ mod tests {
         // reload it, and regenerate the dataset-only figures.
         let json = small_sim().dataset.to_json().expect("serializable");
         let dataset = sc_telemetry::Dataset::from_json(&json).expect("parseable");
-        let report = DatasetReport::from_dataset(&dataset);
-        let direct = DatasetReport::from_dataset(&small_sim().dataset);
+        let report = DatasetReport::try_from_dataset(&dataset).unwrap();
+        let direct = DatasetReport::try_from_dataset(&small_sim().dataset).unwrap();
         assert_eq!(report.fig4.sm.median(), direct.fig4.sm.median());
         assert!(report.render_text().contains("Fig. 15"));
     }
 
     #[test]
     fn full_pipeline_runs_on_small_trace() {
-        let report = AnalysisReport::from_sim(small_sim());
+        let report = AnalysisReport::try_from_sim(small_sim()).unwrap();
         assert!(!report.users.is_empty());
         assert_eq!(report.all_comparisons().len(), 16);
         let text = report.render_text();
@@ -464,7 +427,7 @@ mod tests {
     #[test]
     fn logged_pipeline_records_a_span_per_stage() {
         let log = StageLog::new();
-        let report = AnalysisReport::from_sim_logged(small_sim(), &log);
+        let report = AnalysisReport::try_from_sim_logged(small_sim(), &log).unwrap();
         assert!(!report.users.is_empty());
         let spans = log.spans();
         let names: Vec<&str> = spans.iter().map(|s| s.name.as_str()).collect();

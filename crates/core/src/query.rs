@@ -315,7 +315,7 @@ mod tests {
     #[test]
     fn standalone_renders_match_the_batch_pipeline() {
         let out = small_sim();
-        let report = crate::AnalysisReport::from_sim(out);
+        let report = crate::AnalysisReport::try_from_sim(out).unwrap();
         assert_eq!(FigureId::Fig3.render_from_sim(out).expect("fig3"), report.fig3.render());
         assert_eq!(FigureId::Fig17.render_from_sim(out).expect("fig17"), report.fig17.render());
         assert_eq!(

@@ -607,7 +607,7 @@ mod tests {
 
     #[test]
     fn write_report_svgs_produces_files() {
-        let report = crate::AnalysisReport::from_sim(crate::testsupport::small_sim());
+        let report = crate::AnalysisReport::try_from_sim(crate::testsupport::small_sim()).unwrap();
         let dir = std::env::temp_dir().join("sc_svg_test");
         let files = write_report_svgs(&report, &dir).expect("svg files written");
         assert!(files.len() >= 11);

@@ -7,7 +7,7 @@
 //! (index-ordered — the forest is identical at any thread budget).
 //!
 //! Splits greedily minimize weighted Gini impurity over a random
-//! subset of features, scanning at most [`MAX_THRESHOLDS`] candidate
+//! subset of features, scanning at most `MAX_THRESHOLDS` (32) candidate
 //! cuts per feature; ties keep the first candidate in deterministic
 //! scan order.
 

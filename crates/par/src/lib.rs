@@ -17,12 +17,11 @@
 
 pub mod cache;
 pub mod executor;
-pub mod spsc;
 
 pub use cache::{CacheOutcome, CacheStats, MemoCache};
 pub use executor::Executor;
 
-use std::collections::BTreeMap;
+use std::panic;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Mutex};
 use std::thread;
@@ -62,6 +61,15 @@ const MIN_PARALLEL_ITEMS: usize = 4;
 /// so uneven item costs balance across threads; each result lands in
 /// its item's slot, so the returned `Vec` is identical to
 /// `items.iter().map(f).collect()` for any thread count.
+///
+/// Returns only after every worker thread has exited, so thread-local
+/// scratch the workers filled (such as the telemetry spill buffer) is
+/// already freed.
+///
+/// # Panics
+///
+/// If `f` panics on a worker, the panic is re-raised on the calling
+/// thread with the worker's own payload, as on the sequential path.
 pub fn par_map<T, R, F>(items: &[T], f: F) -> Vec<R>
 where
     T: Sync,
@@ -76,125 +84,36 @@ where
     let cursor = AtomicUsize::new(0);
     let (tx, rx) = mpsc::channel::<(usize, R)>();
     thread::scope(|scope| {
-        for _ in 0..threads {
-            let tx = tx.clone();
-            let (cursor, f) = (&cursor, &f);
-            scope.spawn(move || loop {
-                let i = cursor.fetch_add(1, Ordering::Relaxed);
-                let Some(item) = items.get(i) else { break };
-                if tx.send((i, f(item))).is_err() {
-                    break;
-                }
-            });
-        }
+        let workers: Vec<_> = (0..threads)
+            .map(|_| {
+                let tx = tx.clone();
+                let (cursor, f) = (&cursor, &f);
+                scope.spawn(move || loop {
+                    let i = cursor.fetch_add(1, Ordering::Relaxed);
+                    let Some(item) = items.get(i) else { break };
+                    if tx.send((i, f(item))).is_err() {
+                        break;
+                    }
+                })
+            })
+            .collect();
         drop(tx);
 
         let mut slots: Vec<Option<R>> = (0..items.len()).map(|_| None).collect();
         for (i, result) in rx {
             slots[i] = Some(result);
         }
+        // Join each worker explicitly: the scope's implicit join returns
+        // before worker thread-local destructors run, and a panicking
+        // worker leaves its item's slot empty, so surface its payload
+        // rather than the missing slot.
+        for worker in workers {
+            if let Err(payload) = worker.join() {
+                panic::resume_unwind(payload);
+            }
+        }
         slots.into_iter().map(|r| r.expect("every index is claimed exactly once")).collect()
     })
-}
-
-/// Per-worker SPSC channel capacity for [`par_stream`]. Together with
-/// the reorder buffer this bounds in-flight results to
-/// `threads * (STREAM_CHANNEL_CAP + 1)` items regardless of input size.
-const STREAM_CHANNEL_CAP: usize = 64;
-
-/// Streaming variant of [`par_map`]: maps `f` over `items` in parallel
-/// and delivers each result to `consume` **in input order**, without
-/// ever materializing the full result vector.
-///
-/// Workers claim items dynamically and push `(index, result)` pairs
-/// through bounded SPSC ring-buffer channels ([`spsc`]); the calling
-/// thread restores input order through a reorder buffer. Backpressure
-/// from the bounded channels caps buffered results at
-/// `threads * (capacity + 1)` items, so peak memory is O(aggregate
-/// state) + O(channel bound) instead of O(items).
-///
-/// `consume` observes exactly the sequence
-/// `(0, f(&items[0])), (1, f(&items[1])), …` for any thread budget —
-/// the same determinism contract as [`par_map`].
-pub fn par_stream<T, R, F, C>(items: &[T], f: F, mut consume: C)
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-    C: FnMut(usize, R),
-{
-    let threads = current_threads().min(items.len());
-    if threads <= 1 || items.len() < MIN_PARALLEL_ITEMS {
-        for (i, item) in items.iter().enumerate() {
-            consume(i, f(item));
-        }
-        return;
-    }
-
-    let cursor = AtomicUsize::new(0);
-    let mut senders = Vec::with_capacity(threads);
-    let mut receivers = Vec::with_capacity(threads);
-    for _ in 0..threads {
-        let (tx, rx) = spsc::channel::<(usize, R)>(STREAM_CHANNEL_CAP);
-        senders.push(tx);
-        receivers.push(rx);
-    }
-
-    let mut pending: BTreeMap<usize, R> = BTreeMap::new();
-    let mut next = 0usize;
-    thread::scope(|scope| {
-        for tx in senders {
-            let (cursor, f) = (&cursor, &f);
-            scope.spawn(move || loop {
-                let i = cursor.fetch_add(1, Ordering::Relaxed);
-                let Some(item) = items.get(i) else { break };
-                if tx.send((i, f(item))).is_err() {
-                    break;
-                }
-            });
-        }
-
-        // Consume on the calling thread, restoring input order through a
-        // reorder buffer. Out-of-order arrivals are bounded by the
-        // channel capacities: a worker that runs ahead blocks in send().
-        while next < items.len() {
-            let mut progressed = false;
-            for rx in &mut receivers {
-                while let Some((i, result)) = rx.try_recv() {
-                    pending.insert(i, result);
-                    progressed = true;
-                }
-            }
-            while let Some(result) = pending.remove(&next) {
-                consume(next, result);
-                next += 1;
-            }
-            if !progressed && next < items.len() {
-                if receivers.iter().all(|rx| rx.sender_gone()) {
-                    // Observing sender_gone (Acquire) orders us after the
-                    // producer's final send, so one more drain sees
-                    // everything ever sent; if an index is still missing,
-                    // a worker panicked mid-item. Stop consuming; the
-                    // scope join below re-raises the worker's panic.
-                    let mut drained = false;
-                    for rx in &mut receivers {
-                        while let Some((i, result)) = rx.try_recv() {
-                            pending.insert(i, result);
-                            drained = true;
-                        }
-                    }
-                    if !drained && !pending.contains_key(&next) {
-                        break;
-                    }
-                } else {
-                    thread::yield_now();
-                }
-            }
-        }
-    });
-    // Reached only when no worker panicked (the scope join re-raises
-    // worker panics), so every index must have been delivered.
-    assert!(next == items.len() && pending.is_empty(), "par_stream lost in-flight results");
 }
 
 /// Runs heterogeneous one-shot tasks on the thread budget.
@@ -250,62 +169,75 @@ mod tests {
 
     #[test]
     fn par_map_matches_sequential_for_any_budget() {
+        // Uneven per-item cost so workers genuinely finish out of order.
         let items: Vec<u64> = (0..257).collect();
-        let sequential: Vec<u64> = items.iter().map(|&x| x.wrapping_mul(0x9e37)).collect();
-        let _guard = BUDGET_LOCK.lock().unwrap();
-        let saved = current_threads();
-        for budget in [1, 2, 3, 8] {
-            set_max_threads(budget);
-            assert_eq!(par_map(&items, |&x| x.wrapping_mul(0x9e37)), sequential);
-        }
-        set_max_threads(saved);
-    }
-
-    #[test]
-    fn par_stream_delivers_in_input_order() {
-        let items: Vec<u64> = (0..1000).collect();
-        let mut seen = Vec::new();
-        par_stream(&items, |&x| x * 3, |i, r| seen.push((i, r)));
-        let expected: Vec<(usize, u64)> =
-            items.iter().enumerate().map(|(i, &x)| (i, x * 3)).collect();
-        assert_eq!(seen, expected);
-    }
-
-    #[test]
-    fn par_stream_handles_empty_and_tiny_inputs() {
-        let mut count = 0;
-        par_stream(&[] as &[u64], |&x| x, |_, _| count += 1);
-        assert_eq!(count, 0);
-        let mut out = Vec::new();
-        par_stream(&[5u64], |&x| x + 1, |i, r| out.push((i, r)));
-        assert_eq!(out, vec![(0, 6)]);
-    }
-
-    #[test]
-    fn par_stream_matches_sequential_for_any_budget() {
-        // Uneven per-item cost so workers genuinely race out of order.
-        let items: Vec<u64> = (0..300).collect();
         let work = |&x: &u64| {
-            let spin = (x % 7) * 10;
             let mut acc = x;
-            for _ in 0..spin {
+            for _ in 0..(x % 7) * 10 {
                 acc = std::hint::black_box(acc.wrapping_mul(0x9e37).rotate_left(7));
             }
             acc
         };
-        let mut sequential = Vec::new();
-        for (i, item) in items.iter().enumerate() {
-            sequential.push((i, work(item)));
-        }
+        let sequential: Vec<u64> = items.iter().map(work).collect();
         let _guard = BUDGET_LOCK.lock().unwrap();
         let saved = current_threads();
         for budget in [1, 2, 3, 8] {
             set_max_threads(budget);
-            let mut seen = Vec::new();
-            par_stream(&items, work, |i, r| seen.push((i, r)));
-            assert_eq!(seen, sequential, "budget {budget}");
+            assert_eq!(par_map(&items, work), sequential, "budget {budget}");
         }
         set_max_threads(saved);
+    }
+
+    #[test]
+    fn par_map_reraises_the_worker_panic() {
+        let items: Vec<u64> = (0..64).collect();
+        let _guard = BUDGET_LOCK.lock().unwrap();
+        let saved = current_threads();
+        for budget in [2, 8] {
+            set_max_threads(budget);
+            let caught = panic::catch_unwind(|| {
+                par_map(&items, |&x| {
+                    assert!(x != 37, "worker failed on item {x}");
+                    x
+                })
+            });
+            let payload = caught.expect_err("the worker panic must propagate");
+            let message = payload
+                .downcast_ref::<String>()
+                .map(String::as_str)
+                .or_else(|| payload.downcast_ref::<&str>().copied())
+                .unwrap_or_default();
+            assert_eq!(message, "worker failed on item 37", "budget {budget}");
+        }
+        set_max_threads(saved);
+    }
+
+    #[test]
+    fn par_map_frees_worker_thread_locals_before_returning() {
+        static CREATED: AtomicUsize = AtomicUsize::new(0);
+        static FREED: AtomicUsize = AtomicUsize::new(0);
+        struct Scratch;
+        impl Drop for Scratch {
+            fn drop(&mut self) {
+                // A slow destructor, so a missing join shows every time.
+                thread::sleep(std::time::Duration::from_millis(50));
+                FREED.fetch_add(1, Ordering::SeqCst);
+            }
+        }
+        thread_local! {
+            static SCRATCH: Scratch = {
+                CREATED.fetch_add(1, Ordering::SeqCst);
+                Scratch
+            };
+        }
+        let items: Vec<u64> = (0..64).collect();
+        let _guard = BUDGET_LOCK.lock().unwrap();
+        let saved = current_threads();
+        set_max_threads(4);
+        par_map(&items, |&x| SCRATCH.with(|_| x));
+        set_max_threads(saved);
+        assert!(CREATED.load(Ordering::SeqCst) > 0);
+        assert_eq!(FREED.load(Ordering::SeqCst), CREATED.load(Ordering::SeqCst));
     }
 
     #[test]

@@ -20,6 +20,7 @@ use sc_cluster::{SimConfig, SimOutput, Simulation, SlowTierSpec};
 use sc_core::figures::PolicyAbFig;
 use sc_learn::{ArchetypePredictor, ClassifierConfig, EvalReport};
 use sc_obs::Obs;
+use sc_stats::StatsError;
 use sc_workload::Trace;
 
 /// Slow-tier layout injected for [`PolicySpec::Tiered`] when the base
@@ -92,7 +93,11 @@ impl PolicyExperiment {
     }
 
     /// Runs both arms without tracing.
-    pub fn run(&self, trace: &Trace) -> ExperimentResult {
+    ///
+    /// # Errors
+    ///
+    /// Same as [`PolicyExperiment::run_observed`].
+    pub fn run(&self, trace: &Trace) -> Result<ExperimentResult, StatsError> {
         self.run_observed(trace, &Obs::off())
     }
 
@@ -104,7 +109,16 @@ impl PolicyExperiment {
     /// and runs a third *oracle-label* arm (same gating rule, ground
     /// truth labels) so the result can report what classifier error
     /// cost.
-    pub fn run_observed(&self, trace: &Trace, obs: &Obs<'_>) -> ExperimentResult {
+    ///
+    /// # Errors
+    ///
+    /// Returns [`StatsError::EmptyInput`] when an arm produced no
+    /// records (an empty trace).
+    pub fn run_observed(
+        &self,
+        trace: &Trace,
+        obs: &Obs<'_>,
+    ) -> Result<ExperimentResult, StatsError> {
         let cfg = self.config();
         let (baseline, _) = Simulation::new(cfg.clone()).run_observed(trace, &Obs::off());
         let mut classifier_eval = None;
@@ -119,16 +133,16 @@ impl PolicyExperiment {
                 None => Simulation::new(cfg.clone()).run_observed(trace, obs),
             }
         };
-        let fig = PolicyAbFig::compute(&self.spec.label(), &baseline, &policy);
+        let fig = PolicyAbFig::try_compute(&self.spec.label(), &baseline, &policy)?;
         let (oracle, oracle_fig) = if self.spec == PolicySpec::CosharePredicted {
             let mut p = CosharePolicy::label_gated();
             let (out, _) = Simulation::new(cfg).run_policy(trace, &Obs::off(), &mut p);
-            let fig = PolicyAbFig::compute("coshare-oracle", &baseline, &out);
+            let fig = PolicyAbFig::try_compute("coshare-oracle", &baseline, &out)?;
             (Some(out), Some(fig))
         } else {
             (None, None)
         };
-        ExperimentResult { baseline, policy, fig, oracle, oracle_fig, classifier_eval }
+        Ok(ExperimentResult { baseline, policy, fig, oracle, oracle_fig, classifier_eval })
     }
 }
 
@@ -148,7 +162,7 @@ mod tests {
     #[test]
     fn off_spec_yields_identical_arms() {
         let exp = PolicyExperiment::new(small_config(), PolicySpec::Off);
-        let r = exp.run(&small_trace());
+        let r = exp.run(&small_trace()).unwrap();
         assert_eq!(r.baseline.dataset.records().len(), r.policy.dataset.records().len());
         for (name, _, _, d) in r.fig.rows() {
             assert_eq!(d, 0.0, "{name} must not drift with no policy");
@@ -158,7 +172,7 @@ mod tests {
     #[test]
     fn powercap_arm_throttles_and_stretches() {
         let exp = PolicyExperiment::new(small_config(), PolicySpec::PowerCap { cap_w: 150.0 });
-        let r = exp.run(&small_trace());
+        let r = exp.run(&small_trace()).unwrap();
         assert!(r.policy.stats.policy_cap_throttles > 0, "a 150 W cap must bite");
         assert_eq!(r.baseline.stats.policy_cap_throttles, 0);
         for rec in r.policy.dataset.records() {
@@ -183,7 +197,7 @@ mod tests {
     #[test]
     fn predicted_experiment_runs_three_arms_and_reports_deltas() {
         let exp = PolicyExperiment::new(small_config(), PolicySpec::CosharePredicted);
-        let r = exp.run(&small_trace());
+        let r = exp.run(&small_trace()).unwrap();
         let eval = r.classifier_eval.as_ref().expect("predicted arm trains a classifier");
         assert!(eval.accuracy > 0.6, "confusion: {:?}", eval.confusion);
         let oracle = r.oracle.as_ref().expect("oracle arm runs alongside");
@@ -199,7 +213,7 @@ mod tests {
     #[test]
     fn non_predicted_experiments_have_no_oracle_arm() {
         let exp = PolicyExperiment::new(small_config(), PolicySpec::Coshare);
-        let r = exp.run(&small_trace());
+        let r = exp.run(&small_trace()).unwrap();
         assert!(r.oracle.is_none() && r.oracle_fig.is_none() && r.classifier_eval.is_none());
         assert_eq!(r.predicted_vs_oracle_goodput_pp(), None);
     }
@@ -209,7 +223,7 @@ mod tests {
         let exp = PolicyExperiment::new(small_config(), PolicySpec::Tiered);
         let cfg = exp.config();
         assert_eq!(cfg.cluster.slow_tier, Some(DEFAULT_SLOW_TIER));
-        let r = exp.run(&small_trace());
+        let r = exp.run(&small_trace()).unwrap();
         assert!(r.policy.stats.policy_tier_routes > 0, "routing must reroute some jobs");
         assert!(
             r.fig.policy.slow_tier_jobs > r.fig.baseline.slow_tier_jobs,

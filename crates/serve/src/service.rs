@@ -329,7 +329,10 @@ impl Service {
                 // telemetry subset only feeds figures 6/7, so the A/B
                 // replay skips it (same shortcut as the batch tool).
                 let base = SimConfig { detailed_series_jobs: 0, ..self.sim_config.clone() };
-                PolicyExperiment::new(base, *spec).run(&self.trace).fig.render()
+                match PolicyExperiment::new(base, *spec).run(&self.trace) {
+                    Ok(result) => result.fig.render(),
+                    Err(e) => format!("ERROR ab:{}: {e}\n", spec.label()),
+                }
             }
             Query::DataQuality(profile) => self
                 .compute_data_quality(*profile)

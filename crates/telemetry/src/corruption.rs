@@ -302,11 +302,11 @@ pub struct RawCollection {
     pub injected: CorruptionCounters,
 }
 
-impl RawCollection {
+impl From<&Dataset> for RawCollection {
     /// Decomposes a clean joined dataset back into the two collection
     /// streams, in canonical `(submit_time, job_id)` order, with an
     /// empty injection ledger — the byte-perfect archive.
-    pub fn from_dataset(dataset: &Dataset) -> RawCollection {
+    fn from(dataset: &Dataset) -> RawCollection {
         let mut sched: Vec<SchedulerRecord> =
             dataset.records().iter().map(|r| r.sched.clone()).collect();
         sort_canonical(&mut sched);
@@ -426,7 +426,7 @@ impl Corruptor {
     /// corruption happens strictly downstream of synthesis, exactly
     /// like a real collection fault.
     pub fn corrupt(&self, clean: &Dataset) -> RawCollection {
-        let mut raw = RawCollection::from_dataset(clean);
+        let mut raw = RawCollection::from(clean);
         if self.profile == DataQualityProfile::Off {
             return raw;
         }
@@ -713,7 +713,7 @@ mod tests {
     fn off_profile_injects_nothing() {
         let ds = small_dataset(50);
         let raw = Corruptor::new(DataQualityProfile::Off, 7).corrupt(&ds);
-        let clean = RawCollection::from_dataset(&ds);
+        let clean = RawCollection::from(&ds);
         assert_eq!(raw, clean);
         assert_eq!(raw.injected.total(), 0);
     }

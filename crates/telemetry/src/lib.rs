@@ -18,7 +18,6 @@
 //!   utilization during the run were reported at the end of the job").
 //! - [`record`]: the per-job record schema joining Slurm-side and
 //!   GPU-side information.
-//! - [`collector`]: prolog/epilog lifecycle and node-local buffering.
 //! - [`dataset`]: the joined dataset with the paper's 30-second filter.
 //! - [`phases`]: active/idle phase analysis over sampled series.
 //! - [`stream`]: streaming ingestion — the [`stream::Util3Sink`]
@@ -35,7 +34,6 @@
 #![cfg_attr(not(test), warn(clippy::unwrap_used))]
 
 pub mod aggregate;
-pub mod collector;
 pub mod corruption;
 pub mod dataset;
 pub mod gpu_power;
@@ -47,7 +45,6 @@ pub mod source;
 pub mod stream;
 
 pub use aggregate::{Aggregate, GpuAggregates};
-pub use collector::{JobMonitor, MonitorConfig, NodeLocalBuffer};
 pub use corruption::{
     CorruptionConfig, CorruptionCounters, Corruptor, DataQualityProfile, FaultClass, RawCollection,
 };

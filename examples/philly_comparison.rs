@@ -19,8 +19,8 @@ fn characterize(name: &str, spec: &WorkloadSpec, seed: u64) -> (String, f64) {
     let out = Simulation::supercloud().run(&trace);
     let views = gpu_views(&out.dataset);
     let users = user_stats(&views);
-    let fig13 = sc_core::figures::Fig13::compute(&views, &users);
-    let fig15 = sc_core::figures::Fig15::compute(&views);
+    let fig13 = sc_core::figures::Fig13::try_compute(&views, &users).expect("GPU jobs");
+    let fig15 = sc_core::figures::Fig15::try_compute(&views).expect("every class");
     let mut s = format!("=== {name} ===\n");
     s.push_str("  job sizes:\n");
     for r in &fig13.rows {

@@ -44,6 +44,6 @@ fn main() {
     );
 
     // And the full figure pipeline, if you want everything at once:
-    let report = AnalysisReport::from_sim(&out);
+    let report = AnalysisReport::try_from_sim(&out).expect("every figure population present");
     println!("\n{}", report.fig15.render());
 }

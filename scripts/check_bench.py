@@ -30,7 +30,12 @@ Suites:
              placement`; bounds the co-sharing policy's placement
              overhead relative to the baseline pass.
   streaming  --streaming LOG: console log of `cargo bench --bench
-             streaming`; absolute ceilings per aggregator/channel bench.
+             streaming`; absolute ceilings per aggregator/producer bench.
+  scaling    --scaling ONE MANY: two `repro_figures --bench-json`
+             reports of the same run at 1 thread and at more threads.
+             The multi-thread telemetry stage must not take longer than
+             the 1-thread one (a relative speedup floor of 1.0, not an
+             absolute time): adding threads must never make a run slower.
   serve      --serve JSON: a `serve_load` report; p99 latency ceilings
              per mix, a throughput floor and hit-rate floor on the
              cache-hit storm, and the >=10x storm-vs-cold speedup the
@@ -66,7 +71,7 @@ runs this, so the gate logic cannot rot silently.
 usage: check_bench.py [BASELINE SMOKE] [--tolerance 2.0]
                       [--max-rss-ratio 1.5]
                       [--placement LOG] [--placement-overhead 5.0]
-                      [--streaming LOG]
+                      [--streaming LOG] [--scaling ONE MANY]
                       [--serve JSON] [--serve-compare JSON JSON...]
                       [--classifier JSON]
                       [--reliability JSON]
@@ -91,14 +96,19 @@ Gate = namedtuple("Gate", "kind metric limit")
 
 # Ceilings for the streaming-engine benches (seconds). Typical medians
 # are 20-100x below these; the gate exists to catch an aggregator or
-# channel falling off an algorithmic cliff, not scheduler jitter.
+# producer falling off an algorithmic cliff, not scheduler jitter.
 STREAMING_GATES = [
     Gate("ceiling", "sketch_push_merge_100k", 0.100),
     Gate("ceiling", "welford_push_merge_100k", 0.050),
     Gate("ceiling", "histogram_push_merge_100k", 0.050),
-    Gate("ceiling", "spsc_send_recv_100k", 0.100),
-    Gate("ceiling", "par_stream_order_10k", 0.005),
     Gate("ceiling", "stream_detail_30min_2gpu", 0.010),
+]
+
+# Thread scaling of the telemetry stage: the multi-thread run's time
+# over the 1-thread run's must not exceed 1.0, i.e. more threads may
+# fail to help but must never hurt. Relative, so runner speed cancels.
+SCALING_GATES = [
+    Gate("max_ratio", ("many.telemetry.secs", "one.telemetry.secs"), 1.0),
 ]
 
 # Gates for a `serve_load` report. Latency ceilings are generous
@@ -292,6 +302,22 @@ def check_reliability(path):
     return apply_gates("reliability", metrics, RELIABILITY_GATES)
 
 
+def check_scaling(one_path, many_path):
+    one, many = load(one_path), load(many_path)
+    print(f"scaling: {one_path} (threads {one.get('threads', '?')}) vs "
+          f"{many_path} (threads {many.get('threads', '?')})")
+    failures = []
+    if not one.get("threads", 0) < many.get("threads", 0):
+        failures.append(f"scaling: {many_path} must run more threads than "
+                        f"{one_path}, or the comparison proves nothing")
+    metrics = {}
+    for label, report in (("one", one), ("many", many)):
+        stage = report.get("stages", {}).get("telemetry")
+        if stage:
+            metrics[f"{label}.telemetry.secs"] = stage["secs"]
+    return failures + apply_gates("scaling", metrics, SCALING_GATES)
+
+
 def check_repro(baseline_path, smoke_path, tolerance, max_rss_ratio):
     base = load(baseline_path)
     smoke = load(smoke_path)
@@ -366,6 +392,12 @@ def selftest():
          lambda: apply_gates("streaming",
                              parse_medians(fixture("streaming_fail.txt")),
                              STREAMING_GATES), False),
+        ("scaling pass",
+         lambda: check_scaling(fixture("scaling_t1.json"),
+                               fixture("scaling_pass.json")), True),
+        ("scaling fail",
+         lambda: check_scaling(fixture("scaling_t1.json"),
+                               fixture("scaling_fail.json")), False),
         ("placement pass",
          lambda: apply_gates("placement",
                              parse_medians(fixture("placement_pass.txt")),
@@ -442,6 +474,13 @@ def main():
         help="console log of `cargo bench --bench streaming` to gate",
     )
     ap.add_argument(
+        "--scaling",
+        nargs=2,
+        metavar=("ONE", "MANY"),
+        help="1-thread and multi-thread --bench-json reports of the same "
+        "run; fails when more threads make the telemetry stage slower",
+    )
+    ap.add_argument(
         "--serve",
         metavar="JSON",
         help="serve_load report to gate (latency ceilings, throughput and "
@@ -487,6 +526,8 @@ def main():
     if args.streaming:
         failures += apply_gates("streaming", parse_medians(args.streaming),
                                 STREAMING_GATES)
+    if args.scaling:
+        failures += check_scaling(*args.scaling)
     if args.serve:
         failures += check_serve(args.serve)
     if args.serve_compare:
@@ -498,7 +539,7 @@ def main():
     if args.baseline:
         failures += check_repro(args.baseline, args.smoke, args.tolerance,
                                 args.max_rss_ratio)
-    if not (args.placement or args.streaming or args.serve
+    if not (args.placement or args.streaming or args.scaling or args.serve
             or args.serve_compare or args.classifier or args.reliability
             or args.baseline):
         ap.error("nothing to do: give BASELINE SMOKE, a suite flag, "

@@ -233,7 +233,7 @@ fn sampled_and_analytic_telemetry_agree_in_distribution() {
 fn expert_correlations_match_fig12() {
     let views = gpu_views(&sim().dataset);
     let users = user_stats(&views);
-    let fig = sc_core::figures::Fig12::compute(&users);
+    let fig = sc_core::figures::Fig12::try_compute(&users).unwrap();
     use sc_core::figures::fig12::BehaviorMetric;
     // "a high positive correlation exists between the number of jobs /
     // GPU hours of a user and the average SM/memory utilization."

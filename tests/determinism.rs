@@ -25,8 +25,8 @@ fn identical_seeds_reproduce_bit_for_bit() {
     assert_eq!(a.stats, b.stats);
     assert_eq!(a.detailed, b.detailed);
     // Rendered figures are textually identical.
-    let fa = AnalysisReport::from_sim(&a).render_text();
-    let fb = AnalysisReport::from_sim(&b).render_text();
+    let fa = AnalysisReport::try_from_sim(&a).unwrap().render_text();
+    let fb = AnalysisReport::try_from_sim(&b).unwrap().render_text();
     assert_eq!(fa, fb);
 }
 
@@ -77,27 +77,27 @@ fn thread_budget_never_changes_output() {
     sc_repro::par::set_max_threads(1);
     let (_, a) = run(5);
     let json_a = a.dataset.to_json().expect("serializable");
-    let text_a = AnalysisReport::from_sim(&a).render_text();
+    let text_a = AnalysisReport::try_from_sim(&a).unwrap().render_text();
 
     sc_repro::par::set_max_threads(alt_thread_budget());
     let (_, b) = run(5);
     let json_b = b.dataset.to_json().expect("serializable");
-    let text_b = AnalysisReport::from_sim(&b).render_text();
+    let text_b = AnalysisReport::try_from_sim(&b).unwrap().render_text();
 
     sc_repro::par::set_max_threads(saved);
 
     assert_eq!(json_a, json_b, "Dataset JSON must not depend on the thread budget");
     assert_eq!(text_a, text_b, "figure text must not depend on the thread budget");
-    // The one-pass streaming summary folds in input order behind the
-    // reorder buffer, so its rendered text obeys the same rule.
+    // The one-pass streaming summary folds the epilogs in input order,
+    // so its rendered text obeys the same rule.
     assert_eq!(
         a.telemetry_summary.render(),
         b.telemetry_summary.render(),
         "streaming summary must not depend on the thread budget"
     );
     assert_eq!(
-        sc_repro::core::StreamingTelemetryFig::compute(&a).render(),
-        sc_repro::core::StreamingTelemetryFig::compute(&b).render(),
+        sc_repro::core::StreamingTelemetryFig::try_compute(&a).unwrap().render(),
+        sc_repro::core::StreamingTelemetryFig::try_compute(&b).unwrap().render(),
         "streaming cross-validation must not depend on the thread budget"
     );
 }
@@ -146,7 +146,7 @@ fn streamed_detail_stats_equal_batch_recomputation() {
         );
     }
 
-    let fig = sc_repro::core::StreamingTelemetryFig::compute(&out);
+    let fig = sc_repro::core::StreamingTelemetryFig::try_compute(&out).unwrap();
     assert!(fig.passes(), "streamed aggregates must honour their error bounds:\n{}", fig.render());
 }
 
@@ -255,7 +255,7 @@ fn policy_runs_are_deterministic_across_thread_budgets() {
                     SimConfig { detailed_series_jobs: 0, ..Default::default() },
                     s,
                 );
-                let r = exp.run(&trace);
+                let r = exp.run(&trace).unwrap();
                 (r.policy.dataset.to_json().expect("serializable"), r.fig.render())
             })
             .collect()
@@ -530,7 +530,7 @@ fn coshare_predicted_policy_is_deterministic_across_thread_budgets() {
             SimConfig { detailed_series_jobs: 0, ..Default::default() },
             PolicySpec::CosharePredicted,
         );
-        let r = exp.run(&trace);
+        let r = exp.run(&trace).unwrap();
         let oracle = r.oracle.as_ref().expect("predicted arm always runs its oracle twin");
         let oracle_fig = r.oracle_fig.as_ref().expect("oracle delta figure");
         let eval = r.classifier_eval.as_ref().expect("predicted arm trains a classifier");
@@ -654,8 +654,8 @@ fn failure_injection_is_deterministic_across_thread_budgets() {
         "Dataset JSON must not depend on the thread budget"
     );
     assert_eq!(
-        AnalysisReport::from_sim(&a).render_text(),
-        AnalysisReport::from_sim(&b).render_text(),
+        AnalysisReport::try_from_sim(&a).unwrap().render_text(),
+        AnalysisReport::try_from_sim(&b).unwrap().render_text(),
         "figure text must not depend on the thread budget"
     );
     assert_eq!(

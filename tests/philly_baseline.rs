@@ -19,7 +19,7 @@ fn philly_is_more_single_gpu_than_supercloud() {
     let (out, _) = philly_views();
     let views = gpu_views(&out.dataset);
     let users = user_stats(&views);
-    let fig13 = sc_core::figures::Fig13::compute(&views, &users);
+    let fig13 = sc_core::figures::Fig13::try_compute(&views, &users).unwrap();
     let single = fig13.row(SizeBucket::One).job_share;
     // "93% of the jobs are run on one GPU" — allow generator noise.
     assert!((single - 0.93).abs() < 0.05, "philly single-GPU share {single}");
@@ -33,7 +33,7 @@ fn philly_is_more_single_gpu_than_supercloud() {
         Simulation::new(SimConfig { detailed_series_jobs: 0, ..Default::default() }).run(&sc_trace);
     let sc_views = gpu_views(&sc_out.dataset);
     let sc_users = user_stats(&sc_views);
-    let sc_fig13 = sc_core::figures::Fig13::compute(&sc_views, &sc_users);
+    let sc_fig13 = sc_core::figures::Fig13::try_compute(&sc_views, &sc_users).unwrap();
     assert!(
         single > sc_fig13.row(SizeBucket::One).job_share + 0.03,
         "philly {} vs supercloud {}",
@@ -46,7 +46,7 @@ fn philly_is_more_single_gpu_than_supercloud() {
 fn philly_has_almost_no_ide_tier() {
     let (out, _) = philly_views();
     let views = gpu_views(&out.dataset);
-    let fig15 = sc_core::figures::Fig15::compute(&views);
+    let fig15 = sc_core::figures::Fig15::try_compute(&views).unwrap();
     let ide = fig15.share(LifecycleClass::Ide).job_share;
     // Philly is a batch-training cluster: the IDE phenomenon the paper
     // highlights on Supercloud is essentially absent.
@@ -57,7 +57,7 @@ fn philly_has_almost_no_ide_tier() {
 #[test]
 fn philly_runs_through_the_full_pipeline() {
     let (out, _) = philly_views();
-    let report = AnalysisReport::from_sim(&out);
+    let report = AnalysisReport::try_from_sim(&out).unwrap();
     let text = report.render_text();
     assert!(text.contains("Fig. 13"));
     assert!(text.contains("Fig. 15"));

@@ -13,7 +13,7 @@ fn run() -> SimOutput {
 #[test]
 fn whole_pipeline_produces_every_figure() {
     let out = run();
-    let report = AnalysisReport::from_sim(&out);
+    let report = AnalysisReport::try_from_sim(&out).unwrap();
     let text = report.render_text();
     for marker in [
         "Table I",
