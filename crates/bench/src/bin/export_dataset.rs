@@ -1,12 +1,15 @@
 //! Exports the joined analysis dataset as JSON — the synthetic
-//! counterpart of the dataset the paper released at dcc.mit.edu.
+//! counterpart of the dataset the paper released at dcc.mit.edu. The
+//! world is the `supercloud` scenario preset at the given scale and
+//! seed, the same one a bare `repro_figures` run simulates.
 //!
 //! ```text
 //! export_dataset [--scale F] [--seed N] [--out dataset.json] [--csv FILE]
 //! ```
 
-use sc_cluster::{SimConfig, Simulation};
-use sc_workload::{Trace, WorkloadSpec};
+use sc_cluster::Simulation;
+use sc_scenario::Scenario;
+use sc_workload::Trace;
 
 const USAGE: &str = "usage: export_dataset [--scale F] [--seed N] [--out dataset.json] [--csv FILE]
 
@@ -60,13 +63,9 @@ fn main() {
             other => usage_error(&format!("unknown flag {other}")),
         }
     }
-    let spec = WorkloadSpec::supercloud().scaled(scale);
-    let trace = Trace::generate(&spec, seed);
-    let sim = Simulation::new(SimConfig {
-        detailed_series_jobs: (2_149.0 * scale) as usize,
-        ..Default::default()
-    });
-    let result = sim.run(&trace);
+    let sc = Scenario::default();
+    let trace = Trace::generate(&sc.scaled_spec(scale), seed);
+    let result = Simulation::new(sc.sim_config(scale, seed)).run(&trace);
     if let Some(path) = &csv {
         std::fs::write(path, result.dataset.to_csv())
             .unwrap_or_else(|e| fail(&format!("cannot write CSV {path}: {e}")));

@@ -15,25 +15,29 @@
 //!               [--reliability-json FILE]
 //! ```
 //!
-//! With no arguments this runs the full 125-day / 74,820-job Supercloud
-//! reproduction on all available cores and prints the figure series to
-//! stdout; pass `--out` to also write the Markdown comparison,
-//! `--threads 1` for the sequential reference run, and `--bench-json`
-//! for a machine-readable per-stage timing breakdown. The failure
-//! flags enable the fault-injection subsystem: a taxonomy profile
-//! schedules GPU Xid, node-hardware, and transient-infrastructure
-//! faults, the scheduler requeues victims with capped backoff, and the
-//! goodput ledger attributes every lost GPU-hour to its cause.
+//! Every run is one [`Scenario`]: `--scenario` names a committed preset
+//! or a TOML file, and a bare run is `--scenario supercloud`, the full
+//! 125-day / 74,820-job Supercloud reproduction. Each world flag edits
+//! the one scenario field it names, wherever it sits on the command
+//! line: `--scale`, `--seed`, `--failure-profile`, `--mtbf`, `--policy`
+//! and `--data-quality`. The stage switches turn on the scenario's
+//! `[classifier]` and `[reliability]` stages. The pipeline then reads
+//! the workload, cluster, failure model, policy arm, data-quality
+//! profile and stage settings from the scenario alone.
 //!
-//! `--scenario` replaces the flag-driven pipeline with a declarative
-//! scenario (a committed preset name or a TOML file): cluster shape,
-//! workload, arrival process, failure profile, data-quality profile,
-//! policy arm, seed, and scale all come from the one validated spec,
-//! and any explicit CLI flag still overrides its scenario counterpart.
-//! The `supercloud` preset is the flag default, byte for byte.
-//! `--cross-system` additionally runs a list of scenarios (or `all`
-//! four presets) through the identical pipeline at a common scale and
-//! seed and appends the side-by-side comparison.
+//! The run prints the figure series to stdout on all available cores;
+//! pass `--out` to also write the Markdown comparison, `--threads 1`
+//! for the sequential reference run, and `--bench-json` for a
+//! machine-readable per-stage timing breakdown. A failure profile
+//! enables the fault-injection subsystem: a taxonomy schedules GPU
+//! Xid, node-hardware, and transient-infrastructure faults, the
+//! scheduler requeues victims with capped backoff, and the goodput
+//! ledger attributes every lost GPU-hour to its cause. `--mtbf` on a
+//! failure-free scenario selects the `supercloud` taxonomy unless
+//! `--failure-profile` names one. `--cross-system` additionally runs a
+//! list of scenarios (or `all` four presets) through the identical
+//! pipeline at the run's scale and seed and appends the side-by-side
+//! comparison.
 //!
 //! `--classify` trains the `sc-learn` workload-archetype classifier on
 //! the generated trace — streamed feature extraction, seeded decision
@@ -59,38 +63,30 @@
 //! spans) as JSONL into FILE, plus a `FILE.chrome.json` sidecar of
 //! wall-clock pipeline stage spans loadable in `chrome://tracing` or
 //! Perfetto. `--trace-level` picks the detail (default `events` when
-//! `--trace` is given); the `SC_OBS=level[:file]` environment variable
-//! supplies a default when neither flag is present.
+//! `--trace` is given).
 
 use sc_cluster::{FailureModel, SimConfig, Simulation};
 use sc_core::{AnalysisReport, ClassifierFig, DataQualityFig, DatasetReport};
-use sc_learn::{ArchetypePredictor, ClassifierConfig};
-use sc_obs::{chrome_trace_json, JsonlSink, Obs, StageLog, TraceLevel, TraceSink};
-use sc_opportunity::{CheckpointConfig, OpportunityReport};
+use sc_learn::ArchetypePredictor;
+use sc_obs::{chrome_trace_json, JsonlSink, Obs, StageLog, TraceLevel};
+use sc_opportunity::OpportunityReport;
 use sc_policy::{ExperimentResult, PolicyExperiment, PolicySpec};
 use sc_scenario::{CrossSystemFig, Scenario};
 use sc_telemetry::DataQualityProfile;
-use sc_workload::{Trace, WorkloadSpec};
+use sc_workload::Trace;
 
 struct Args {
-    scenario: Option<Scenario>,
+    /// The world to run: `--scenario` (the `supercloud` preset when
+    /// absent) with every world flag and stage switch applied.
+    scenario: Scenario,
     cross_system: Vec<Scenario>,
-    scale: Option<f64>,
-    seed: Option<u64>,
     out: Option<String>,
     svg_dir: Option<String>,
     threads: Option<usize>,
     bench_json: Option<String>,
-    failure_profile: Option<String>,
-    mtbf_factor: Option<f64>,
     trace: Option<String>,
-    trace_level: Option<String>,
-    policy: Option<PolicySpec>,
-    data_quality: Option<DataQualityProfile>,
-    classify: bool,
+    trace_level: TraceLevel,
     classifier_json: Option<String>,
-    reliability: bool,
-    growth: Option<Vec<f64>>,
     reliability_json: Option<String>,
 }
 
@@ -106,56 +102,56 @@ const USAGE: &str = "usage: repro_figures [--scenario NAME|FILE] [--cross-system
                      [--reliability] [--growth FACTORS]
                      [--reliability-json FILE]
 
-  --scenario S         drive the pipeline from a scenario preset or TOML
-                       file (presets: supercloud|philly|nersc|in2p3).
-                       The scenario supplies cluster, workload, arrivals,
-                       failures, data quality, policy, seed, and scale;
-                       any explicit flag below overrides its scenario
-                       counterpart. `supercloud` is the flag default,
-                       byte for byte.
+  --scenario S         the world to run: a scenario preset or TOML file
+                       (presets: supercloud|philly|nersc|in2p3; default
+                       supercloud). It supplies cluster, workload,
+                       arrivals, failures, data quality, policy, seed,
+                       and scale; each flag below edits only the field
+                       it names, wherever it appears
   --cross-system L     after the main run, replay the comma-separated
                        scenario list L (`all` = the four presets) at the
-                       effective scale and seed and print the
-                       side-by-side comparison (plus cross_system.svg
-                       with --svg-dir and a methodology section in --out)
-  --scale F            scale the 125-day / 74,820-job workload by F (default 1.0)
-  --seed N             master RNG seed (default 42)
+                       run's scale and seed and print the side-by-side
+                       comparison (plus cross_system.svg with --svg-dir
+                       and a methodology section in --out)
+  --scale F            scale the scenario's workload by F (supercloud:
+                       the 125-day / 74,820-job trace at 1.0)
+  --seed N             master RNG seed (supercloud: 42)
   --out FILE           also write the Markdown paper-vs-measured report
   --svg-dir DIR        write the SVG figure set into DIR
   --threads N          cap the worker pool (default: all cores)
   --bench-json FILE    write per-stage timings as JSON
-  --failure-profile P  inject faults from taxonomy profile P (default off)
-  --mtbf FACTOR        scale every class MTBF by FACTOR; implies
-                       --failure-profile supercloud when none is given
+  --failure-profile P  inject faults from taxonomy profile P, keeping the
+                       scenario's MTBF factor (supercloud: off)
+  --mtbf FACTOR        scale every class MTBF by FACTOR; on a failure-free
+                       scenario it also selects the supercloud taxonomy
+                       unless --failure-profile is given
   --trace FILE         write the deterministic sim-time JSONL trace to FILE
                        and a FILE.chrome.json Perfetto sidecar of pipeline
                        stage spans
   --trace-level L      trace detail: off, spans, or events (default events
-                       when --trace is given); the SC_OBS=level[:file] env
-                       var supplies a default when both flags are absent
+                       when --trace is given)
   --policy P           run the closed-loop policy A/B harness: replay the
                        same trace with no policy and with P, and report
                        the deltas (see the Policy engine section of the
-                       README); off (default) skips the harness
+                       README); off (supercloud's arm) skips the harness
   --data-quality P     corrupt the recorded dataset with collection-fault
                        profile P, run the hardened ingest repair, and report
                        recovered-vs-clean headline deltas plus the repair
-                       ledger; off (default) skips the stage entirely
-  --classify           train the workload-archetype classifier on the
-                       generated trace and print the confusion-matrix
-                       report (classifier_confusion.svg with --svg-dir);
-                       a scenario's [classifier] section enables this too
+                       ledger; off (supercloud's profile) skips the stage
+  --classify           turn on the scenario's [classifier] stage: train the
+                       workload-archetype classifier on the generated trace
+                       and print the confusion-matrix report
+                       (classifier_confusion.svg with --svg-dir)
   --classifier-json F  write classifier gate metrics (accuracy, split
                        sizes, predicted-vs-oracle goodput delta when
                        --policy coshare-predicted ran) as JSON to F;
                        implies --classify
-  --reliability        run the reliability-at-scale study: per-size-class
-                       ETTF/ETTR table, goodput frontier across MTBF
+  --reliability        turn on the scenario's [reliability] stage: per-size-
+                       class ETTF/ETTR table, goodput frontier across MTBF
                        settings, and the Young/Daly checkpoint-interval
-                       sweep (simulated vs analytic); uses the effective
-                       failure model, or the default supercloud taxonomy
-                       at 0.05x MTBF when no failure flags are given; a
-                       scenario's [reliability] section enables this too
+                       sweep (simulated vs analytic); uses the scenario's
+                       failure model, or the supercloud taxonomy at 0.05x
+                       MTBF when the scenario injects none
   --growth FACTORS     comma-separated fleet scale factors (e.g. 2,8,32)
                        for the cluster-growth replay: same workload on a
                        scaled cluster, reporting queue wait, goodput, and
@@ -172,28 +168,27 @@ fn usage_error(msg: &str) -> ! {
     std::process::exit(2);
 }
 
+/// Parses a positive finite factor, the range each factor key of a
+/// scenario accepts.
+fn factor(flag: &str, s: &str) -> f64 {
+    match s.trim().parse::<f64>() {
+        Ok(f) if f.is_finite() && f > 0.0 => f,
+        _ => usage_error(&format!("{flag} takes positive finite factors, got {s}")),
+    }
+}
+
 fn parse_args() -> Args {
-    let mut args = Args {
-        scenario: None,
-        cross_system: Vec::new(),
-        scale: None,
-        seed: None,
-        out: None,
-        svg_dir: None,
-        threads: None,
-        bench_json: None,
-        failure_profile: None,
-        mtbf_factor: None,
-        trace: None,
-        trace_level: None,
-        policy: None,
-        data_quality: None,
-        classify: false,
-        classifier_json: None,
-        reliability: false,
-        growth: None,
-        reliability_json: None,
-    };
+    let mut scenario = None;
+    let mut cross_system = Vec::new();
+    let (mut out, mut svg_dir, mut threads, mut bench_json) = (None, None, None, None);
+    let (mut trace, mut trace_level) = (None, None);
+    let (mut classifier_json, mut reliability_json) = (None, None);
+    // World flags and stage switches, applied to the scenario once the
+    // command line is read, so their position relative to --scenario
+    // does not matter.
+    let (mut scale, mut seed, mut failure_profile, mut mtbf) = (None, None, None, None);
+    let (mut policy, mut data_quality, mut growth) = (None, None, None);
+    let (mut classify, mut reliability) = (false, false);
     let mut it = std::env::args().skip(1);
     while let Some(flag) = it.next() {
         let mut value = |name: &str| {
@@ -202,7 +197,7 @@ fn parse_args() -> Args {
         match flag.as_str() {
             "--scenario" => {
                 let spec = value("--scenario");
-                args.scenario = Some(
+                scenario = Some(
                     Scenario::load(&spec)
                         .unwrap_or_else(|e| usage_error(&format!("--scenario {spec}: {e}"))),
                 );
@@ -214,91 +209,75 @@ fn parse_args() -> Args {
                 } else {
                     list.split(',').map(String::from).collect()
                 };
-                args.cross_system = names
+                cross_system = names
                     .iter()
                     .map(|n| {
                         Scenario::load(n)
                             .unwrap_or_else(|e| usage_error(&format!("--cross-system {n}: {e}")))
                     })
                     .collect();
-                if args.cross_system.is_empty() {
-                    usage_error("--cross-system needs at least one scenario");
-                }
             }
-            "--scale" => {
-                let scale: f64 = value("--scale")
-                    .parse()
-                    .unwrap_or_else(|_| usage_error("--scale needs a number"));
-                if !(scale > 0.0 && scale.is_finite()) {
-                    usage_error("--scale must be a positive finite factor");
-                }
-                args.scale = Some(scale);
-            }
+            "--scale" => scale = Some(factor("--scale", &value("--scale"))),
             "--seed" => {
-                args.seed = Some(
+                seed = Some(
                     value("--seed")
                         .parse()
                         .unwrap_or_else(|_| usage_error("--seed needs an integer")),
                 );
             }
-            "--out" => args.out = Some(value("--out")),
-            "--svg-dir" => args.svg_dir = Some(value("--svg-dir")),
+            "--out" => out = Some(value("--out")),
+            "--svg-dir" => svg_dir = Some(value("--svg-dir")),
             "--threads" => {
-                args.threads = Some(
+                threads = Some(
                     value("--threads")
                         .parse()
                         .unwrap_or_else(|_| usage_error("--threads needs an integer")),
                 );
             }
-            "--bench-json" => args.bench_json = Some(value("--bench-json")),
-            "--failure-profile" => args.failure_profile = Some(value("--failure-profile")),
-            "--mtbf" => {
-                let f: f64 = value("--mtbf")
-                    .parse()
-                    .unwrap_or_else(|_| usage_error("--mtbf needs a number"));
-                if !(f.is_finite() && f > 0.0) {
-                    usage_error("--mtbf must be a positive finite factor");
+            "--bench-json" => bench_json = Some(value("--bench-json")),
+            "--failure-profile" => {
+                let name = value("--failure-profile");
+                if FailureModel::profile(&name, 0).is_none() {
+                    usage_error(&format!(
+                        "unknown --failure-profile {name} (expected {})",
+                        FailureModel::PROFILE_NAMES
+                    ));
                 }
-                args.mtbf_factor = Some(f);
+                failure_profile = Some(name);
             }
-            "--trace" => args.trace = Some(value("--trace")),
-            "--trace-level" => args.trace_level = Some(value("--trace-level")),
+            "--mtbf" => mtbf = Some(factor("--mtbf", &value("--mtbf"))),
+            "--trace" => trace = Some(value("--trace")),
+            "--trace-level" => {
+                let name = value("--trace-level");
+                trace_level = Some(TraceLevel::parse(&name).unwrap_or_else(|| {
+                    usage_error(&format!("bad trace level {name} (expected {})", TraceLevel::NAMES))
+                }));
+            }
             "--policy" => {
-                args.policy =
-                    Some(PolicySpec::parse(&value("--policy")).unwrap_or_else(|e| usage_error(&e)));
+                let arm = value("--policy");
+                if let Err(e) = PolicySpec::parse(&arm) {
+                    usage_error(&e);
+                }
+                policy = Some(arm);
             }
             "--data-quality" => {
                 let name = value("--data-quality");
-                args.data_quality = Some(DataQualityProfile::parse(&name).unwrap_or_else(|| {
+                if DataQualityProfile::parse(&name).is_none() {
                     usage_error(&format!(
                         "unknown --data-quality profile {name} (expected {})",
                         DataQualityProfile::NAMES
-                    ))
-                }));
+                    ));
+                }
+                data_quality = Some(name);
             }
-            "--classify" => args.classify = true,
-            "--classifier-json" => args.classifier_json = Some(value("--classifier-json")),
-            "--reliability" => args.reliability = true,
+            "--classify" => classify = true,
+            "--classifier-json" => classifier_json = Some(value("--classifier-json")),
+            "--reliability" => reliability = true,
             "--growth" => {
                 let list = value("--growth");
-                let factors: Vec<f64> = list
-                    .split(',')
-                    .map(|s| {
-                        let f: f64 = s.trim().parse().unwrap_or_else(|_| {
-                            usage_error("--growth needs a comma-separated list of numbers")
-                        });
-                        if !(f.is_finite() && f > 0.0) {
-                            usage_error("--growth factors must be positive and finite");
-                        }
-                        f
-                    })
-                    .collect();
-                if factors.is_empty() {
-                    usage_error("--growth needs at least one factor");
-                }
-                args.growth = Some(factors);
+                growth = Some(list.split(',').map(|f| factor("--growth", f)).collect());
             }
-            "--reliability-json" => args.reliability_json = Some(value("--reliability-json")),
+            "--reliability-json" => reliability_json = Some(value("--reliability-json")),
             "--help" | "-h" => {
                 println!("{USAGE}");
                 std::process::exit(0);
@@ -306,62 +285,52 @@ fn parse_args() -> Args {
             other => usage_error(&format!("unknown flag {other}")),
         }
     }
-    args
-}
-
-/// Resolves the failure flags into a model (or `None` for the stock,
-/// failure-free reproduction). `--mtbf` without a profile means "the
-/// default taxonomy, rescaled".
-fn failure_model(args: &Args, seed: u64) -> Option<FailureModel> {
-    let name = match (&args.failure_profile, args.mtbf_factor) {
-        (Some(name), _) => name.as_str(),
-        (None, Some(_)) => "supercloud",
-        (None, None) => "off",
-    };
-    let model = FailureModel::profile(name, seed).unwrap_or_else(|| {
-        usage_error(&format!(
-            "unknown --failure-profile {name} (expected {})",
-            FailureModel::PROFILE_NAMES
-        ))
-    })?;
-    Some(match args.mtbf_factor {
-        Some(f) => model.scaled_mtbf(f),
-        None => model,
-    })
-}
-
-/// Resolves the tracing flags to `(level, jsonl path)`. The flags win;
-/// with both absent, `SC_OBS=level[:file]` supplies the default; with
-/// neither, tracing is off.
-fn trace_settings(args: &Args) -> (TraceLevel, Option<String>) {
-    let parse_level = |s: &str| {
-        TraceLevel::parse(s).unwrap_or_else(|| {
-            usage_error(&format!("bad trace level {s} (expected {})", TraceLevel::NAMES))
-        })
-    };
-    if args.trace.is_some() || args.trace_level.is_some() {
-        let level = match &args.trace_level {
-            Some(s) => parse_level(s),
-            None => TraceLevel::Events,
-        };
-        if level > TraceLevel::Off && args.trace.is_none() {
-            usage_error("--trace-level needs --trace FILE to write to");
-        }
-        return (level, args.trace.clone());
+    let trace_level =
+        trace_level.unwrap_or(if trace.is_some() { TraceLevel::Events } else { TraceLevel::Off });
+    if trace_level > TraceLevel::Off && trace.is_none() {
+        usage_error("--trace-level needs --trace FILE to write to");
     }
-    match std::env::var("SC_OBS") {
-        Ok(v) => {
-            let (level_str, path) = match v.split_once(':') {
-                Some((l, p)) => (l.to_string(), Some(p.to_string())),
-                None => (v, None),
-            };
-            let level = parse_level(&level_str);
-            if level > TraceLevel::Off && path.is_none() {
-                usage_error("SC_OBS enables tracing but names no file (use SC_OBS=level:file)");
-            }
-            (level, path)
+
+    let mut sc = scenario.unwrap_or_default();
+    if let Some(v) = scale {
+        sc.scale = v;
+    }
+    if let Some(v) = seed {
+        sc.seed = v;
+    }
+    if let Some(v) = &failure_profile {
+        sc.failures.profile = v.clone();
+    }
+    if let Some(f) = mtbf {
+        // On a failure-free world `--mtbf` means "the default taxonomy,
+        // rescaled"; `--failure-profile off --mtbf F` stays off.
+        if failure_profile.is_none() && sc.failure_model(sc.seed).is_none() {
+            sc.failures.profile = "supercloud".to_string();
         }
-        Err(_) => (TraceLevel::Off, None),
+        sc.failures.mtbf_factor = Some(f);
+    }
+    if let Some(v) = policy {
+        sc.policy = v;
+    }
+    if let Some(v) = data_quality {
+        sc.data_quality = v;
+    }
+    sc.classifier.enabled |= classify || classifier_json.is_some();
+    sc.reliability.enabled |= reliability || growth.is_some() || reliability_json.is_some();
+    if growth.is_some() {
+        sc.reliability.growth_factors = growth;
+    }
+    Args {
+        scenario: sc,
+        cross_system,
+        out,
+        svg_dir,
+        threads,
+        bench_json,
+        trace,
+        trace_level,
+        classifier_json,
+        reliability_json,
     }
 }
 
@@ -651,7 +620,7 @@ events plus attempt and node_down spans. The stream is emitted from the \
 single-threaded event loop, so it is byte-identical at any \
 `SC_PAR_THREADS` budget — a property pinned by a committed golden trace \
 (`tests/golden/`) and the determinism suite. `--trace-level \
-{off|spans|events}` (or `SC_OBS=level:file`) controls verbosity; a \
+{off|spans|events}` controls verbosity; a \
 `FILE.chrome.json` sidecar carries the wall-clock stage spans for \
 chrome://tracing or https://ui.perfetto.dev. With tracing off the \
 instrumentation compiles down to a cached enum compare per site.\n";
@@ -891,11 +860,13 @@ monthly spikes | transient |\n\n\
 `--cross-system` replays every requested scenario through the \
 *identical* simulator, telemetry, and analysis pipeline at one common \
 scale and seed, so every difference in the comparison table is \
-attributable to the declared scenario, not to methodology drift. The \
-`supercloud` preset reproduces the flag-driven default byte for byte \
-(pinned by `tests/scenario_invariants.rs`); malformed scenarios are \
-rejected with typed errors, never panics (property-tested over the \
-grammar). Reproduce with:\n\n\
+attributable to the declared scenario, not to methodology drift. A \
+bare run *is* the `supercloud` preset, and each CLI flag edits one \
+field of the named scenario, so there is one configuration path \
+(`tests/scenario_invariants.rs` pins the preset against a hand-built \
+reference pipeline); malformed scenarios are rejected with typed \
+errors, never panics (property-tested over the grammar). Reproduce \
+with:\n\n\
 ```text\n\
 repro_figures --scenario scenarios/supercloud.toml   # == no flags\n\
 repro_figures --scenario nersc --scale 0.05          # one preset\n\
@@ -907,41 +878,14 @@ fn main() {
     if let Some(n) = args.threads {
         sc_par::set_max_threads(n);
     }
-    let (trace_level, trace_path) = trace_settings(&args);
-    // Effective settings: explicit CLI flags win, then the scenario's
-    // declarations, then the historical flag defaults. The `supercloud`
-    // preset declares exactly the flag defaults, so scenario-driven and
-    // flag-driven default runs are byte-identical.
-    let scale = args.scale.unwrap_or_else(|| args.scenario.as_ref().map_or(1.0, |sc| sc.scale));
-    let seed = args.seed.unwrap_or_else(|| args.scenario.as_ref().map_or(42, |sc| sc.seed));
-    let policy = args
-        .policy
-        .unwrap_or_else(|| args.scenario.as_ref().map_or(PolicySpec::Off, |sc| sc.policy_spec()));
-    let data_quality = args.data_quality.unwrap_or_else(|| {
-        args.scenario.as_ref().map_or(DataQualityProfile::Off, |sc| sc.data_quality_profile())
-    });
-    // The classifier stage runs when a flag asks for it or the scenario
-    // declares `[classifier] enabled = true`; its hyper-parameters come
-    // from the scenario's section (library defaults when absent), so a
-    // flag-driven and a section-less scenario run stay byte-identical.
-    let classify = args.classify
-        || args.classifier_json.is_some()
-        || args.scenario.as_ref().is_some_and(|sc| sc.classifier.enabled);
-    let classifier_cfg =
-        args.scenario.as_ref().map_or_else(ClassifierConfig::default, |sc| sc.classifier_config());
-    let cli_failures = args.failure_profile.is_some() || args.mtbf_factor.is_some();
-    let failures = if cli_failures || args.scenario.is_none() {
-        failure_model(&args, seed)
-    } else {
-        args.scenario.as_ref().and_then(|sc| sc.failure_model(seed))
-    };
-    let spec = match &args.scenario {
-        Some(sc) => sc.scaled_spec(scale),
-        None => WorkloadSpec::supercloud().scaled(scale),
-    };
-    if let Some(sc) = &args.scenario {
-        eprintln!("scenario {} (hash {:016x})", sc.name, sc.hash());
-    }
+    let sc = &args.scenario;
+    let (scale, seed) = (sc.scale, sc.seed);
+    let spec = sc.scaled_spec(scale);
+    let sim_config = sc.sim_config(scale, seed);
+    let policy = sc.policy_spec();
+    let data_quality = sc.data_quality_profile();
+    let classifier_cfg = sc.classifier_config();
+    eprintln!("scenario {} (hash {:016x})", sc.name, sc.hash());
     eprintln!(
         "generating {} jobs / {} users over {} days (seed {}, {} threads) ...",
         spec.total_jobs,
@@ -954,50 +898,32 @@ fn main() {
     let t0 = std::time::Instant::now();
     let trace = stage_log.time("trace_gen", || Trace::generate(&spec, seed));
     let trace_gen_secs = t0.elapsed().as_secs_f64();
-    let detailed = ((2_149.0 * scale).round() as usize).max(50);
-    // With injection on, run checkpointing at the Young interval for the
-    // model's per-node interrupt rate, so checkpointable victims resume
-    // from their last interval instead of restarting from scratch.
-    let checkpoint = failures.as_ref().map(|model| {
-        let rate: f64 = model.classes.iter().map(|c| 1.0 / c.interarrival.mtbf_secs()).sum();
-        let policy = CheckpointConfig::for_mtti(1.0 / rate).sim_policy();
+    if let (Some(model), Some(checkpoint)) = (&sim_config.failures, &sim_config.checkpoint) {
         eprintln!(
             "failure injection on: {} classes, checkpoint interval {:.0}s",
             model.classes.len(),
-            policy.interval_secs
+            checkpoint.interval_secs
         );
-        policy
-    });
-    // The scenario supplies the cluster shape; failures and checkpoint
-    // are overwritten with the resolution above so explicit CLI failure
-    // flags override a scenario's declared profile.
-    let sim_config = {
-        let mut config = match &args.scenario {
-            Some(sc) => sc.sim_config(scale, seed),
-            None => SimConfig::default(),
-        };
-        config.detailed_series_jobs = detailed;
-        config.failures = failures;
-        config.checkpoint = checkpoint;
-        config
-    };
-    let sim = Simulation::new(sim_config.clone());
-    let sink = trace_path.as_ref().map(|path| {
+    }
+    let sink = args.trace.as_ref().map(|path| {
         let file = std::fs::File::create(path)
             .unwrap_or_else(|e| fail(&format!("cannot create trace file {path}: {e}")));
-        JsonlSink::new(trace_level, file)
+        JsonlSink::new(args.trace_level, file)
     });
+    // One handle for every stage: the sink when --trace is given,
+    // otherwise the disabled handle, whose output is identical.
+    let obs = match &sink {
+        Some(s) => Obs::new(s),
+        None => Obs::off(),
+    };
+    let flush_trace =
+        || obs.flush().unwrap_or_else(|e| fail(&format!("cannot flush trace file: {e}")));
     let t0 = std::time::Instant::now();
     let sim_start = stage_log.elapsed_secs();
-    let (out, timings) = match &sink {
-        Some(s) => sim.run_observed(&trace, &Obs::new(s)),
-        None => sim.run_timed(&trace),
-    };
+    let (out, timings) = Simulation::new(sim_config.clone()).run_observed(&trace, &obs);
     stage_log.push("sim_event_loop", sim_start, timings.event_loop_secs);
     stage_log.push("telemetry", sim_start + timings.event_loop_secs, timings.telemetry_secs);
-    if let Some(s) = &sink {
-        s.flush().unwrap_or_else(|e| fail(&format!("cannot flush trace file: {e}")));
-    }
+    flush_trace();
     eprintln!("simulated in {:?}; analyzing ...", t0.elapsed());
     let t0 = std::time::Instant::now();
     let report = AnalysisReport::try_from_sim_logged(&out, &stage_log)
@@ -1007,7 +933,7 @@ fn main() {
     // The Chrome sidecar carries the wall-clock stage spans (trace
     // generation, event loop, telemetry batch, every figure) — load it
     // in chrome://tracing or https://ui.perfetto.dev.
-    if let Some(path) = &trace_path {
+    if let Some(path) = &args.trace {
         let chrome_path = format!("{path}.chrome.json");
         std::fs::write(&chrome_path, chrome_trace_json(&stage_log.spans()))
             .unwrap_or_else(|e| fail(&format!("cannot write {chrome_path}: {e}")));
@@ -1102,11 +1028,8 @@ fn main() {
             policy,
         );
         exp.classifier = classifier_cfg.clone();
-        let result = match &sink {
-            Some(s) => exp.run_observed(&trace, &Obs::new(s)),
-            None => exp.run(&trace),
-        }
-        .unwrap_or_else(|e| fail(&format!("policy A/B: {e}")));
+        let result =
+            exp.run_observed(&trace, &obs).unwrap_or_else(|e| fail(&format!("policy A/B: {e}")));
         eprintln!("policy A/B done in {:?}", t0.elapsed());
         println!("{}", result.fig.render());
         if let Some(fig) = &result.oracle_fig {
@@ -1122,9 +1045,7 @@ fn main() {
         }
         result
     });
-    if let Some(s) = &sink {
-        s.flush().unwrap_or_else(|e| fail(&format!("cannot flush trace file: {e}")));
-    }
+    flush_trace();
     if let (Some(result), Some(dir)) = (&policy_ab, &args.svg_dir) {
         let path = std::path::Path::new(dir).join("policy_ab.svg");
         std::fs::write(&path, result.fig.to_svg())
@@ -1136,7 +1057,7 @@ fn main() {
     // same trace and report the held-out confusion matrix. When the
     // coshare-predicted harness already trained one (with the identical
     // config), reuse its evaluation instead of training twice.
-    let classifier_fig = classify.then(|| {
+    let classifier_fig = sc.classifier.enabled.then(|| {
         let eval = match policy_ab.as_ref().and_then(|r| r.classifier_eval.clone()) {
             Some(eval) => eval,
             None => {
@@ -1175,10 +1096,6 @@ fn main() {
     let data_quality_fig = (data_quality != DataQualityProfile::Off).then(|| {
         eprintln!("running data-quality round trip ({}) ...", data_quality.label());
         let t0 = std::time::Instant::now();
-        let obs = match &sink {
-            Some(s) => Obs::new(s),
-            None => Obs::off(),
-        };
         let clean_report = DatasetReport::try_from_dataset(&out.dataset)
             .unwrap_or_else(|e| fail(&format!("clean pipeline failed: {e}")));
         let (ingested, injected) =
@@ -1203,9 +1120,7 @@ fn main() {
         }
         fig
     });
-    if let Some(s) = &sink {
-        s.flush().unwrap_or_else(|e| fail(&format!("cannot flush trace file: {e}")));
-    }
+    flush_trace();
     if let (Some(fig), Some(dir)) = (&data_quality_fig, &args.svg_dir) {
         let path = std::path::Path::new(dir).join("data_quality.svg");
         std::fs::write(&path, fig.to_svg())
@@ -1233,28 +1148,12 @@ fn main() {
     }
 
     // Reliability-at-scale study: per-size-class failure table, goodput
-    // frontier, Young/Daly checkpoint sweep, and (with --growth) the
-    // cluster-growth replay. Off by default, so the stock reproduction
-    // stays byte-identical; a scenario's `[reliability] enabled = true`
-    // turns it on too. With no failure flags the study injects the
-    // default supercloud taxonomy at 0.05x MTBF so every figure has
-    // failures to measure.
-    let run_reliability = args.reliability
-        || args.growth.is_some()
-        || args.reliability_json.is_some()
-        || args.scenario.as_ref().is_some_and(|sc| sc.reliability.enabled);
-    let reliability_report = run_reliability.then(|| {
-        let model = sim_config
-            .failures
-            .clone()
-            .unwrap_or_else(|| FailureModel::supercloud(seed).scaled_mtbf(0.05));
-        let mut rel_cfg = args
-            .scenario
-            .as_ref()
-            .map_or_else(sc_core::ReliabilityConfig::default, |sc| sc.reliability_config());
-        if let Some(growth) = &args.growth {
-            rel_cfg.growth_factors = growth.clone();
-        }
+    // frontier, Young/Daly checkpoint sweep, and (with growth factors)
+    // the cluster-growth replay, when the scenario's `[reliability]`
+    // stage is on.
+    let reliability_report = sc.reliability.enabled.then(|| {
+        let model = sc.reliability_model(seed);
+        let rel_cfg = sc.reliability_config();
         eprintln!(
             "running reliability study ({} MTBF factors, {}-point sweep, {} growth factors) ...",
             rel_cfg.mtbf_factors.len(),

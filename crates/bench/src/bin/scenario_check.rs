@@ -130,7 +130,7 @@ fn main() {
 
     let mut failures = 0u32;
     for name in Scenario::preset_names() {
-        let sc = Scenario::preset(name).unwrap_or_else(|| unreachable!("embedded preset"));
+        let sc = Scenario::preset(name).unwrap_or_else(|e| unreachable!("embedded preset: {e}"));
         check_scenario(&format!("preset {name}"), &sc.to_toml(), run_scale, &mut failures);
     }
     for file in &files {

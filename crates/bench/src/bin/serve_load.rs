@@ -23,10 +23,10 @@
 //! digest in submission order; because responses are pure functions of
 //! `(scenario, seed, query)`, the digest is byte-stable across thread
 //! budgets, cache states, and request interleavings — CI compares runs
-//! by this one hex string. `--scenario` swaps the world under the same
-//! harness: the service's cache keys gain the parsed scenario's hash
-//! as a dimension, and the reported `scenario` label records exactly
-//! which world the digest describes.
+//! by this one hex string. `--scenario` picks the world (the
+//! `supercloud` preset by default): the service's cache keys carry the
+//! parsed scenario's hash as a dimension, and the reported `scenario`
+//! label records exactly which world the digest describes.
 //!
 //! The report (per-mix p50/p95/p99 latency, throughput, cache
 //! hit-rate; cold baseline; storm speedup) prints to stdout as JSON
@@ -42,7 +42,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 struct Args {
-    scenario: Option<sc_scenario::Scenario>,
+    scenario: sc_scenario::Scenario,
     scale: f64,
     seed: u64,
     threads: Option<usize>,
@@ -56,11 +56,11 @@ const USAGE: &str = "usage: serve_load [--scenario NAME|FILE] [--scale F] [--see
                   [--threads N] [--requests N] [--out FILE] [--trace FILE]
 
   --scenario S   build the world from a scenario preset or TOML file
-                 (presets: supercloud|philly|nersc|in2p3; default: the
-                 flag-driven Supercloud world). The parsed scenario's
-                 hash becomes a cache-key dimension and the report's
-                 scenario label, so digests from different scenario
-                 files never compare equal.
+                 (presets: supercloud|philly|nersc|in2p3; default
+                 supercloud). The parsed scenario's hash becomes a
+                 cache-key dimension and the report's scenario label,
+                 so digests from different scenario files never
+                 compare equal.
   --scale F      scale the simulated workload by F (default 0.02)
   --seed N       master RNG seed for the world and the query streams
                  (default 42)
@@ -88,7 +88,7 @@ fn fail(msg: &str) -> ! {
 
 fn parse_args() -> Args {
     let mut args = Args {
-        scenario: None,
+        scenario: sc_scenario::Scenario::default(),
         scale: 0.02,
         seed: 42,
         threads: None,
@@ -105,10 +105,8 @@ fn parse_args() -> Args {
         match flag.as_str() {
             "--scenario" => {
                 let spec = value("--scenario");
-                args.scenario = Some(
-                    sc_scenario::Scenario::load(&spec)
-                        .unwrap_or_else(|e| usage_error(&format!("--scenario {spec}: {e}"))),
-                );
+                args.scenario = sc_scenario::Scenario::load(&spec)
+                    .unwrap_or_else(|e| usage_error(&format!("--scenario {spec}: {e}")));
             }
             "--scale" => {
                 args.scale = value("--scale")

@@ -48,20 +48,9 @@ pub struct ReliabilitySizeFig {
 }
 
 impl ReliabilitySizeFig {
-    /// Computes the figure from a simulation output.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the output has no job fates (an empty trace).
+    /// Computes the figure from a simulation output. Total: a run with
+    /// no jobs yields zero counts and `None` ratios in every row.
     pub fn compute(out: &SimOutput) -> Self {
-        Self::try_compute(out).expect("non-empty simulation output")
-    }
-
-    /// Fallible form of [`ReliabilitySizeFig::compute`].
-    pub fn try_compute(out: &SimOutput) -> Result<Self, StatsError> {
-        if out.fates.is_empty() {
-            return Err(StatsError::EmptyInput);
-        }
         let rel = &out.reliability;
         let rows = rel
             .buckets
@@ -79,7 +68,7 @@ impl ReliabilitySizeFig {
                 goodput_fraction: b.goodput_fraction(),
             })
             .collect();
-        Ok(ReliabilitySizeFig { rows })
+        ReliabilitySizeFig { rows }
     }
 
     /// Text rendering of the per-class table.
@@ -388,6 +377,21 @@ mod tests {
         // Failure-free run: trace hardware victims are the only deaths.
         let total_jobs: u64 = fig.rows.iter().map(|r| r.jobs).sum();
         assert_eq!(total_jobs as usize, out.fates.len());
+    }
+
+    #[test]
+    fn size_fig_is_total_on_a_run_without_jobs() {
+        let mut out = small_sim().clone();
+        out.fates.clear();
+        out.reliability = Default::default();
+        let fig = ReliabilitySizeFig::compute(&out);
+        assert_eq!(fig.rows.len(), out.reliability.buckets.len());
+        for r in &fig.rows {
+            assert_eq!((r.jobs, r.attempts, r.failures), (0, 0, 0), "{}", r.label);
+            assert_eq!(r.failures_per_1k_gpu_days, 0.0);
+            assert!(r.ettf_hours.is_none() && r.ettr_minutes.is_none());
+            assert!(r.restart_overhead_gpu_hours.is_none() && r.goodput_fraction.is_none());
+        }
     }
 
     #[test]

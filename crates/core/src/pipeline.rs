@@ -33,9 +33,9 @@ impl std::error::Error for PipelineError {
     }
 }
 
-/// Unwraps one fan-out slot, tagging a figure error with its stage.
-fn take<T>(slot: Option<Result<T, StatsError>>, stage: &'static str) -> Result<T, PipelineError> {
-    slot.expect("fan-out task ran").map_err(|source| PipelineError { stage, source })
+/// Tags a figure error with its stage.
+fn stage<T>(stage: &'static str, r: Result<T, StatsError>) -> Result<T, PipelineError> {
+    r.map_err(|source| PipelineError { stage, source })
 }
 
 /// Every figure of the paper, computed from one simulation run.
@@ -109,70 +109,32 @@ impl AnalysisReport {
     pub fn try_from_sim_logged(out: &SimOutput, log: &StageLog) -> Result<Self, PipelineError> {
         let views = log.time("gpu_views", || gpu_views(&out.dataset));
         let users = log.time("user_stats", || user_stats(&views));
-        // The figure computations are independent of each other; fan
-        // them out over the sc-par thread budget. Each task writes its
-        // own slot, so no figure depends on task scheduling order.
-        let mut fig3 = None;
-        let mut fig4 = None;
-        let mut fig5 = None;
-        let mut fig6 = None;
-        let mut fig7 = None;
-        let mut fig8 = None;
-        let mut fig9 = None;
-        let mut fig10 = None;
-        let mut fig11 = None;
-        let mut fig12 = None;
-        let mut fig13 = None;
-        let mut fig14 = None;
-        let mut fig15 = None;
-        let mut fig16 = None;
-        let mut fig17 = None;
-        let mut goodput = None;
-        let mut timeline = None;
-        {
-            let (views, users, detailed) = (&views, &users, &out.detailed);
-            sc_par::run_tasks(vec![
-                Box::new(|| fig3 = Some(log.time("fig03", || Fig3::try_compute(&out.dataset)))),
-                Box::new(|| fig4 = Some(log.time("fig04", || Fig4::try_compute(views)))),
-                Box::new(|| fig5 = Some(log.time("fig05", || Fig5::try_compute(views)))),
-                Box::new(|| fig6 = Some(log.time("fig06", || Fig6::try_compute(detailed)))),
-                Box::new(|| fig7 = Some(log.time("fig07", || Fig7::try_compute(detailed, views)))),
-                Box::new(|| fig8 = Some(log.time("fig08", || Fig8::try_compute(views)))),
-                Box::new(|| fig9 = Some(log.time("fig09", || Fig9::try_compute(views)))),
-                Box::new(|| fig10 = Some(log.time("fig10", || Fig10::try_compute(users)))),
-                Box::new(|| fig11 = Some(log.time("fig11", || Fig11::try_compute(users)))),
-                Box::new(|| fig12 = Some(log.time("fig12", || Fig12::try_compute(users)))),
-                Box::new(|| fig13 = Some(log.time("fig13", || Fig13::try_compute(views, users)))),
-                Box::new(|| fig14 = Some(log.time("fig14", || Fig14::try_compute(views)))),
-                Box::new(|| fig15 = Some(log.time("fig15", || Fig15::try_compute(views)))),
-                Box::new(|| fig16 = Some(log.time("fig16", || Fig16::try_compute(views)))),
-                Box::new(|| fig17 = Some(log.time("fig17", || Fig17::try_compute(users)))),
-                Box::new(|| goodput = Some(log.time("goodput", || GoodputFig::try_compute(out)))),
-                Box::new(|| {
-                    timeline = Some(log.time("timeline", || ClusterTimelineFig::try_compute(out)))
-                }),
-            ]);
-        }
+        let (views, detailed) = (&views, &out.detailed);
+        // Fields evaluate in order, so the first failing stage in field
+        // order is the one reported.
         Ok(AnalysisReport {
             table1: ClusterSpec::supercloud().table1(),
             funnel: out.dataset.funnel(),
-            fig3: take(fig3, "fig3")?,
-            fig4: take(fig4, "fig4")?,
-            fig5: take(fig5, "fig5")?,
-            fig6: take(fig6, "fig6")?,
-            fig7: take(fig7, "fig7")?,
-            fig8: take(fig8, "fig8")?,
-            fig9: take(fig9, "fig9")?,
-            fig10: take(fig10, "fig10")?,
-            fig11: take(fig11, "fig11")?,
-            fig12: take(fig12, "fig12")?,
-            fig13: take(fig13, "fig13")?,
-            fig14: take(fig14, "fig14")?,
-            fig15: take(fig15, "fig15")?,
-            fig16: take(fig16, "fig16")?,
-            fig17: take(fig17, "fig17")?,
-            goodput: take(goodput, "goodput")?,
-            timeline: take(timeline, "timeline")?,
+            fig3: stage("fig3", log.time("fig03", || Fig3::try_compute(&out.dataset)))?,
+            fig4: stage("fig4", log.time("fig04", || Fig4::try_compute(views)))?,
+            fig5: stage("fig5", log.time("fig05", || Fig5::try_compute(views)))?,
+            fig6: stage("fig6", log.time("fig06", || Fig6::try_compute(detailed)))?,
+            fig7: stage("fig7", log.time("fig07", || Fig7::try_compute(detailed, views)))?,
+            fig8: stage("fig8", log.time("fig08", || Fig8::try_compute(views)))?,
+            fig9: stage("fig9", log.time("fig09", || Fig9::try_compute(views)))?,
+            fig10: stage("fig10", log.time("fig10", || Fig10::try_compute(&users)))?,
+            fig11: stage("fig11", log.time("fig11", || Fig11::try_compute(&users)))?,
+            fig12: stage("fig12", log.time("fig12", || Fig12::try_compute(&users)))?,
+            fig13: stage("fig13", log.time("fig13", || Fig13::try_compute(views, &users)))?,
+            fig14: stage("fig14", log.time("fig14", || Fig14::try_compute(views)))?,
+            fig15: stage("fig15", log.time("fig15", || Fig15::try_compute(views)))?,
+            fig16: stage("fig16", log.time("fig16", || Fig16::try_compute(views)))?,
+            fig17: stage("fig17", log.time("fig17", || Fig17::try_compute(&users)))?,
+            goodput: stage("goodput", log.time("goodput", || GoodputFig::try_compute(out)))?,
+            timeline: stage(
+                "timeline",
+                log.time("timeline", || ClusterTimelineFig::try_compute(out)),
+            )?,
             users,
         })
     }
@@ -318,53 +280,21 @@ impl DatasetReport {
     pub fn try_from_dataset(dataset: &sc_telemetry::Dataset) -> Result<Self, PipelineError> {
         let views = gpu_views(dataset);
         let users = user_stats(&views);
-        // Same fan-out as `AnalysisReport::try_from_sim`, minus the two
-        // figures that need the detailed time-series subset.
-        let mut fig3 = None;
-        let mut fig4 = None;
-        let mut fig5 = None;
-        let mut fig8 = None;
-        let mut fig9 = None;
-        let mut fig10 = None;
-        let mut fig11 = None;
-        let mut fig12 = None;
-        let mut fig13 = None;
-        let mut fig14 = None;
-        let mut fig15 = None;
-        let mut fig16 = None;
-        let mut fig17 = None;
-        {
-            let (views, users) = (&views, &users);
-            sc_par::run_tasks(vec![
-                Box::new(|| fig3 = Some(Fig3::try_compute(dataset))),
-                Box::new(|| fig4 = Some(Fig4::try_compute(views))),
-                Box::new(|| fig5 = Some(Fig5::try_compute(views))),
-                Box::new(|| fig8 = Some(Fig8::try_compute(views))),
-                Box::new(|| fig9 = Some(Fig9::try_compute(views))),
-                Box::new(|| fig10 = Some(Fig10::try_compute(users))),
-                Box::new(|| fig11 = Some(Fig11::try_compute(users))),
-                Box::new(|| fig12 = Some(Fig12::try_compute(users))),
-                Box::new(|| fig13 = Some(Fig13::try_compute(views, users))),
-                Box::new(|| fig14 = Some(Fig14::try_compute(views))),
-                Box::new(|| fig15 = Some(Fig15::try_compute(views))),
-                Box::new(|| fig16 = Some(Fig16::try_compute(views))),
-                Box::new(|| fig17 = Some(Fig17::try_compute(users))),
-            ]);
-        }
+        let (views, users) = (&views, &users);
         Ok(DatasetReport {
-            fig3: take(fig3, "fig3")?,
-            fig4: take(fig4, "fig4")?,
-            fig5: take(fig5, "fig5")?,
-            fig8: take(fig8, "fig8")?,
-            fig9: take(fig9, "fig9")?,
-            fig10: take(fig10, "fig10")?,
-            fig11: take(fig11, "fig11")?,
-            fig12: take(fig12, "fig12")?,
-            fig13: take(fig13, "fig13")?,
-            fig14: take(fig14, "fig14")?,
-            fig15: take(fig15, "fig15")?,
-            fig16: take(fig16, "fig16")?,
-            fig17: take(fig17, "fig17")?,
+            fig3: stage("fig3", Fig3::try_compute(dataset))?,
+            fig4: stage("fig4", Fig4::try_compute(views))?,
+            fig5: stage("fig5", Fig5::try_compute(views))?,
+            fig8: stage("fig8", Fig8::try_compute(views))?,
+            fig9: stage("fig9", Fig9::try_compute(views))?,
+            fig10: stage("fig10", Fig10::try_compute(users))?,
+            fig11: stage("fig11", Fig11::try_compute(users))?,
+            fig12: stage("fig12", Fig12::try_compute(users))?,
+            fig13: stage("fig13", Fig13::try_compute(views, users))?,
+            fig14: stage("fig14", Fig14::try_compute(views))?,
+            fig15: stage("fig15", Fig15::try_compute(views))?,
+            fig16: stage("fig16", Fig16::try_compute(views))?,
+            fig17: stage("fig17", Fig17::try_compute(users))?,
         })
     }
 

@@ -266,8 +266,8 @@ impl PointStat {
 /// cross-talk, and a persisted query trace names its world explicitly.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct QueryKey {
-    /// Scenario descriptor (workload preset + scale, e.g.
-    /// `supercloud:s0.02`).
+    /// Scenario descriptor (name, content hash and scale, e.g.
+    /// `supercloud#57cf7c4aa2a61bc0:s0.02`).
     pub scenario: String,
     /// Master RNG seed the world was generated from.
     pub seed: u64,

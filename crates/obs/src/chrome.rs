@@ -2,9 +2,9 @@
 //!
 //! Produces the JSON object format understood by `chrome://tracing`
 //! and [Perfetto](https://ui.perfetto.dev): complete (`"ph":"X"`)
-//! events with microsecond timestamps. Overlapping spans — the figure
-//! fan-out runs on several `sc_par` workers — are spread across track
-//! ids greedily so every span gets its own row.
+//! events with microsecond timestamps. Overlapping spans — sc-serve
+//! records one per computed query from several executor workers — are
+//! spread across track ids greedily so every span gets its own row.
 
 use std::fmt::Write as _;
 

@@ -19,7 +19,7 @@ pub enum TraceLevel {
 }
 
 impl TraceLevel {
-    /// Parses the CLI / `SC_OBS` spelling of a level.
+    /// Parses the CLI (`--trace-level`) spelling of a level.
     pub fn parse(s: &str) -> Option<TraceLevel> {
         match s {
             "off" | "none" => Some(TraceLevel::Off),

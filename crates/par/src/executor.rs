@@ -1,7 +1,7 @@
 //! A work-stealing request executor for long-running services.
 //!
-//! [`par_map`](crate::par_map) and friends are *batch* helpers: they
-//! spawn scoped workers, drain one input slice, and join. A query
+//! [`par_map`](crate::par_map) is a *batch* helper: it spawns scoped
+//! workers, drains one input slice, and joins. A query
 //! service needs the opposite shape — a resident pool that accepts
 //! one-shot requests from many client threads over its whole lifetime.
 //! [`Executor`] provides that:

@@ -23,7 +23,7 @@ pub use executor::Executor;
 
 use std::panic;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{mpsc, Mutex};
+use std::sync::mpsc;
 use std::thread;
 
 /// Sentinel meaning "not configured yet" (resolve to the hardware).
@@ -116,39 +116,10 @@ where
     })
 }
 
-/// Runs heterogeneous one-shot tasks on the thread budget.
-///
-/// Tasks communicate results by capturing their own output slot
-/// (`&mut Option<T>`), which keeps this free of `Any`-casting while
-/// still bounding concurrency — unlike spawning one thread per task.
-/// Execution order is unspecified; completion is awaited for all tasks.
-pub fn run_tasks(tasks: Vec<Box<dyn FnOnce() + Send + '_>>) {
-    let threads = current_threads().min(tasks.len());
-    if threads <= 1 {
-        for task in tasks {
-            task();
-        }
-        return;
-    }
-
-    let queue = Mutex::new(tasks.into_iter());
-    thread::scope(|scope| {
-        for _ in 0..threads {
-            let queue = &queue;
-            scope.spawn(move || loop {
-                let task = queue.lock().expect("task queue poisoned").next();
-                match task {
-                    Some(task) => task(),
-                    None => break,
-                }
-            });
-        }
-    });
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Mutex;
 
     /// Serializes tests that mutate the process-wide thread budget.
     static BUDGET_LOCK: Mutex<()> = Mutex::new(());
@@ -238,19 +209,6 @@ mod tests {
         set_max_threads(saved);
         assert!(CREATED.load(Ordering::SeqCst) > 0);
         assert_eq!(FREED.load(Ordering::SeqCst), CREATED.load(Ordering::SeqCst));
-    }
-
-    #[test]
-    fn run_tasks_completes_all_tasks() {
-        let mut a = None;
-        let mut b = None;
-        let mut c = None;
-        run_tasks(vec![
-            Box::new(|| a = Some(1)),
-            Box::new(|| b = Some("two")),
-            Box::new(|| c = Some(3.0)),
-        ]);
-        assert_eq!((a, b, c), (Some(1), Some("two"), Some(3.0)));
     }
 
     #[test]

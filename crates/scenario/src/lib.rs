@@ -8,14 +8,15 @@
 //!
 //! | preset | system | arrivals | failures |
 //! |---|---|---|---|
-//! | `supercloud` | the paper's cluster, flag-default-identical | diurnal | off |
+//! | `supercloud` | the paper's cluster; a bare `repro_figures` run | diurnal | off |
 //! | `philly` | Microsoft's batch DNN-training baseline | diurnal | supercloud |
 //! | `nersc` | an open-science HPC centre | up-and-down | supercloud |
 //! | `in2p3` | a HEP grid site | spikes | transient |
 //!
-//! The `supercloud` preset carries a byte-identity guarantee: driving
-//! `repro_figures` through it produces the same stdout, dataset JSON,
-//! and figure text as the flag-driven default, at any thread budget.
+//! A scenario is the only way a run is configured: a bare
+//! `repro_figures` run is the `supercloud` preset, each CLI flag edits
+//! one field of the scenario it runs, and `sc-serve` builds every world
+//! from one.
 //! [`CrossSystemFig`] runs any set of scenarios through the identical
 //! pipeline and tabulates headline metrics side by side.
 //!

@@ -23,16 +23,24 @@ impl Scenario {
         PRESETS.iter().map(|(name, _)| *name)
     }
 
-    /// The embedded preset named `name`, or `None` for an unknown name.
+    /// The embedded preset named `name`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ErrorKind::UnknownName`], listing the presets, for any
+    /// other name.
     ///
     /// # Panics
     ///
     /// Panics if an embedded preset fails to parse — the committed
     /// files are validated by the test suite, so that is a build bug,
     /// not an input error.
-    pub fn preset(name: &str) -> Option<Scenario> {
-        let (_, text) = PRESETS.iter().find(|(n, _)| *n == name)?;
-        Some(Scenario::parse(text).unwrap_or_else(|e| panic!("embedded preset {name}: {e}")))
+    pub fn preset(name: &str) -> Result<Scenario, ScenarioError> {
+        let (_, text) = PRESETS.iter().find(|(n, _)| *n == name).ok_or_else(|| {
+            let msg = format!("preset {name} (expected {})", Scenario::PRESET_NAMES);
+            ScenarioError::new(0, "", ErrorKind::UnknownName(msg))
+        })?;
+        Ok(Scenario::parse(text).unwrap_or_else(|e| panic!("embedded preset {name}: {e}")))
     }
 
     /// Loads a scenario from a preset name or a TOML file path —
@@ -44,7 +52,7 @@ impl Scenario {
     /// Returns [`ErrorKind::Io`] when the path cannot be read, or any
     /// parse/validation error from the file's contents.
     pub fn load(name_or_path: &str) -> Result<Scenario, ScenarioError> {
-        if let Some(preset) = Scenario::preset(name_or_path) {
+        if let Ok(preset) = Scenario::preset(name_or_path) {
             return Ok(preset);
         }
         let text = std::fs::read_to_string(name_or_path).map_err(|e| {
@@ -101,6 +109,8 @@ mod tests {
 
     #[test]
     fn unknown_preset_falls_back_to_io_error() {
+        let err = Scenario::preset("no-such-preset").unwrap_err();
+        assert!(matches!(err.kind, ErrorKind::UnknownName(_)), "{err}");
         let err = Scenario::load("no-such-preset").unwrap_err();
         assert!(matches!(err.kind, ErrorKind::Io(_)), "{err}");
         assert!(err.to_string().contains(Scenario::PRESET_NAMES), "{err}");

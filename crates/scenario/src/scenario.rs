@@ -2,12 +2,12 @@
 //! overrides, arrival process, failure profile, data-quality profile,
 //! and policy arm, composed from one TOML file.
 //!
-//! A scenario is the *declarative* form of a pipeline run. The
-//! `supercloud` preset maps exactly onto the flag-driven defaults —
-//! [`Scenario::workload_spec`] returns [`WorkloadSpec::supercloud`]
-//! and [`Scenario::sim_config`] returns `SimConfig::default()` plus
-//! the detailed-series rule — so driving `repro_figures` through a
-//! scenario file is byte-identical to driving it through flags.
+//! A scenario is the one configuration of a pipeline run: a bare
+//! `repro_figures` run is the `supercloud` preset, and each CLI flag
+//! edits one field of the scenario it runs. The preset reproduces the
+//! paper's world — [`Scenario::workload_spec`] returns
+//! [`WorkloadSpec::supercloud`] and [`Scenario::sim_config`] returns
+//! `SimConfig::default()` plus the detailed-series rule.
 
 use crate::error::{ErrorKind, ScenarioError};
 use crate::toml::{parse as parse_toml, render_value, TomlEntry, TomlSection, TomlValue};
@@ -160,9 +160,9 @@ pub struct Scenario {
     pub name: String,
     /// Free-text description (optional, empty when absent).
     pub description: String,
-    /// Default master seed; CLI `--seed` overrides it.
+    /// Master seed (`repro_figures --seed` edits it).
     pub seed: u64,
-    /// Default workload scale; CLI `--scale` overrides it.
+    /// Workload scale (`repro_figures --scale` edits it).
     pub scale: f64,
     /// Cluster shape.
     pub cluster: ClusterScenario,
@@ -184,23 +184,10 @@ pub struct Scenario {
 }
 
 impl Default for Scenario {
-    /// The flag-driven defaults: exactly what `repro_figures` runs with
-    /// no arguments (and what `scenarios/supercloud.toml` declares).
+    /// The `supercloud` preset: the world a bare `repro_figures` run, a
+    /// default `ServeConfig` and `export_dataset` all simulate.
     fn default() -> Self {
-        Scenario {
-            name: "supercloud".to_string(),
-            description: String::new(),
-            seed: 42,
-            scale: 1.0,
-            cluster: ClusterScenario::default(),
-            workload: WorkloadScenario::default(),
-            arrivals: ArrivalProcess::Diurnal,
-            failures: FailureScenario::default(),
-            data_quality: "off".to_string(),
-            policy: "off".to_string(),
-            classifier: ClassifierScenario::default(),
-            reliability: ReliabilityScenario::default(),
-        }
+        Scenario::preset("supercloud").expect("committed preset")
     }
 }
 
@@ -906,8 +893,7 @@ impl Scenario {
     /// The resolved classifier configuration: the `sc-learn` defaults
     /// with this scenario's overrides applied. Identical to
     /// [`sc_learn::ClassifierConfig::default`] when the `[classifier]`
-    /// section sets nothing, so a scenario-driven run matches the
-    /// flag-driven one byte-for-byte.
+    /// section sets nothing.
     pub fn classifier_config(&self) -> sc_learn::ClassifierConfig {
         let mut cfg = sc_learn::ClassifierConfig::default();
         if let Some(v) = self.classifier.trees {
@@ -957,8 +943,8 @@ impl Scenario {
         spec
     }
 
-    /// The workload spec scaled by `scale` (the CLI's effective scale,
-    /// which may override [`Scenario::scale`]).
+    /// The workload spec scaled by `scale` (a caller such as sc-serve
+    /// may run a scenario at a scale other than [`Scenario::scale`]).
     pub fn scaled_spec(&self, scale: f64) -> WorkloadSpec {
         self.workload_spec().scaled(scale)
     }
@@ -1001,10 +987,18 @@ impl Scenario {
         })
     }
 
-    /// The full simulator configuration at `scale` and `seed` —
-    /// identical to what the flag-driven CLI builds: the detailed-series
-    /// subset follows the `2,149 × scale` rule and checkpointing runs
-    /// at the Young interval for the failure model's interrupt rate.
+    /// The failure model the reliability study replays at `seed`: the
+    /// scenario's own, or the `supercloud` taxonomy at 0.05x MTBF when
+    /// the scenario injects none, so every figure has failures to
+    /// measure.
+    pub fn reliability_model(&self, seed: u64) -> FailureModel {
+        self.failure_model(seed).unwrap_or_else(|| FailureModel::supercloud(seed).scaled_mtbf(0.05))
+    }
+
+    /// The full simulator configuration at `scale` and `seed`, the
+    /// only place these rules live: the detailed-series subset follows
+    /// the `2,149 × scale` rule and checkpointing runs at the Young
+    /// interval for the failure model's interrupt rate.
     pub fn sim_config(&self, scale: f64, seed: u64) -> SimConfig {
         let detailed = ((2_149.0 * scale).round() as usize).max(50);
         let failures = self.failure_model(seed);

@@ -23,16 +23,16 @@
 //! responses memoize and coalesce exactly like successes.
 
 use crate::query::{Query, RelQuery};
-use sc_cluster::{FailureModel, SimConfig, SimOutput, Simulation};
+use sc_cluster::{SimConfig, SimOutput, Simulation};
 use sc_core::pipeline::DatasetReport;
-use sc_core::{corrupt_and_ingest, QueryKey, ReliabilityConfig};
+use sc_core::{corrupt_and_ingest, QueryKey};
 use sc_obs::stagelog::StageSpan;
 use sc_obs::{Obs, SharedCounter, StageLog};
 use sc_par::{CacheOutcome, CacheStats, Executor, MemoCache};
 use sc_policy::PolicyExperiment;
 use sc_scenario::Scenario;
 use sc_telemetry::corruption::DataQualityProfile;
-use sc_workload::{Trace, WorkloadSpec};
+use sc_workload::Trace;
 use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
@@ -59,12 +59,12 @@ pub struct ServeConfig {
     /// Record a wall-clock stage span per computed response (feeds the
     /// Chrome trace exporter; off keeps the hot path allocation-free).
     pub tracing: bool,
-    /// Build the world from a declarative scenario instead of the
-    /// flag-default Supercloud pipeline. The scenario's parsed hash
-    /// becomes a cache-key dimension, so two services built from
-    /// different scenario files never share memoized bytes even when
-    /// their names collide.
-    pub scenario: Option<Scenario>,
+    /// The world to build: cluster, workload, arrivals, failures and
+    /// the reliability grid (the `supercloud` preset by default). Its
+    /// parsed hash becomes a cache-key dimension, so two services built
+    /// from different scenario files never share memoized bytes even
+    /// when their names collide.
+    pub scenario: Scenario,
 }
 
 impl Default for ServeConfig {
@@ -77,7 +77,7 @@ impl Default for ServeConfig {
             cache_capacity: 256,
             users_floor: 64,
             tracing: false,
-            scenario: None,
+            scenario: Scenario::default(),
         }
     }
 }
@@ -175,25 +175,13 @@ impl Service {
     /// state built here.
     pub fn build(config: ServeConfig) -> Service {
         let t0 = Instant::now();
-        // A declarative scenario supplies the spec and sim config; the
-        // default path stays byte-for-byte what it was before scenarios
-        // existed (and keeps its historical cache-key label).
-        let (mut spec, sim_config, scenario) = match &config.scenario {
-            Some(sc) => (
-                sc.scaled_spec(config.scale),
-                sc.sim_config(config.scale, config.seed),
-                format!("{}#{:016x}:s{}", sc.name, sc.hash(), config.scale),
-            ),
-            None => {
-                let spec = WorkloadSpec::supercloud().scaled(config.scale);
-                // Same detailed-subset scaling rule as `repro_figures`, so a
-                // served figure matches the batch tool's at equal scale/seed.
-                let detailed = ((2_149.0 * config.scale).round() as usize).max(50);
-                let sim_config =
-                    SimConfig { detailed_series_jobs: detailed, ..SimConfig::default() };
-                (spec, sim_config, format!("supercloud:s{}", config.scale))
-            }
-        };
+        // The same spec and sim config `repro_figures` builds from the
+        // scenario, so a served figure matches the batch tool's at equal
+        // scale and seed.
+        let sc = &config.scenario;
+        let mut spec = sc.scaled_spec(config.scale);
+        let sim_config = sc.sim_config(config.scale, config.seed);
+        let scenario = format!("{}#{:016x}:s{}", sc.name, sc.hash(), config.scale);
         spec.users = spec.users.max(config.users_floor);
         let trace = Trace::generate(&spec, config.seed);
         let out = Simulation::new(sim_config.clone()).run(&trace);
@@ -212,8 +200,8 @@ impl Service {
         }
     }
 
-    /// Scenario descriptor: `supercloud:s<scale>` for the flag-default
-    /// world, `<name>#<hash>:s<scale>` for a scenario-built one.
+    /// Scenario descriptor: `<name>#<hash>:s<scale>`, the scenario's
+    /// name and content hash plus the world's scale.
     pub fn scenario(&self) -> &str {
         &self.scenario
     }
@@ -343,29 +331,14 @@ impl Service {
 
     /// Answers one `rel:*` query: replay the frozen trace under the
     /// scenario's failure model (or a stressed Supercloud default when
-    /// the world has none) and render the requested figure. Like the
-    /// policy arms, the replay skips the detailed telemetry subset and
-    /// relies on the memo cache to amortize repeats.
+    /// the world has none) on the scenario's reliability grid, and
+    /// render the requested figure. Like the policy arms, the replay
+    /// skips the detailed telemetry subset and relies on the memo
+    /// cache to amortize repeats.
     fn compute_reliability(&self, r: RelQuery) -> String {
         let base = SimConfig { detailed_series_jobs: 0, ..self.sim_config.clone() };
-        let model = self
-            .config
-            .scenario
-            .as_ref()
-            .and_then(|sc| sc.failure_model(self.config.seed))
-            .unwrap_or_else(|| FailureModel::supercloud(self.config.seed).scaled_mtbf(0.05));
-        let cfg = match &self.config.scenario {
-            Some(sc) => sc.reliability_config(),
-            // Flag-default world: a small grid keeps cold latency in
-            // policy-arm territory (each point is one event-loop run).
-            None => ReliabilityConfig {
-                mtbf_factors: vec![1.0, 0.2],
-                sweep_points: 3,
-                sweep_span: 2.0,
-                growth_factors: Vec::new(),
-                write_secs: 30.0,
-            },
-        };
+        let model = self.config.scenario.reliability_model(self.config.seed);
+        let cfg = self.config.scenario.reliability_config();
         match r {
             RelQuery::Summary => {
                 sc_core::reliability::reliability_size_fig(&self.trace, &base, &model).render()
@@ -554,7 +527,7 @@ mod tests {
     #[test]
     fn reliability_summary_respects_the_scenario_failure_model() {
         // A scenario with a stress failure profile must answer
-        // rel:summary from its own model, not the flag-default one.
+        // rel:summary from its own model, not the stressed default.
         let sc = Scenario::parse(
             "[scenario]\nname = \"rel\"\n[failures]\nprofile = \"stress\"\n\
              [reliability]\nenabled = true\nsweep_points = 2\nmtbf_factors = [1.0]\n",
@@ -564,7 +537,7 @@ mod tests {
             scale: 0.002,
             users_floor: 8,
             threads: 1,
-            scenario: Some(sc),
+            scenario: sc,
             ..ServeConfig::default()
         });
         let body = s.query_blocking(&Query::Reliability(RelQuery::Summary)).body;
@@ -573,18 +546,16 @@ mod tests {
 
     #[test]
     fn supercloud_scenario_serves_default_bytes_under_a_hashed_key() {
-        // The supercloud preset IS the flag default, so response bodies
-        // must match byte-for-byte; only the cache-key scenario label
-        // differs (scenario worlds are hash-addressed, the default
-        // world keeps its historical label).
+        // The default world IS the supercloud preset: one hash-addressed
+        // label, one cache key, byte-identical response bodies.
         let base =
             ServeConfig { scale: 0.0001, users_floor: 1, threads: 1, ..ServeConfig::default() };
         let default_svc = Service::build(base.clone());
         let sc = Scenario::preset("supercloud").expect("preset");
         let hash = sc.hash();
-        let scen_svc = Service::build(ServeConfig { scenario: Some(sc), ..base });
-        assert_eq!(default_svc.scenario(), "supercloud:s0.0001");
-        assert_eq!(scen_svc.scenario(), format!("supercloud#{hash:016x}:s0.0001"));
+        let scen_svc = Service::build(ServeConfig { scenario: sc, ..base });
+        assert_eq!(default_svc.scenario(), format!("supercloud#{hash:016x}:s0.0001"));
+        assert_eq!(scen_svc.scenario(), default_svc.scenario());
         for q in [Query::Point(PointStat::TotalGpuHours), Query::Figure(FigureId::Fig3)] {
             assert_eq!(
                 default_svc.query_blocking(&q).body,
@@ -592,7 +563,7 @@ mod tests {
                 "{}",
                 q.token()
             );
-            assert_ne!(default_svc.key(&q), scen_svc.key(&q), "{}", q.token());
+            assert_eq!(default_svc.key(&q), scen_svc.key(&q), "{}", q.token());
         }
     }
 
@@ -601,11 +572,11 @@ mod tests {
         let base =
             ServeConfig { scale: 0.0001, users_floor: 1, threads: 1, ..ServeConfig::default() };
         let philly = Service::build(ServeConfig {
-            scenario: Some(Scenario::preset("philly").expect("preset")),
+            scenario: Scenario::preset("philly").expect("preset"),
             ..base.clone()
         });
         let nersc = Service::build(ServeConfig {
-            scenario: Some(Scenario::preset("nersc").expect("preset")),
+            scenario: Scenario::preset("nersc").expect("preset"),
             ..base
         });
         let q = Query::Point(PointStat::JobsAnalyzed);

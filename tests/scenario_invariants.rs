@@ -1,8 +1,8 @@
 //! Scenario DSL invariants: the parser round-trips every valid
 //! scenario through its canonical serialization, rejects malformed
 //! input with typed line/field diagnostics (never a panic), and the
-//! `supercloud` preset drives the pipeline byte-identically to the
-//! flag defaults at any thread budget.
+//! `supercloud` preset drives the pipeline byte-identically to a
+//! hand-built reference at any thread budget.
 //!
 //! The property tests build scenarios *structurally* (the vendored
 //! proptest has no string strategies) and sweep the numeric knobs and
@@ -204,8 +204,9 @@ fn malformed_corpus_yields_typed_line_and_field_errors() {
     }
 }
 
-/// The flag-driven default pipeline, at one scale/seed: the exact
-/// construction `repro_figures` uses with no flags.
+/// A hand-built reference for the paper's world at one scale/seed,
+/// assembled from the `WorkloadSpec` and `SimConfig` defaults without
+/// the scenario layer.
 fn run_flag_default(scale: f64, seed: u64) -> (String, String) {
     let spec = WorkloadSpec::supercloud().scaled(scale);
     let trace = Trace::generate(&spec, seed);
@@ -235,9 +236,9 @@ fn alt_thread_budget() -> usize {
     std::env::var("SC_PAR_THREADS").ok().and_then(|v| v.parse().ok()).unwrap_or(4)
 }
 
-/// The tentpole contract: `scenarios/supercloud.toml` reproduces the
-/// flag-driven default byte for byte — dataset JSON and rendered
-/// figure text — and the equality is independent of the thread budget.
+/// `scenarios/supercloud.toml`, the world a bare `repro_figures` run
+/// simulates, reproduces the hand-built reference byte for byte —
+/// dataset JSON and rendered figure text — at any thread budget.
 #[test]
 fn supercloud_scenario_matches_flag_default_at_any_thread_budget() {
     let saved = sc_repro::par::current_threads();
@@ -253,9 +254,8 @@ fn supercloud_scenario_matches_flag_default_at_any_thread_budget() {
     sc_repro::par::set_max_threads(saved);
 }
 
-/// The scenario seed/scale defaults thread through the same way the
-/// CLI resolves them: the preset declares seed 42 / scale 1.0, so an
-/// explicit CLI `--seed 42` and the scenario default are one world.
+/// The preset declares the paper's defaults: seed 42, scale 1.0, no
+/// failures, no policy arm, no data-quality corruption.
 #[test]
 fn preset_defaults_match_cli_defaults() {
     let sc = Scenario::preset("supercloud").expect("preset");
