@@ -8,7 +8,7 @@
 //! backfill. The baseline arm runs the cluster's own packing; the
 //! coshare arm additionally consults [`CosharePolicy`] on every probe —
 //! slot scans, ground-truth synthesis, and pair-interference scoring
-//! included, exactly as `Simulation::run_policy` would. The delta
+//! included, exactly as `Simulation::run_observed` would. The delta
 //! between the two medians is the policy's placement overhead, which
 //! `scripts/check_bench.py --placement` gates in CI.
 
@@ -50,7 +50,7 @@ fn contended_passes(
     }
     let mut started = 0;
     for _ in 0..2 {
-        let pass = sched.schedule_with(0.0, &mut cluster, jobs, policy.as_deref_mut());
+        let pass = sched.schedule(0.0, &mut cluster, jobs, policy.as_deref_mut());
         for (idx, alloc) in &pass.started {
             let job = &jobs[*idx];
             if let Some(p) = policy.as_deref_mut() {

@@ -920,7 +920,7 @@ fn main() {
         || obs.flush().unwrap_or_else(|e| fail(&format!("cannot flush trace file: {e}")));
     let t0 = std::time::Instant::now();
     let sim_start = stage_log.elapsed_secs();
-    let (out, timings) = Simulation::new(sim_config.clone()).run_observed(&trace, &obs);
+    let (out, timings) = Simulation::new(sim_config.clone()).run_observed(&trace, &obs, None);
     stage_log.push("sim_event_loop", sim_start, timings.event_loop_secs);
     stage_log.push("telemetry", sim_start + timings.event_loop_secs, timings.telemetry_secs);
     flush_trace();

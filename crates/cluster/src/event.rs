@@ -1,7 +1,7 @@
 //! The discrete-event engine: a time-ordered queue with deterministic
 //! tie-breaking.
 
-use sc_telemetry::record::JobId;
+use sc_telemetry::record::ExitStatus;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
@@ -12,15 +12,18 @@ pub enum Event {
     /// trace's job list. Requeues after an injected failure reuse this
     /// event with the same index.
     Submit(usize),
-    /// A running job attempt terminates. The attempt tag lets the
-    /// driver drop finishes that went stale when an injected failure
-    /// killed the attempt first — a job can be killed and requeued more
-    /// than once, so a bare job id would be ambiguous.
+    /// A running job attempt reaches the end decided when it started;
+    /// the event time is its end time. The attempt tag lets the driver
+    /// drop finishes that went stale when an injected failure killed
+    /// the attempt first — a job can be killed and requeued more than
+    /// once, so a bare job index would be ambiguous.
     Finish {
-        /// The finishing job.
-        job: JobId,
+        /// Index into the trace's job list, as in [`Event::Submit`].
+        trace_idx: usize,
         /// Which attempt (1-based) scheduled this finish.
         attempt: u32,
+        /// How the attempt ends.
+        exit: ExitStatus,
     },
     /// A scheduler wake-up: Slurm's scheduling loop runs a short,
     /// configurable latency after each submission rather than inline
@@ -94,11 +97,6 @@ impl EventQueue {
         self.heap.pop().map(|e| (e.time, e.event))
     }
 
-    /// The time of the next event without removing it.
-    pub fn peek_time(&self) -> Option<f64> {
-        self.heap.peek().map(|e| e.time)
-    }
-
     /// Number of pending events.
     pub fn len(&self) -> usize {
         self.heap.len()
@@ -119,10 +117,10 @@ mod tests {
         let mut q = EventQueue::new();
         q.push(5.0, Event::Submit(1));
         q.push(1.0, Event::Submit(2));
-        q.push(3.0, Event::Finish { job: JobId(9), attempt: 1 });
-        assert_eq!(q.peek_time(), Some(1.0));
+        let finish = Event::Finish { trace_idx: 9, attempt: 1, exit: ExitStatus::Completed };
+        q.push(3.0, finish);
         assert_eq!(q.pop(), Some((1.0, Event::Submit(2))));
-        assert_eq!(q.pop(), Some((3.0, Event::Finish { job: JobId(9), attempt: 1 })));
+        assert_eq!(q.pop(), Some((3.0, finish)));
         assert_eq!(q.pop(), Some((5.0, Event::Submit(1))));
         assert!(q.pop().is_none());
         assert!(q.is_empty());

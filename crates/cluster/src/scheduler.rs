@@ -106,6 +106,11 @@ impl Scheduler {
         self.running.remove(&job_id).expect("finished job must be running")
     }
 
+    /// Whether `job_id` has a running attempt.
+    pub fn is_running(&self, job_id: JobId) -> bool {
+        self.running.contains_key(&job_id)
+    }
+
     /// Number of queued jobs.
     pub fn pending_len(&self) -> usize {
         self.pending.len()
@@ -119,21 +124,11 @@ impl Scheduler {
     /// Runs one FCFS + EASY-backfill pass at time `now` against the
     /// cluster state, committing allocations for every job it starts and
     /// removing them from the queue. `jobs` is the full trace job list.
+    ///
+    /// With a closed-loop `policy`, its [`Policy::place`] is tried first
+    /// for every candidate (head and backfill alike) and the cluster's
+    /// own packing is the fallback.
     pub fn schedule(
-        &mut self,
-        now: f64,
-        cluster: &mut ClusterState,
-        jobs: &[JobSpec],
-    ) -> SchedulePass {
-        self.schedule_with(now, cluster, jobs, None)
-    }
-
-    /// Like [`Scheduler::schedule`], consulting a closed-loop
-    /// [`Policy`] for placement overrides: the policy's
-    /// [`Policy::place`] is tried first for every candidate (head and
-    /// backfill alike) and the cluster's own packing is the fallback.
-    /// With `policy` `None` the pass is byte-identical to `schedule`.
-    pub fn schedule_with(
         &mut self,
         now: f64,
         cluster: &mut ClusterState,
@@ -276,7 +271,7 @@ mod tests {
         let mut s = Scheduler::new();
         s.submit(0, 0.0);
         s.submit(1, 0.0);
-        let pass = s.schedule(0.0, &mut cluster, &jobs);
+        let pass = s.schedule(0.0, &mut cluster, &jobs, None);
         assert_eq!(pass.started.len(), 2);
         assert_eq!(pass.started[0].0, 0);
         assert_eq!(pass.started[1].0, 1);
@@ -293,7 +288,7 @@ mod tests {
         let mut cluster = two_node_cluster();
         let mut s = Scheduler::new();
         s.submit(0, 0.0);
-        let p = s.schedule(0.0, &mut cluster, &jobs);
+        let p = s.schedule(0.0, &mut cluster, &jobs, None);
         assert_eq!(p.started.len(), 1);
         s.mark_running(
             JobId(1),
@@ -308,7 +303,7 @@ mod tests {
         );
         s.submit(1, 1.0);
         s.submit(2, 2.0);
-        let p = s.schedule(2.0, &mut cluster, &jobs);
+        let p = s.schedule(2.0, &mut cluster, &jobs, None);
         assert!(p.started.is_empty(), "nothing may start: head blocked, C too long");
         assert_eq!(s.pending_len(), 2);
     }
@@ -321,7 +316,7 @@ mod tests {
         let mut cluster = two_node_cluster();
         let mut s = Scheduler::new();
         s.submit(0, 0.0);
-        let p = s.schedule(0.0, &mut cluster, &jobs);
+        let p = s.schedule(0.0, &mut cluster, &jobs, None);
         s.mark_running(
             JobId(1),
             RunningJob {
@@ -335,7 +330,7 @@ mod tests {
         );
         s.submit(1, 1.0);
         s.submit(2, 2.0);
-        let p = s.schedule(2.0, &mut cluster, &jobs);
+        let p = s.schedule(2.0, &mut cluster, &jobs, None);
         assert_eq!(p.started.len(), 1);
         assert_eq!(p.started[0].0, 2, "the short job backfills");
         // FCFS order preserved for the blocked head.
@@ -351,7 +346,7 @@ mod tests {
         let mut s = Scheduler::with_policy(SchedulePolicy::FcfsOnly);
         assert_eq!(s.policy(), SchedulePolicy::FcfsOnly);
         s.submit(0, 0.0);
-        let p = s.schedule(0.0, &mut cluster, &jobs);
+        let p = s.schedule(0.0, &mut cluster, &jobs, None);
         s.mark_running(
             JobId(1),
             RunningJob {
@@ -365,7 +360,7 @@ mod tests {
         );
         s.submit(1, 1.0);
         s.submit(2, 2.0);
-        let p = s.schedule(2.0, &mut cluster, &jobs);
+        let p = s.schedule(2.0, &mut cluster, &jobs, None);
         assert!(p.started.is_empty(), "strict FCFS must not backfill");
         assert_eq!(s.pending_len(), 2);
     }
@@ -376,7 +371,7 @@ mod tests {
         let mut cluster = one_node_cluster();
         let mut s = Scheduler::new();
         s.submit(0, 0.0);
-        let p = s.schedule(0.0, &mut cluster, &jobs);
+        let p = s.schedule(0.0, &mut cluster, &jobs, None);
         s.mark_running(
             JobId(1),
             RunningJob {
@@ -389,9 +384,11 @@ mod tests {
             },
         );
         assert_eq!(s.running_len(), 1);
+        assert!(s.is_running(JobId(1)));
         let r = s.finish(JobId(1));
         cluster.release(&r.alloc);
         assert_eq!(s.running_len(), 0);
+        assert!(!s.is_running(JobId(1)));
         assert_eq!(cluster.gpus_in_use(), 0);
     }
 

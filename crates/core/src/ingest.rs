@@ -395,14 +395,10 @@ pub fn ingest(raw: RawCollection, obs: &Obs) -> Result<IngestOutput, DataQuality
 
     report.records_out = kept.len();
     report.provenance = provenance.into_iter().collect();
-    if obs.events_on() {
-        for (t, name, id, class) in events {
-            obs.event(
-                t,
-                name,
-                vec![("job", Value::U64(id.0)), ("class", Value::Str(class.label()))],
-            );
-        }
+    for (t, name, id, class) in events {
+        obs.event(t, name, || {
+            vec![("job", Value::U64(id.0)), ("class", Value::Str(class.label()))]
+        });
     }
     let gpu: Vec<GpuJobRecord> = kept.iter().filter_map(|r| gpu_by_id.remove(&r.job_id)).collect();
     let dataset = Dataset::join(kept, gpu);

@@ -12,10 +12,10 @@
 //!    at any `sc_par` thread budget. (Wall-clock *stage* spans live in
 //!    a separate [`StageLog`] that is explicitly outside the
 //!    determinism contract and feeds the Chrome exporter.)
-//! 2. **Free when off.** Instrumentation points gate on an enum
-//!    compare ([`Obs::events_on`] / [`Obs::spans_on`]) before
-//!    constructing anything; with the [`NullSink`] the cost is one
-//!    predictable branch per site.
+//! 2. **Free when off.** Instrumentation points hand [`Obs::event`],
+//!    [`Obs::begin`] and [`Obs::end`] a closure that builds the fields;
+//!    `Obs` runs it only when its level is on, so with the [`NullSink`]
+//!    the cost is one enum compare per site.
 //!
 //! Modules:
 //!
@@ -24,7 +24,7 @@
 //! - [`sink`]: the [`TraceSink`] trait and the [`NullSink`] /
 //!   [`RingSink`] / [`JsonlSink`] implementations, plus the cheap
 //!   [`Obs`] handle instrumented code carries.
-//! - [`metrics`]: counters, gauges, and log₂-bucketed histograms.
+//! - [`metrics`]: a thread-shared counter and log₂-bucketed histograms.
 //! - [`timeline`]: the cluster time-series ([`Timeline`]) sampled on
 //!   event-loop transitions — queue depth, running jobs, free GPUs,
 //!   requeue backlog, failure injections, checkpoint restores.
@@ -43,7 +43,7 @@ pub mod stagelog;
 pub mod timeline;
 
 pub use chrome::chrome_trace_json;
-pub use metrics::{Counter, Gauge, Histogram, SharedCounter};
+pub use metrics::{Histogram, SharedCounter};
 pub use record::{RecordKind, TraceLevel, TraceRecord, Value};
 pub use sink::{JsonlSink, NullSink, Obs, RingSink, TraceSink};
 pub use stagelog::{StageLog, StageSpan};

@@ -1,42 +1,14 @@
-//! Deterministic counters, gauges, and log₂-bucketed histograms.
+//! A thread-shared counter and deterministic log₂-bucketed histograms.
 //!
-//! These are plain values, not atomics: the simulator's metric updates
-//! all happen on the single-threaded event loop, so interior mutability
-//! would only buy non-determinism.
-
-/// Monotone event count.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct Counter {
-    value: u64,
-}
-
-impl Counter {
-    /// A counter at zero.
-    pub fn new() -> Counter {
-        Counter::default()
-    }
-
-    /// Adds one.
-    pub fn incr(&mut self) {
-        self.value += 1;
-    }
-
-    /// Adds `n`.
-    pub fn add(&mut self, n: u64) {
-        self.value += n;
-    }
-
-    /// Current count.
-    pub fn get(&self) -> u64 {
-        self.value
-    }
-}
+//! [`Histogram`] is a plain value, not an atomic: the simulator's metric
+//! updates all happen on the single-threaded event loop, so interior
+//! mutability would only buy non-determinism. [`SharedCounter`] is the
+//! exception, for the serving layer's worker threads.
 
 /// Monotone event count shared across threads.
 ///
 /// The serving layer's request path runs on executor worker threads,
-/// so its counters (cache hits/misses, queries served) cannot be the
-/// single-threaded [`Counter`]. `SharedCounter` is the atomic sibling:
+/// so its counters (cache hits/misses, queries served) must be atomic:
 /// relaxed ordering (counts are monotone and independent), cheap
 /// enough for per-request increments, and safe behind an `Arc`.
 #[derive(Debug, Default)]
@@ -70,29 +42,6 @@ impl SharedCounter {
     /// Current count.
     pub fn get(&self) -> u64 {
         self.value.load(std::sync::atomic::Ordering::Relaxed)
-    }
-}
-
-/// Last-write-wins instantaneous value.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct Gauge {
-    value: f64,
-}
-
-impl Gauge {
-    /// A gauge at zero.
-    pub fn new() -> Gauge {
-        Gauge::default()
-    }
-
-    /// Replaces the value.
-    pub fn set(&mut self, v: f64) {
-        self.value = v;
-    }
-
-    /// Current value.
-    pub fn get(&self) -> f64 {
-        self.value
     }
 }
 
@@ -209,17 +158,6 @@ impl Histogram {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn counter_and_gauge_basics() {
-        let mut c = Counter::new();
-        c.incr();
-        c.add(4);
-        assert_eq!(c.get(), 5);
-        let mut g = Gauge::new();
-        g.set(2.5);
-        assert_eq!(g.get(), 2.5);
-    }
 
     #[test]
     fn shared_counter_record_at_least_is_monotone() {

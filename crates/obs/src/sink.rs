@@ -9,8 +9,8 @@ use crate::record::{RecordKind, TraceLevel, TraceRecord, Value};
 /// Destination for trace records.
 ///
 /// Implementations must be cheap to query for their [`TraceLevel`]:
-/// instrumented code checks the level *before* building a record, so a
-/// disabled sink costs one branch per site.
+/// [`Obs`] checks the level *before* building a record, so a disabled
+/// sink costs one branch per site.
 pub trait TraceSink: Sync {
     /// The most detailed record kind this sink wants.
     fn level(&self) -> TraceLevel;
@@ -134,6 +134,9 @@ impl<W: Write + Send> TraceSink for JsonlSink<W> {
 
 static NULL: NullSink = NullSink;
 
+/// The fields of one trace record, in output order.
+type Fields = Vec<(&'static str, Value)>;
+
 /// The handle instrumented code carries: a sink plus its level, cached
 /// so the hot-path gates are plain enum compares with no vtable call.
 #[derive(Clone, Copy)]
@@ -172,19 +175,31 @@ impl<'a> Obs<'a> {
         self.level >= TraceLevel::Spans
     }
 
-    /// Emits a point event. Call only under [`Obs::events_on`].
-    pub fn event(&self, t: f64, name: &'static str, fields: Vec<(&'static str, Value)>) {
-        self.sink.record(TraceRecord { t, kind: RecordKind::Event, name, fields });
+    /// Emits a point event when [`Obs::events_on`]. `fields` builds the
+    /// record's fields and runs only then, so a disabled site builds
+    /// nothing.
+    pub fn event(&self, t: f64, name: &'static str, fields: impl FnOnce() -> Fields) {
+        self.emit(t, RecordKind::Event, name, fields);
     }
 
-    /// Emits a span-begin record. Call only under [`Obs::spans_on`].
-    pub fn begin(&self, t: f64, name: &'static str, fields: Vec<(&'static str, Value)>) {
-        self.sink.record(TraceRecord { t, kind: RecordKind::Begin, name, fields });
+    /// Emits a span-begin record when [`Obs::spans_on`]; `fields` as for
+    /// [`Obs::event`].
+    pub fn begin(&self, t: f64, name: &'static str, fields: impl FnOnce() -> Fields) {
+        self.emit(t, RecordKind::Begin, name, fields);
     }
 
-    /// Emits a span-end record. Call only under [`Obs::spans_on`].
-    pub fn end(&self, t: f64, name: &'static str, fields: Vec<(&'static str, Value)>) {
-        self.sink.record(TraceRecord { t, kind: RecordKind::End, name, fields });
+    /// Emits a span-end record when [`Obs::spans_on`]; `fields` as for
+    /// [`Obs::event`].
+    pub fn end(&self, t: f64, name: &'static str, fields: impl FnOnce() -> Fields) {
+        self.emit(t, RecordKind::End, name, fields);
+    }
+
+    #[inline]
+    fn emit(&self, t: f64, kind: RecordKind, name: &'static str, fields: impl FnOnce() -> Fields) {
+        let on = if kind == RecordKind::Event { self.events_on() } else { self.spans_on() };
+        if on {
+            self.sink.record(TraceRecord { t, kind, name, fields: fields() });
+        }
     }
 
     /// Flushes the underlying sink.
@@ -227,8 +242,8 @@ mod tests {
         let sink = JsonlSink::new(TraceLevel::Events, Vec::new());
         let obs = Obs::new(&sink);
         assert!(obs.events_on() && obs.spans_on());
-        obs.event(1.0, "a", vec![("k", Value::U64(1))]);
-        obs.begin(2.0, "b", Vec::new());
+        obs.event(1.0, "a", || vec![("k", Value::U64(1))]);
+        obs.begin(2.0, "b", Vec::new);
         let bytes = sink.into_inner().unwrap();
         let text = String::from_utf8(bytes).unwrap();
         assert_eq!(text, "{\"t\":1,\"kind\":\"event\",\"name\":\"a\",\"k\":1}\n{\"t\":2,\"kind\":\"begin\",\"name\":\"b\"}\n");
@@ -240,5 +255,18 @@ mod tests {
         let obs = Obs::new(&ring);
         assert!(obs.spans_on());
         assert!(!obs.events_on());
+        // Point events are below the level: nothing is recorded.
+        obs.event(1.0, "e", Vec::new);
+        assert!(ring.records().is_empty());
+        // Spans are within it.
+        obs.begin(2.0, "s", || vec![("k", Value::U64(1))]);
+        obs.end(3.0, "s", Vec::new);
+        let kinds: Vec<RecordKind> = ring.records().iter().map(|r| r.kind).collect();
+        assert_eq!(kinds, [RecordKind::Begin, RecordKind::End]);
+        // With tracing off no field closure ever runs.
+        let off = Obs::off();
+        off.event(4.0, "e", || panic!("event fields built while off"));
+        off.begin(5.0, "s", || panic!("begin fields built while off"));
+        off.end(6.0, "s", || panic!("end fields built while off"));
     }
 }

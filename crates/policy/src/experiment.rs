@@ -16,7 +16,7 @@
 use crate::coshare::CosharePolicy;
 use crate::predicted::PredictedClassPolicy;
 use crate::PolicySpec;
-use sc_cluster::{SimConfig, SimOutput, Simulation, SlowTierSpec};
+use sc_cluster::{Policy, SimConfig, SimOutput, Simulation, SlowTierSpec};
 use sc_core::figures::PolicyAbFig;
 use sc_learn::{ArchetypePredictor, ClassifierConfig, EvalReport};
 use sc_obs::Obs;
@@ -120,23 +120,20 @@ impl PolicyExperiment {
         obs: &Obs<'_>,
     ) -> Result<ExperimentResult, StatsError> {
         let cfg = self.config();
-        let (baseline, _) = Simulation::new(cfg.clone()).run_observed(trace, &Obs::off());
+        let baseline = Simulation::new(cfg.clone()).run(trace);
         let mut classifier_eval = None;
-        let (policy, _) = if self.spec == PolicySpec::CosharePredicted {
+        let mut arm: Option<Box<dyn Policy>> = if self.spec == PolicySpec::CosharePredicted {
             let (predictor, eval) = ArchetypePredictor::train(trace, &self.classifier);
             classifier_eval = Some(eval);
-            let mut p = PredictedClassPolicy::coshare(predictor);
-            Simulation::new(cfg.clone()).run_policy(trace, obs, &mut p)
+            Some(Box::new(PredictedClassPolicy::coshare(predictor)))
         } else {
-            match self.spec.build(&cfg.cluster) {
-                Some(mut p) => Simulation::new(cfg.clone()).run_policy(trace, obs, p.as_mut()),
-                None => Simulation::new(cfg.clone()).run_observed(trace, obs),
-            }
+            self.spec.build(&cfg.cluster)
         };
+        let (policy, _) = Simulation::new(cfg.clone()).run_observed(trace, obs, arm.as_deref_mut());
         let fig = PolicyAbFig::try_compute(&self.spec.label(), &baseline, &policy)?;
         let (oracle, oracle_fig) = if self.spec == PolicySpec::CosharePredicted {
             let mut p = CosharePolicy::label_gated();
-            let (out, _) = Simulation::new(cfg).run_policy(trace, &Obs::off(), &mut p);
+            let (out, _) = Simulation::new(cfg).run_observed(trace, &Obs::off(), Some(&mut p));
             let fig = PolicyAbFig::try_compute("coshare-oracle", &baseline, &out)?;
             (Some(out), Some(fig))
         } else {
