@@ -218,6 +218,19 @@ fn retry_caps_are_exhausted_but_never_exceeded() {
 }
 
 #[test]
+fn timeline_occupancy_accounts_for_every_gpu() {
+    // 224 two-GPU nodes: at every sample each GPU is either held by an
+    // allocation, free on an online node, or on a node under repair —
+    // exactly one of the three.
+    let (_, out) = violent_failure_sim();
+    let samples = out.timeline.samples();
+    assert!(samples.iter().any(|s| s.nodes_down > 0), "no sample saw a node under repair");
+    for s in samples {
+        assert_eq!(s.gpus_in_use + s.gpus_free + 2 * s.nodes_down, 448, "sample {s:?}");
+    }
+}
+
+#[test]
 fn gpu_seconds_never_leak_from_the_goodput_ledger() {
     // The ISSUE's balance criterion: useful + lost + idle == allocated,
     // with and without injection.
