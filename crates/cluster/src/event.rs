@@ -1,5 +1,6 @@
 //! The discrete-event engine: a time-ordered queue with deterministic
-//! tie-breaking.
+//! tie-breaking, holding the known schedule in a sorted array and the
+//! events the run creates in a binary heap.
 
 use sc_telemetry::record::ExitStatus;
 use std::cmp::Ordering;
@@ -67,18 +68,46 @@ impl PartialOrd for Entry {
     }
 }
 
-/// A min-heap event queue. Ties in time are broken by insertion order,
-/// making runs bit-reproducible.
-#[derive(Debug, Default)]
+/// The event queue: a schedule known before the run, merged with the
+/// events the run creates.
+///
+/// The schedule (submissions and injected faults) is numbered in the
+/// order given and sorted once; only events pushed during the run go
+/// through the binary heap. Both share one `(time, seq)` order, with
+/// `seq` counting the schedule first and then every push, so ties in
+/// time break by insertion order and runs are bit-reproducible. The
+/// pops are exactly those of a heap that took the schedule, then each
+/// push, one at a time.
+#[derive(Debug)]
 pub struct EventQueue {
+    /// The schedule's unpopped entries, latest first, so the earliest
+    /// is the last.
+    schedule: Vec<Entry>,
     heap: BinaryHeap<Entry>,
     seq: u64,
 }
 
 impl EventQueue {
-    /// An empty queue.
-    pub fn new() -> Self {
-        EventQueue::default()
+    /// A queue holding `schedule`, numbered in iteration order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a scheduled time is not finite.
+    pub fn new(schedule: impl IntoIterator<Item = (f64, Event)>) -> Self {
+        let mut schedule: Vec<Entry> = schedule
+            .into_iter()
+            .zip(0..)
+            .map(|((time, event), seq)| {
+                assert!(time.is_finite(), "event time must be finite");
+                Entry { time, seq, event }
+            })
+            .collect();
+        // `Entry` orders the earliest greatest; `(time, seq)` keys are
+        // unique, so the unstable sort is as deterministic as a stable
+        // one and needs no scratch buffer.
+        schedule.sort_unstable();
+        let seq = schedule.len() as u64;
+        EventQueue { schedule, heap: BinaryHeap::new(), seq }
     }
 
     /// Schedules `event` at `time`.
@@ -92,19 +121,25 @@ impl EventQueue {
         self.seq += 1;
     }
 
-    /// Removes and returns the earliest event.
+    /// Removes and returns the earliest event, from the schedule or
+    /// the heap.
     pub fn pop(&mut self) -> Option<(f64, Event)> {
-        self.heap.pop().map(|e| (e.time, e.event))
+        let scheduled_first = match (self.schedule.last(), self.heap.peek()) {
+            (Some(s), Some(h)) => s > h,
+            (s, _) => s.is_some(),
+        };
+        let e = if scheduled_first { self.schedule.pop() } else { self.heap.pop() };
+        e.map(|e| (e.time, e.event))
     }
 
-    /// Number of pending events.
+    /// Number of pending events, scheduled and pushed.
     pub fn len(&self) -> usize {
-        self.heap.len()
+        self.schedule.len() + self.heap.len()
     }
 
     /// Whether the queue is empty.
     pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
+        self.schedule.is_empty() && self.heap.is_empty()
     }
 }
 
@@ -114,7 +149,7 @@ mod tests {
 
     #[test]
     fn pops_in_time_order() {
-        let mut q = EventQueue::new();
+        let mut q = EventQueue::new([]);
         q.push(5.0, Event::Submit(1));
         q.push(1.0, Event::Submit(2));
         let finish = Event::Finish { trace_idx: 9, attempt: 1, exit: ExitStatus::Completed };
@@ -128,7 +163,7 @@ mod tests {
 
     #[test]
     fn ties_break_by_insertion_order() {
-        let mut q = EventQueue::new();
+        let mut q = EventQueue::new([]);
         q.push(2.0, Event::Submit(10));
         q.push(2.0, Event::Submit(11));
         q.push(2.0, Event::Fault(3));
@@ -139,7 +174,7 @@ mod tests {
 
     #[test]
     fn len_tracks_pushes() {
-        let mut q = EventQueue::new();
+        let mut q = EventQueue::new([]);
         assert_eq!(q.len(), 0);
         q.push(1.0, Event::Submit(0));
         q.push(2.0, Event::Submit(1));
@@ -149,9 +184,103 @@ mod tests {
     }
 
     #[test]
+    fn schedule_and_pushes_share_one_order() {
+        // Equal times across a submission, a fault and pushed events:
+        // the schedule's entries come first in `seq`, pushes after.
+        let finish = Event::Finish { trace_idx: 0, attempt: 1, exit: ExitStatus::Completed };
+        let mut q = EventQueue::new([
+            (2.0, Event::Submit(0)),
+            (1.0, Event::Fault(0)),
+            (2.0, Event::Fault(1)),
+            (2.0, Event::Submit(1)),
+        ]);
+        q.push(2.0, Event::Tick);
+        assert_eq!(q.pop(), Some((1.0, Event::Fault(0))));
+        q.push(2.0, finish);
+        q.push(1.5, Event::Tick);
+        let order: Vec<_> = std::iter::from_fn(|| q.pop()).collect();
+        assert_eq!(
+            order,
+            [
+                (1.5, Event::Tick),
+                (2.0, Event::Submit(0)),
+                (2.0, Event::Fault(1)),
+                (2.0, Event::Submit(1)),
+                (2.0, Event::Tick),
+                (2.0, finish),
+            ]
+        );
+    }
+
+    #[test]
+    fn schedule_pops_like_pushing_it_one_at_a_time() {
+        // A seeded mix of scheduled and pushed events on a coarse time
+        // grid, so ties are everywhere, with pops interleaved.
+        let mut state = 7u64;
+        let mut next = |n: u64| {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            (state >> 33) % n
+        };
+        for _ in 0..200 {
+            let schedule: Vec<(f64, Event)> = (0..next(40))
+                .map(|i| {
+                    let event = if next(2) == 0 {
+                        Event::Submit(i as usize)
+                    } else {
+                        Event::Fault(i as usize)
+                    };
+                    (next(8) as f64, event)
+                })
+                .collect();
+            let mut merged = EventQueue::new(schedule.iter().copied());
+            let mut pushed = EventQueue::new([]);
+            for &(time, event) in &schedule {
+                pushed.push(time, event);
+            }
+            for _ in 0..next(60) {
+                if next(3) == 0 {
+                    assert_eq!(merged.pop(), pushed.pop());
+                } else {
+                    let time = next(8) as f64;
+                    let event = if next(2) == 0 { Event::Tick } else { Event::Submit(99) };
+                    merged.push(time, event);
+                    pushed.push(time, event);
+                }
+                assert_eq!(merged.len(), pushed.len());
+            }
+            while let Some(e) = pushed.pop() {
+                assert_eq!(merged.pop(), Some(e));
+            }
+            assert!(merged.is_empty());
+        }
+    }
+
+    #[test]
+    fn len_counts_schedule_and_heap() {
+        let mut q = EventQueue::new([(1.0, Event::Submit(0)), (3.0, Event::Fault(0))]);
+        assert_eq!(q.len(), 2);
+        q.push(2.0, Event::Tick);
+        assert_eq!(q.len(), 3);
+        assert_eq!(q.pop(), Some((1.0, Event::Submit(0))));
+        assert_eq!(q.pop(), Some((2.0, Event::Tick)));
+        assert_eq!(q.len(), 1);
+        assert!(!q.is_empty());
+        q.pop();
+        assert_eq!((q.len(), q.is_empty()), (0, true));
+    }
+
+    #[test]
+    #[should_panic(expected = "event time must be finite")]
+    fn rejects_non_finite_scheduled_time() {
+        let _ = EventQueue::new([(0.0, Event::Submit(0)), (f64::INFINITY, Event::Fault(0))]);
+    }
+
+    #[test]
     #[should_panic(expected = "event time must be finite")]
     fn rejects_nan_time() {
-        let mut q = EventQueue::new();
+        let mut q = EventQueue::new([]);
         q.push(f64::NAN, Event::Submit(0));
     }
 }
