@@ -43,11 +43,16 @@ pub struct RunningJob {
     pub power_cap_w: Option<f64>,
 }
 
-/// Decisions produced by one scheduling pass.
+/// Decisions produced by one scheduling pass, and the work it did.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct SchedulePass {
     /// `(trace_idx, allocation)` of jobs to start now, in order.
     pub started: Vec<(usize, Allocation)>,
+    /// Pending entries the pass examined.
+    pub scanned: u64,
+    /// Candidates the pass tried to place, by the policy or by the
+    /// cluster.
+    pub placement_calls: u64,
 }
 
 /// The queue discipline, for ablation studies.
@@ -135,7 +140,9 @@ impl Scheduler {
         jobs: &[JobSpec],
         mut policy: Option<&mut (dyn Policy + '_)>,
     ) -> SchedulePass {
+        let mut placement_calls = 0;
         let mut place = |cluster: &ClusterState, job: &JobSpec| -> Option<Allocation> {
+            placement_calls += 1;
             if let Some(p) = policy.as_deref_mut() {
                 if let Some(alloc) = p.place(job, cluster) {
                     return Some(alloc);
@@ -147,6 +154,7 @@ impl Scheduler {
         let mut blocked_shadow: Option<f64> = None;
         let mut i = 0;
         while i < self.pending.len() {
+            pass.scanned += 1;
             let q = self.pending[i];
             let job = &jobs[q.trace_idx];
             match blocked_shadow {
@@ -181,6 +189,7 @@ impl Scheduler {
                 }
             }
         }
+        pass.placement_calls = placement_calls;
         pass
     }
 
@@ -363,6 +372,42 @@ mod tests {
         let p = s.schedule(2.0, &mut cluster, &jobs, None);
         assert!(p.started.is_empty(), "strict FCFS must not backfill");
         assert_eq!(s.pending_len(), 2);
+    }
+
+    #[test]
+    fn pass_counts_scanned_entries_and_placement_calls() {
+        // Head B blocks; C is examined but too long to backfill, D is
+        // short and backfills. An empty queue costs nothing.
+        let jobs = vec![
+            job(1, 3, 8, 1000.0),
+            job(2, 4, 8, 1000.0),
+            job(3, 1, 4, 5000.0),
+            job(4, 1, 4, 500.0),
+        ];
+        let mut cluster = two_node_cluster();
+        let mut s = Scheduler::new();
+        s.submit(0, 0.0);
+        let p = s.schedule(0.0, &mut cluster, &jobs, None);
+        assert_eq!((p.scanned, p.placement_calls), (1, 1));
+        s.mark_running(
+            JobId(1),
+            RunningJob {
+                trace_idx: 0,
+                alloc: p.started[0].1.clone(),
+                start_time: 0.0,
+                estimated_end: 1000.0,
+                stretch: 1.0,
+                power_cap_w: None,
+            },
+        );
+        for idx in 1..=3 {
+            s.submit(idx, 1.0);
+        }
+        let p = s.schedule(2.0, &mut cluster, &jobs, None);
+        assert_eq!(p.started.len(), 1);
+        assert_eq!((p.scanned, p.placement_calls), (3, 2));
+        let p = Scheduler::new().schedule(3.0, &mut cluster, &jobs, None);
+        assert_eq!((p.scanned, p.placement_calls), (0, 0));
     }
 
     #[test]

@@ -720,3 +720,46 @@ fn failure_injection_is_deterministic_across_thread_budgets() {
         "streaming summary under failure injection must not depend on the thread budget"
     );
 }
+
+const GOLDEN_WORK_COUNTERS: &str =
+    concat!(env!("CARGO_MANIFEST_DIR"), "/../../tests/golden/work_counters_scale002_seed42.txt");
+
+/// Golden work counters: the event loop's deterministic counts of
+/// events, scheduling passes, queue entries scanned and placement calls
+/// for the growth study's world (a 2%-scale trace, the supercloud
+/// failure taxonomy at 0.2x MTBF, no detailed subset) on the Table I
+/// fleet and on 8x and 32x of it. Unlike wall-clock timings they read
+/// the same on any machine, so a change in how much work a replay does
+/// is a reviewed diff. Regenerate via `scripts/update_golden.sh` (or
+/// `SC_REGEN_GOLDEN=1`).
+#[test]
+fn golden_work_counters_match_committed_bytes() {
+    let trace = Trace::generate(&WorkloadSpec::supercloud().scaled(0.02), 42);
+    let model = FailureModel::supercloud(42).scaled_mtbf(0.2);
+    let mut rendered = String::new();
+    for factor in [1, 8, 32] {
+        let mut cfg = SimConfig {
+            detailed_series_jobs: 0,
+            failures: Some(model.clone()),
+            ..Default::default()
+        };
+        cfg.cluster.nodes *= factor;
+        cfg.cluster.cpu_only_nodes *= factor;
+        let s = Simulation::new(cfg).run(&trace).stats;
+        rendered.push_str(&format!(
+            "{factor}x events={} sched_passes={} queue_scanned={} placement_calls={}\n",
+            s.events, s.sched_passes, s.queue_scanned, s.placement_calls
+        ));
+    }
+    if std::env::var("SC_REGEN_GOLDEN").is_ok() {
+        std::fs::write(GOLDEN_WORK_COUNTERS, &rendered).expect("write golden work counters");
+        return;
+    }
+    let golden = std::fs::read_to_string(GOLDEN_WORK_COUNTERS)
+        .expect("golden work counters committed at tests/golden/");
+    assert_eq!(
+        rendered, golden,
+        "work counters diverge from golden; regenerate with scripts/update_golden.sh if \
+         intentional"
+    );
+}
