@@ -376,3 +376,96 @@ fn fcfs_order_is_respected_for_equal_requests() {
     let frac = violations as f64 / singles.len().max(1) as f64;
     assert!(frac < 0.10, "FCFS violation fraction {frac}");
 }
+
+// Metamorphic identities: each pair of configurations below must
+// replay to the same `SimOutput`, compared whole through its `Debug`
+// rendering (every float at round-trip precision).
+
+/// The identities' world: a 1%-scale, seed-42 trace.
+fn identity_trace() -> Trace {
+    Trace::generate(&WorkloadSpec::supercloud().scaled(0.01), 42)
+}
+
+/// Replays `trace` with a 20-job detailed subset under the given
+/// failure model and checkpoint policy.
+fn identity_run(
+    trace: &Trace,
+    failures: Option<FailureModel>,
+    checkpoint: Option<CheckpointPolicy>,
+) -> SimOutput {
+    Simulation::new(SimConfig {
+        detailed_series_jobs: 20,
+        failures,
+        checkpoint,
+        ..Default::default()
+    })
+    .run(trace)
+}
+
+/// Asserts that two replays produced the same output, naming the first
+/// place their `Debug` renderings part.
+fn assert_same_output(a: &SimOutput, b: &SimOutput, identity: &str) {
+    let (a, b) = (format!("{a:?}"), format!("{b:?}"));
+    if let Some(at) = a.bytes().zip(b.bytes()).position(|(x, y)| x != y) {
+        let near = |s: &str| {
+            String::from_utf8_lossy(&s.as_bytes()[at.saturating_sub(120)..(at + 80).min(s.len())])
+                .into_owned()
+        };
+        panic!("{identity}: outputs part at byte {at}:\n  {}\n  {}", near(&a), near(&b));
+    }
+    assert_eq!(a.len(), b.len(), "{identity}: one output is a prefix of the other");
+}
+
+#[test]
+fn failure_model_without_classes_equals_failures_off() {
+    let trace = identity_trace();
+    let off = identity_run(&trace, None, None);
+    assert!(!off.detailed.is_empty(), "the detailed subset must be exercised");
+    let empty = FailureModel { classes: Vec::new(), ..FailureModel::supercloud(42) };
+    assert_same_output(&identity_run(&trace, Some(empty), None), &off, "no failure classes");
+}
+
+#[test]
+fn astronomically_long_mtbf_equals_failures_off() {
+    let trace = identity_trace();
+    let model = FailureModel::supercloud(42).scaled_mtbf(1e9);
+    let cluster = ClusterSpec::supercloud();
+    let horizon = trace.spec().duration_secs() * 1.2;
+    assert!(
+        model.schedule(cluster.total_nodes(), cluster.total_gpus(), horizon).is_empty(),
+        "the model must never fire inside the horizon"
+    );
+    assert_same_output(
+        &identity_run(&trace, Some(model), None),
+        &identity_run(&trace, None, None),
+        "MTBF x 1e9",
+    );
+}
+
+#[test]
+fn checkpoint_interval_beyond_the_horizon_equals_no_checkpointing() {
+    let trace = identity_trace();
+    let model = FailureModel::supercloud(42).scaled_mtbf(0.1);
+    let never = CheckpointPolicy { interval_secs: 1e12, write_secs: 30.0 };
+    let without = identity_run(&trace, Some(model.clone()), None);
+    assert!(without.stats.requeues > 0, "failures must kill and requeue jobs");
+    assert_same_output(
+        &identity_run(&trace, Some(model), Some(never)),
+        &without,
+        "checkpoint interval 1e12 s",
+    );
+}
+
+#[test]
+fn two_replays_in_one_process_are_equal() {
+    let trace = identity_trace();
+    let sim = Simulation::new(SimConfig {
+        detailed_series_jobs: 20,
+        failures: Some(FailureModel::supercloud(42).scaled_mtbf(0.1)),
+        checkpoint: Some(CheckpointPolicy { interval_secs: 3_600.0, write_secs: 30.0 }),
+        ..Default::default()
+    });
+    let first = sim.run(&trace);
+    assert!(first.stats.checkpoint_restores > 0, "checkpoint restores must be exercised");
+    assert_same_output(&sim.run(&trace), &first, "second replay");
+}
