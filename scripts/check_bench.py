@@ -155,12 +155,18 @@ CLASSIFIER_GATES = [
 # Young/Daly prediction (the pre-fix failure mode was ~12x: write
 # stalls were never debited, so the argmax pinned to the smallest
 # interval). Frontier monotonicity has a small epsilon for scheduler
-# noise; the growth floor is an order-of-magnitude event-loop
-# throughput guard, far below the ~20k jobs/sec a smoke run sustains.
+# noise. The growth floor gates the slowest growth replay's event loop,
+# which CI runs at 32x the Table I fleet (14,336 GPUs). With
+# `--scale 0.02 --seed 42 --reliability --growth 2,32` on a 2-vCPU
+# guest (median of 3 runs), the 32x replay ran at 1,116 jobs/sec when
+# placement sorted the whole fleet per call and at 4,883 after the
+# sort-free placer and the sorted event schedule; the 2x replay ran at
+# 24,378 and 97,087. A return to the per-call fleet sort falls below
+# 2,000 jobs/sec.
 RELIABILITY_GATES = [
     Gate("ceiling", "sweep_worst_ratio", 4.0),
     Gate("ceiling", "frontier_monotone_violation", 0.05),
-    Gate("floor", "growth_min_jobs_per_sec", 200.0),
+    Gate("floor", "growth_min_jobs_per_sec", 2000.0),
 ]
 
 
