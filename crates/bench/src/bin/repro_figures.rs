@@ -56,7 +56,9 @@
 //! Young/Daly optimum with the simulated argmax overlaid on the
 //! analytic prediction. `--growth 2,8,32` adds the cluster-growth
 //! replay (same workload, scaled fleet); `--reliability-json` writes
-//! the gate metrics `scripts/check_bench.py --reliability` consumes.
+//! the gate metrics `scripts/check_bench.py --reliability` consumes
+//! and the study's wall time, which `--reliability-scaling` compares
+//! across thread budgets.
 //!
 //! `--trace FILE` streams the simulator's deterministic sim-time trace
 //! (submit/start/finish/fault/kill/requeue, attempt and node-down
@@ -158,8 +160,9 @@ const USAGE: &str = "usage: repro_figures [--scenario NAME|FILE] [--cross-system
                        event-loop throughput per scale; implies
                        --reliability
   --reliability-json F write reliability gate metrics (sweep worst ratio,
-                       frontier monotonicity, growth throughput floor) as
-                       JSON to F; implies --reliability";
+                       frontier monotonicity, growth throughput floor,
+                       study wall time) as JSON to F; implies
+                       --reliability";
 
 /// Prints an error plus the usage text and exits with status 2, the
 /// conventional bad-usage code.
@@ -401,12 +404,14 @@ fn classifier_json(fig: &ClassifierFig, policy: Option<&ExperimentResult>) -> St
 }
 
 /// Renders the reliability gate metrics by hand, like [`bench_json`]:
-/// the three scalars `scripts/check_bench.py --reliability` gates, plus
-/// the per-class sweep verdicts and growth timings behind them.
+/// the three scalars `scripts/check_bench.py --reliability` gates, the
+/// study's wall time `--reliability-scaling` compares across thread
+/// budgets, and the per-class sweep verdicts and growth timings behind
+/// them.
 /// Non-finite values (a class the model cannot fail, an empty growth
 /// list) render as `null`, which the gate script treats as "not
 /// measured" for detail rows and a hard failure for gated scalars.
-fn reliability_json(report: &sc_core::ReliabilityReport) -> String {
+fn reliability_json(report: &sc_core::ReliabilityReport, study_secs: f64) -> String {
     let fin = |v: f64, prec: usize| {
         if v.is_finite() {
             format!("{v:.prec$}")
@@ -426,6 +431,7 @@ fn reliability_json(report: &sc_core::ReliabilityReport) -> String {
     let min_jps =
         report.growth_timings.iter().map(|t| t.jobs_per_sec()).fold(f64::INFINITY, f64::min);
     out.push_str(&format!("  \"growth_min_jobs_per_sec\": {},\n", fin(min_jps, 1)));
+    out.push_str(&format!("  \"study_secs\": {study_secs:.6},\n"));
     out.push_str("  \"sweep_classes\": [\n");
     for (i, c) in report.sweep.classes.iter().enumerate() {
         let comma = if i + 1 < report.sweep.classes.len() { "," } else { "" };
@@ -1163,17 +1169,19 @@ fn main() {
         let t0 = std::time::Instant::now();
         let base = SimConfig { detailed_series_jobs: 0, ..sim_config.clone() };
         let report = sc_core::run_reliability_study(&trace, &base, &model, &rel_cfg);
-        eprintln!("reliability study done in {:?}", t0.elapsed());
+        let study = t0.elapsed();
+        eprintln!("reliability study done in {study:?}");
         println!("{}", report.render());
-        report
+        (report, study.as_secs_f64())
     });
     if let Some(path) = &args.reliability_json {
-        let report = reliability_report.as_ref().expect("--reliability-json implies --reliability");
-        std::fs::write(path, reliability_json(report))
+        let (report, study_secs) =
+            reliability_report.as_ref().expect("--reliability-json implies --reliability");
+        std::fs::write(path, reliability_json(report, *study_secs))
             .unwrap_or_else(|e| fail(&format!("cannot write reliability json {path}: {e}")));
         eprintln!("wrote {path}");
     }
-    if let (Some(report), Some(dir)) = (&reliability_report, &args.svg_dir) {
+    if let (Some((report, _)), Some(dir)) = (&reliability_report, &args.svg_dir) {
         for (name, svg) in reliability_svgs(report) {
             let path = std::path::Path::new(dir).join(name);
             std::fs::write(&path, svg)
@@ -1269,7 +1277,7 @@ fn main() {
             md.push_str("```\n");
         }
         md.push_str(RELIABILITY);
-        if let Some(report) = &reliability_report {
+        if let Some((report, _)) = &reliability_report {
             md.push_str("\n```text\n");
             md.push_str(&report.render());
             md.push_str("```\n");

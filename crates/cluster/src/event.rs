@@ -1,12 +1,15 @@
 //! The discrete-event engine: a time-ordered queue with deterministic
-//! tie-breaking, holding the known schedule in a sorted array and the
-//! events the run creates in a binary heap.
+//! tie-breaking. It merges three sources: the submissions, sorted once;
+//! the injected faults, drawn on demand from a stream already in time
+//! order; and a binary heap of the events the run creates.
 
+use crate::failure::ScheduledFailure;
 use sc_telemetry::record::ExitStatus;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
-/// Events driving the simulation.
+/// Events the queue holds: submissions and the events the run pushes.
+/// Injected faults never enter it; they come from the fault stream.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Event {
     /// A job arrives in the queue. The payload is the index into the
@@ -30,14 +33,23 @@ pub enum Event {
     /// configurable latency after each submission rather than inline
     /// with it.
     Tick,
-    /// An injected failure strikes. The payload indexes the
-    /// pre-computed failure schedule, which carries the cause, the
-    /// struck node, and the repair time.
-    Fault(usize),
     /// A failed node returns to service.
     NodeRepair(crate::resources::NodeId),
 }
 
+/// What [`EventQueue::pop`] returns: a queued event or the next
+/// injected fault.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Popped {
+    /// A submission or an event pushed during the run.
+    Event(Event),
+    /// An injected failure strikes: its cause, the struck node, the
+    /// victim pick and the repair time.
+    Fault(ScheduledFailure),
+}
+
+/// A queued event. Faults stay out of it, so the heap moves 32-byte
+/// entries.
 #[derive(Debug, Clone, Copy)]
 struct Entry {
     time: f64,
@@ -68,33 +80,46 @@ impl PartialOrd for Entry {
     }
 }
 
-/// The event queue: a schedule known before the run, merged with the
-/// events the run creates.
+/// `seq` of the first pushed event; submissions number from 0, below
+/// it. At equal times a submission pops before the fault stream's head,
+/// and the head before any pushed event.
+const PUSHED_SEQ: u64 = 1 << 62;
+
+/// The event queue: the submissions and the injected faults, merged
+/// with the events the run creates.
 ///
-/// The schedule (submissions and injected faults) is numbered in the
-/// order given and sorted once; only events pushed during the run go
-/// through the binary heap. Both share one `(time, seq)` order, with
-/// `seq` counting the schedule first and then every push, so ties in
-/// time break by insertion order and runs are bit-reproducible. The
-/// pops are exactly those of a heap that took the schedule, then each
-/// push, one at a time.
+/// The submissions are numbered in the order given and sorted once.
+/// The faults come from a stream in time order, one at a time: the
+/// queue draws the next fault only when the previous one pops. Only
+/// events pushed during the run go through the binary heap. At equal
+/// times the submissions pop first (in the order given), then the
+/// faults (in stream order), then the pushed events (in push order).
+/// The pops are exactly those of a heap that took the submissions,
+/// then every fault, then each push, one at a time, so runs are
+/// bit-reproducible.
 #[derive(Debug)]
-pub struct EventQueue {
-    /// The schedule's unpopped entries, latest first, so the earliest
-    /// is the last.
-    schedule: Vec<Entry>,
+pub struct EventQueue<F: Iterator<Item = ScheduledFailure>> {
+    /// The unpopped submissions, latest first, so the earliest is the
+    /// last.
+    submissions: Vec<Entry>,
+    /// The next fault, drawn from `faults`; `None` once it has ended.
+    fault: Option<ScheduledFailure>,
+    faults: F,
     heap: BinaryHeap<Entry>,
     seq: u64,
 }
 
-impl EventQueue {
-    /// A queue holding `schedule`, numbered in iteration order.
+impl<F: Iterator<Item = ScheduledFailure>> EventQueue<F> {
+    /// A queue holding `submissions`, numbered in iteration order, and
+    /// the faults of `faults`, which must come in time order. The queue
+    /// treats the stream as ended at its first `None`.
     ///
     /// # Panics
     ///
-    /// Panics if a scheduled time is not finite.
-    pub fn new(schedule: impl IntoIterator<Item = (f64, Event)>) -> Self {
-        let mut schedule: Vec<Entry> = schedule
+    /// Panics if a submission's time, or the first fault's, is not
+    /// finite.
+    pub fn new(submissions: impl IntoIterator<Item = (f64, Event)>, mut faults: F) -> Self {
+        let mut submissions: Vec<Entry> = submissions
             .into_iter()
             .zip(0..)
             .map(|((time, event), seq)| {
@@ -105,9 +130,9 @@ impl EventQueue {
         // `Entry` orders the earliest greatest; `(time, seq)` keys are
         // unique, so the unstable sort is as deterministic as a stable
         // one and needs no scratch buffer.
-        schedule.sort_unstable();
-        let seq = schedule.len() as u64;
-        EventQueue { schedule, heap: BinaryHeap::new(), seq }
+        submissions.sort_unstable();
+        let fault = Self::draw(&mut faults);
+        EventQueue { submissions, fault, faults, heap: BinaryHeap::new(), seq: PUSHED_SEQ }
     }
 
     /// Schedules `event` at `time`.
@@ -121,60 +146,111 @@ impl EventQueue {
         self.seq += 1;
     }
 
-    /// Removes and returns the earliest event, from the schedule or
-    /// the heap.
-    pub fn pop(&mut self) -> Option<(f64, Event)> {
-        let scheduled_first = match (self.schedule.last(), self.heap.peek()) {
-            (Some(s), Some(h)) => s > h,
-            (s, _) => s.is_some(),
+    /// Removes and returns the earliest event: a submission, the next
+    /// fault or a pushed event.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the fault stream yields a time that is not finite.
+    pub fn pop(&mut self) -> Option<(f64, Popped)> {
+        // `Entry` orders the earliest greatest, and `None` below any
+        // entry.
+        let queued = self.submissions.last().max(self.heap.peek()).map(|e| (e.time, e.seq));
+        let fault_first = match (&self.fault, queued) {
+            (Some(f), Some((time, seq))) => f.time < time || (f.time == time && seq >= PUSHED_SEQ),
+            (fault, _) => fault.is_some(),
         };
-        let e = if scheduled_first { self.schedule.pop() } else { self.heap.pop() };
-        e.map(|e| (e.time, e.event))
+        if fault_first {
+            let next = Self::draw(&mut self.faults);
+            let f = std::mem::replace(&mut self.fault, next)?;
+            return Some((f.time, Popped::Fault(f)));
+        }
+        let e = if queued?.1 < PUSHED_SEQ { self.submissions.pop() } else { self.heap.pop() }?;
+        Some((e.time, Popped::Event(e.event)))
     }
 
-    /// Number of pending events, scheduled and pushed.
+    /// Number of events the queue holds: the unpopped submissions, the
+    /// next fault and the pushed events. Later faults are not drawn
+    /// yet, so they are not counted.
     pub fn len(&self) -> usize {
-        self.schedule.len() + self.heap.len()
+        self.submissions.len() + usize::from(self.fault.is_some()) + self.heap.len()
     }
 
-    /// Whether the queue is empty.
+    /// Whether the queue is empty: nothing is pending and the fault
+    /// stream has ended.
     pub fn is_empty(&self) -> bool {
-        self.schedule.is_empty() && self.heap.is_empty()
+        self.len() == 0
+    }
+
+    /// The stream's next fault.
+    fn draw(faults: &mut F) -> Option<ScheduledFailure> {
+        let f = faults.next()?;
+        assert!(f.time.is_finite(), "event time must be finite");
+        Some(f)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::failure::FailureCause;
+    use crate::resources::NodeId;
+    use std::cell::Cell;
+    use std::iter;
+
+    /// A fault at `time` on `node`.
+    fn fault(time: f64, node: u32) -> ScheduledFailure {
+        ScheduledFailure {
+            time,
+            cause: FailureCause::NodeHardware,
+            node: NodeId(node),
+            pick: 0,
+            repair_secs: 0.0,
+        }
+    }
+
+    fn no_faults() -> iter::Empty<ScheduledFailure> {
+        iter::empty()
+    }
+
+    /// `event` popped at `time`.
+    fn at(time: f64, event: Event) -> Option<(f64, Popped)> {
+        Some((time, Popped::Event(event)))
+    }
+
+    /// `f` popped at its time.
+    fn struck(f: ScheduledFailure) -> Option<(f64, Popped)> {
+        Some((f.time, Popped::Fault(f)))
+    }
 
     #[test]
     fn pops_in_time_order() {
-        let mut q = EventQueue::new([]);
+        let mut q = EventQueue::new([], no_faults());
         q.push(5.0, Event::Submit(1));
         q.push(1.0, Event::Submit(2));
         let finish = Event::Finish { trace_idx: 9, attempt: 1, exit: ExitStatus::Completed };
         q.push(3.0, finish);
-        assert_eq!(q.pop(), Some((1.0, Event::Submit(2))));
-        assert_eq!(q.pop(), Some((3.0, finish)));
-        assert_eq!(q.pop(), Some((5.0, Event::Submit(1))));
+        assert_eq!(q.pop(), at(1.0, Event::Submit(2)));
+        assert_eq!(q.pop(), at(3.0, finish));
+        assert_eq!(q.pop(), at(5.0, Event::Submit(1)));
         assert!(q.pop().is_none());
         assert!(q.is_empty());
     }
 
     #[test]
     fn ties_break_by_insertion_order() {
-        let mut q = EventQueue::new([]);
+        let mut q = EventQueue::new([], no_faults());
         q.push(2.0, Event::Submit(10));
         q.push(2.0, Event::Submit(11));
-        q.push(2.0, Event::Fault(3));
-        assert_eq!(q.pop().unwrap().1, Event::Submit(10));
-        assert_eq!(q.pop().unwrap().1, Event::Submit(11));
-        assert_eq!(q.pop().unwrap().1, Event::Fault(3));
+        q.push(2.0, Event::NodeRepair(NodeId(3)));
+        assert_eq!(q.pop(), at(2.0, Event::Submit(10)));
+        assert_eq!(q.pop(), at(2.0, Event::Submit(11)));
+        assert_eq!(q.pop(), at(2.0, Event::NodeRepair(NodeId(3))));
     }
 
     #[test]
     fn len_tracks_pushes() {
-        let mut q = EventQueue::new([]);
+        let mut q = EventQueue::new([], no_faults());
         assert_eq!(q.len(), 0);
         q.push(1.0, Event::Submit(0));
         q.push(2.0, Event::Submit(1));
@@ -185,37 +261,54 @@ mod tests {
 
     #[test]
     fn schedule_and_pushes_share_one_order() {
-        // Equal times across a submission, a fault and pushed events:
-        // the schedule's entries come first in `seq`, pushes after.
+        // Equal times across submissions, faults and pushed events:
+        // submissions pop first, then faults, then pushes.
         let finish = Event::Finish { trace_idx: 0, attempt: 1, exit: ExitStatus::Completed };
-        let mut q = EventQueue::new([
-            (2.0, Event::Submit(0)),
-            (1.0, Event::Fault(0)),
-            (2.0, Event::Fault(1)),
-            (2.0, Event::Submit(1)),
-        ]);
+        let mut q = EventQueue::new(
+            [(2.0, Event::Submit(0)), (2.0, Event::Submit(1))],
+            [fault(1.0, 0), fault(2.0, 1), fault(2.0, 2)].into_iter(),
+        );
         q.push(2.0, Event::Tick);
-        assert_eq!(q.pop(), Some((1.0, Event::Fault(0))));
+        assert_eq!(q.pop(), struck(fault(1.0, 0)));
         q.push(2.0, finish);
         q.push(1.5, Event::Tick);
-        let order: Vec<_> = std::iter::from_fn(|| q.pop()).collect();
+        let order: Vec<_> = iter::from_fn(|| q.pop()).map(Some).collect();
         assert_eq!(
             order,
             [
-                (1.5, Event::Tick),
-                (2.0, Event::Submit(0)),
-                (2.0, Event::Fault(1)),
-                (2.0, Event::Submit(1)),
-                (2.0, Event::Tick),
-                (2.0, finish),
+                at(1.5, Event::Tick),
+                at(2.0, Event::Submit(0)),
+                at(2.0, Event::Submit(1)),
+                struck(fault(2.0, 1)),
+                struck(fault(2.0, 2)),
+                at(2.0, Event::Tick),
+                at(2.0, finish),
             ]
         );
     }
 
+    /// The reference queue: every event pushed one at a time, popped by
+    /// a linear scan for the earliest time, ties to the earliest push.
+    #[derive(Default)]
+    struct PushEverything(Vec<(f64, Popped)>);
+
+    impl PushEverything {
+        fn push(&mut self, time: f64, popped: Popped) {
+            self.0.push((time, popped));
+        }
+
+        fn pop(&mut self) -> Option<(f64, Popped)> {
+            let first = (0..self.0.len()).min_by(|&a, &b| self.0[a].0.total_cmp(&self.0[b].0))?;
+            Some(self.0.remove(first))
+        }
+    }
+
     #[test]
     fn schedule_pops_like_pushing_it_one_at_a_time() {
-        // A seeded mix of scheduled and pushed events on a coarse time
-        // grid, so ties are everywhere, with pops interleaved.
+        // Seeded submissions, a fault stream and run-time pushes on a
+        // coarse time grid, so ties are everywhere, with pops
+        // interleaved. The reference pushes the submissions, then every
+        // fault, then each run-time push, one at a time.
         let mut state = 7u64;
         let mut next = |n: u64| {
             state = state
@@ -224,49 +317,67 @@ mod tests {
             (state >> 33) % n
         };
         for _ in 0..200 {
-            let schedule: Vec<(f64, Event)> = (0..next(40))
-                .map(|i| {
-                    let event = if next(2) == 0 {
-                        Event::Submit(i as usize)
-                    } else {
-                        Event::Fault(i as usize)
-                    };
-                    (next(8) as f64, event)
-                })
-                .collect();
-            let mut merged = EventQueue::new(schedule.iter().copied());
-            let mut pushed = EventQueue::new([]);
-            for &(time, event) in &schedule {
-                pushed.push(time, event);
+            let submissions: Vec<(f64, Event)> =
+                (0..next(40)).map(|i| (next(8) as f64, Event::Submit(i as usize))).collect();
+            let mut faults: Vec<ScheduledFailure> =
+                (0..next(40)).map(|i| fault(next(8) as f64, i as u32)).collect();
+            // A stream yields its faults in time order.
+            faults.sort_by(|a, b| a.time.total_cmp(&b.time));
+            let drawn = Cell::new(0);
+            let stream = faults.iter().copied().inspect(|_| drawn.set(drawn.get() + 1));
+            let mut merged = EventQueue::new(submissions.iter().copied(), stream);
+            let mut reference = PushEverything::default();
+            for &(time, event) in &submissions {
+                reference.push(time, Popped::Event(event));
             }
+            for &f in &faults {
+                reference.push(f.time, Popped::Fault(f));
+            }
+            let mut faults_popped = 0;
+            let mut pop = |merged: &mut EventQueue<_>, reference: &mut PushEverything| {
+                let popped = merged.pop();
+                assert_eq!(popped, reference.pop());
+                faults_popped += usize::from(matches!(popped, Some((_, Popped::Fault(_)))));
+                // The queue holds at most one drawn, unpopped fault.
+                assert!(drawn.get() <= faults_popped + 1);
+            };
             for _ in 0..next(60) {
                 if next(3) == 0 {
-                    assert_eq!(merged.pop(), pushed.pop());
+                    pop(&mut merged, &mut reference);
                 } else {
                     let time = next(8) as f64;
-                    let event = if next(2) == 0 { Event::Tick } else { Event::Submit(99) };
+                    let event = match next(3) {
+                        0 => Event::Tick,
+                        1 => Event::Submit(99),
+                        _ => Event::NodeRepair(NodeId(99)),
+                    };
                     merged.push(time, event);
-                    pushed.push(time, event);
+                    reference.push(time, Popped::Event(event));
                 }
-                assert_eq!(merged.len(), pushed.len());
+                assert_eq!(merged.is_empty(), reference.0.is_empty());
             }
-            while let Some(e) = pushed.pop() {
-                assert_eq!(merged.pop(), Some(e));
+            while !reference.0.is_empty() {
+                pop(&mut merged, &mut reference);
             }
             assert!(merged.is_empty());
+            assert_eq!(drawn.get(), faults.len());
         }
     }
 
     #[test]
     fn len_counts_schedule_and_heap() {
-        let mut q = EventQueue::new([(1.0, Event::Submit(0)), (3.0, Event::Fault(0))]);
+        // Submissions, pushed events and the one drawn fault count;
+        // faults not drawn yet do not.
+        let mut q =
+            EventQueue::new([(1.0, Event::Submit(0))], [fault(3.0, 0), fault(4.0, 1)].into_iter());
         assert_eq!(q.len(), 2);
         q.push(2.0, Event::Tick);
         assert_eq!(q.len(), 3);
-        assert_eq!(q.pop(), Some((1.0, Event::Submit(0))));
-        assert_eq!(q.pop(), Some((2.0, Event::Tick)));
+        assert_eq!(q.pop(), at(1.0, Event::Submit(0)));
+        assert_eq!(q.pop(), at(2.0, Event::Tick));
         assert_eq!(q.len(), 1);
-        assert!(!q.is_empty());
+        assert_eq!(q.pop(), struck(fault(3.0, 0)));
+        assert_eq!((q.len(), q.is_empty()), (1, false));
         q.pop();
         assert_eq!((q.len(), q.is_empty()), (0, true));
     }
@@ -274,13 +385,23 @@ mod tests {
     #[test]
     #[should_panic(expected = "event time must be finite")]
     fn rejects_non_finite_scheduled_time() {
-        let _ = EventQueue::new([(0.0, Event::Submit(0)), (f64::INFINITY, Event::Fault(0))]);
+        let _ = EventQueue::new(
+            [(0.0, Event::Submit(0)), (f64::INFINITY, Event::Submit(1))],
+            no_faults(),
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "event time must be finite")]
+    fn rejects_non_finite_fault_time() {
+        let mut q = EventQueue::new([], [fault(1.0, 0), fault(f64::NAN, 1)].into_iter());
+        q.pop();
     }
 
     #[test]
     #[should_panic(expected = "event time must be finite")]
     fn rejects_nan_time() {
-        let mut q = EventQueue::new([]);
+        let mut q = EventQueue::new([], no_faults());
         q.push(f64::NAN, Event::Submit(0));
     }
 }

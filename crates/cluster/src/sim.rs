@@ -2,8 +2,8 @@
 //! scheduler and the telemetry pipeline, producing the joined dataset
 //! the characterization consumes.
 
-use crate::event::{Event, EventQueue};
-use crate::failure::{FailureModel, ScheduledFailure};
+use crate::event::{Event, EventQueue, Popped};
+use crate::failure::{FailureModel, FailureStream, ScheduledFailure};
 use crate::policy::{Dispatch, Policy, PolicyDecision};
 use crate::reliability::{size_bucket, ReliabilityStats, SIZE_BUCKET_COUNT, SIZE_BUCKET_EDGES};
 use crate::resources::{Allocation, ClusterState, NodeId};
@@ -366,16 +366,16 @@ impl Simulation {
     ) -> (SimOutput, SimTimings) {
         let wall = std::time::Instant::now();
         let mut replay = EventLoop::new(self, trace, *obs, policy);
-        while let Some((now, event)) = replay.queue.pop() {
+        while let Some((now, popped)) = replay.queue.pop() {
             replay.stats.events += 1;
-            let pass = match event {
-                Event::Submit(idx) => replay.submit(now, idx),
-                Event::Tick => replay.tick(now),
-                Event::Finish { trace_idx, attempt, exit } => {
+            let pass = match popped {
+                Popped::Fault(f) => replay.fault(now, f),
+                Popped::Event(Event::Submit(idx)) => replay.submit(now, idx),
+                Popped::Event(Event::Tick) => replay.tick(now),
+                Popped::Event(Event::Finish { trace_idx, attempt, exit }) => {
                     replay.finish(now, trace_idx, attempt, exit)
                 }
-                Event::Fault(i) => replay.fault(now, i),
-                Event::NodeRepair(node) => replay.repair(now, node),
+                Popped::Event(Event::NodeRepair(node)) => replay.repair(now, node),
             };
             if pass {
                 replay.schedule(now);
@@ -579,9 +579,7 @@ struct EventLoop<'a, 'p> {
     policy: Option<&'a mut (dyn Policy + 'p)>,
     cluster: ClusterState,
     scheduler: Scheduler,
-    queue: EventQueue,
-    /// The pre-computed failure schedule [`Event::Fault`] indexes.
-    failures: Vec<ScheduledFailure>,
+    queue: EventQueue<FailureStream>,
     progress: Vec<JobProgress>,
     stats: SimStats,
     goodput: GoodputAccounting,
@@ -595,7 +593,8 @@ struct EventLoop<'a, 'p> {
 }
 
 impl<'a, 'p> EventLoop<'a, 'p> {
-    /// A replay with every submission and injected failure queued.
+    /// A replay with every submission queued and the injected
+    /// failures ready to draw.
     fn new(
         sim: &'a Simulation,
         trace: &'a Trace,
@@ -604,25 +603,21 @@ impl<'a, 'p> EventLoop<'a, 'p> {
     ) -> Self {
         let cfg = &sim.config;
         let jobs = trace.jobs();
-        // Pre-schedule injected failures, if enabled. The schedule is a
-        // pure function of (model, fleet, horizon) — see
-        // [`FailureModel::schedule`].
-        let failures = match &cfg.failures {
-            Some(model) => model.schedule(
+        // Injected failures, if enabled, are drawn as the run reaches
+        // them; the sequence is a pure function of (model, fleet,
+        // horizon) — see [`FailureModel::stream`]. At equal times the
+        // queue pops submissions (in trace order) before faults.
+        let faults = match &cfg.failures {
+            Some(model) => model.stream(
                 cfg.cluster.total_nodes(),
                 cfg.cluster.total_gpus(),
                 trace.spec().duration_secs() * 1.2,
             ),
-            None => Vec::new(),
+            None => FailureStream::default(),
         };
-        // Submissions in trace order, then faults in schedule order: the
-        // queue numbers them in this order, so same-time events pop as
-        // they are listed here.
         let queue = EventQueue::new(
-            jobs.iter()
-                .enumerate()
-                .map(|(i, j)| (j.arrival, Event::Submit(i)))
-                .chain(failures.iter().enumerate().map(|(i, f)| (f.time, Event::Fault(i)))),
+            jobs.iter().enumerate().map(|(i, j)| (j.arrival, Event::Submit(i))),
+            faults,
         );
         EventLoop {
             sim,
@@ -633,7 +628,6 @@ impl<'a, 'p> EventLoop<'a, 'p> {
             cluster: ClusterState::new(cfg.cluster.clone()),
             scheduler: Scheduler::with_policy(cfg.policy),
             queue,
-            failures,
             progress: vec![JobProgress::default(); jobs.len()],
             stats: SimStats::default(),
             goodput: GoodputAccounting::default(),
@@ -705,10 +699,9 @@ impl<'a, 'p> EventLoop<'a, 'p> {
         true
     }
 
-    /// Injected failure `i` strikes. A fault on a node already under
+    /// Injected failure `f` strikes. A fault on a node already under
     /// repair, or a GPU fault with no GPU-holding resident, is absorbed.
-    fn fault(&mut self, now: f64, i: usize) -> bool {
-        let f = self.failures[i];
+    fn fault(&mut self, now: f64, f: ScheduledFailure) -> bool {
         self.obs.event(now, "fault", || {
             vec![("cause", f.cause.label().into()), ("node", f.node.0.into())]
         });

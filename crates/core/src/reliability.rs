@@ -8,9 +8,15 @@
 //! `detailed_series_jobs: 0`, so the study stays inside the streaming
 //! engine's O(aggregate state) memory envelope at any fleet size.
 //!
+//! A study's arms are independent replays, so each function replays
+//! them in parallel through [`sc_par::par_map_coarse`], one arm per
+//! worker, and gets the results back in input order. An arm's own
+//! telemetry batch then runs on its worker.
+//!
 //! Everything a figure renders is deterministic (pure function of
-//! trace + config); wall-clock timings are returned separately in
-//! [`GrowthTiming`] for the bench JSON and never enter figure text.
+//! trace + config), so it is byte-identical at any thread budget;
+//! wall-clock timings are returned separately in [`GrowthTiming`] for
+//! the bench JSON and never enter figure text.
 
 use crate::figures::reliability::{
     CheckpointSweepFig, FrontierRow, GoodputFrontierFig, GrowthRow, GrowthStudyFig,
@@ -147,6 +153,12 @@ fn class_goodput(out: &SimOutput) -> Vec<Option<f64>> {
     out.reliability.buckets.iter().map(|b| b.goodput_fraction()).collect()
 }
 
+/// The size-class labels of the study's buckets, in bucket order.
+fn class_labels(base: &SimConfig) -> Vec<String> {
+    let rel = sc_cluster::ReliabilityStats::new(&base.size_bucket_edges);
+    (0..rel.buckets.len()).map(|i| rel.label(i)).collect()
+}
+
 /// The baseline per-size-class reliability figure: one event-loop run
 /// with the model as given and no checkpointing.
 pub fn reliability_size_fig(
@@ -158,34 +170,30 @@ pub fn reliability_size_fig(
     ReliabilitySizeFig::compute(&out)
 }
 
-/// The goodput frontier: one run per MTBF scale factor.
+/// The goodput frontier: one run per MTBF scale factor, in parallel.
 pub fn goodput_frontier(
     trace: &Trace,
     base: &SimConfig,
     model: &FailureModel,
     factors: &[f64],
 ) -> GoodputFrontierFig {
-    let mut rows = Vec::with_capacity(factors.len());
-    let mut labels = Vec::new();
-    for &f in factors {
+    let rows = sc_par::par_map_coarse(factors, |&f| {
         let scaled = model.scaled_mtbf(f);
         let out = Simulation::new(study_config(base, &scaled, None)).run(trace);
-        if labels.is_empty() {
-            labels = (0..out.reliability.buckets.len()).map(|i| out.reliability.label(i)).collect();
-        }
-        rows.push(FrontierRow {
+        FrontierRow {
             mtbf_factor: f,
             goodput_by_class: class_goodput(&out),
             overall: out.goodput.goodput_fraction(),
-        });
-    }
+        }
+    });
     let gpus = class_gpus(&base.size_bucket_edges);
-    GoodputFrontierFig::try_new(labels, gpus, rows).expect("at least one MTBF factor")
+    GoodputFrontierFig::try_new(class_labels(base), gpus, rows).expect("at least one MTBF factor")
 }
 
 /// The checkpoint-interval sweep: a geometric grid spanning the
-/// per-class Young/Daly optima, one event-loop run per interval, and
-/// the per-class simulated argmax overlaid on the analytic prediction.
+/// per-class Young/Daly optima, one event-loop run per interval (in
+/// parallel), and the per-class simulated argmax overlaid on the
+/// analytic prediction.
 pub fn checkpoint_sweep(
     trace: &Trace,
     base: &SimConfig,
@@ -212,25 +220,20 @@ pub fn checkpoint_sweep(
     let lo = (tau_min / span).max(1.0);
     let hi = (tau_max * span).max(lo * (1.0 + 1e-9));
     let step = (hi / lo).powf(1.0 / (points - 1) as f64);
-    let mut rows = Vec::with_capacity(points);
-    for i in 0..points {
-        let interval = lo * step.powi(i as i32);
+    let intervals: Vec<f64> = (0..points).map(|i| lo * step.powi(i as i32)).collect();
+    let rows = sc_par::par_map_coarse(&intervals, |&interval| {
         let cp = CheckpointPolicy { interval_secs: interval, write_secs: cfg.write_secs };
         let out = Simulation::new(study_config(base, model, Some(cp))).run(trace);
-        rows.push(SweepRow {
+        SweepRow {
             interval_secs: interval,
             overall_goodput: out.goodput.goodput_fraction(),
             goodput_by_class: class_goodput(&out),
             lost_gpu_hours: out.goodput.lost_gpu_secs / 3600.0,
             write_gpu_hours: out.goodput.checkpoint_write_gpu_secs / 3600.0,
-        });
-    }
-    let n_classes = rows.first().map_or(0, |r| r.goodput_by_class.len());
-    let labels: Vec<String> = {
-        let rel = sc_cluster::ReliabilityStats::new(&base.size_bucket_edges);
-        (0..n_classes).map(|i| rel.label(i)).collect()
-    };
-    let classes = (0..n_classes)
+        }
+    });
+    let labels = class_labels(base);
+    let classes = (0..labels.len())
         .map(|c| {
             // Simulated optimum: grid argmax of the class's goodput,
             // smallest interval on ties (strict > keeps the first max).
@@ -254,18 +257,18 @@ pub fn checkpoint_sweep(
 }
 
 /// The cluster-growth study: replay the same trace on a fleet scaled
-/// by each factor (GPU and CPU-only nodes alike), reporting queue
-/// wait, goodput, and makespan per scale — plus wall-clock timings for
-/// the bench JSON.
+/// by each factor (GPU and CPU-only nodes alike), in parallel,
+/// reporting queue wait, goodput, and makespan per scale — plus
+/// wall-clock timings for the bench JSON. Replays that overlap each
+/// time only their own work, so the timings can sum to more than the
+/// call's wall time.
 pub fn growth_study(
     trace: &Trace,
     base: &SimConfig,
     model: &FailureModel,
     factors: &[f64],
 ) -> (Option<GrowthStudyFig>, Vec<GrowthTiming>) {
-    let mut rows = Vec::with_capacity(factors.len());
-    let mut timings = Vec::with_capacity(factors.len());
-    for &k in factors {
+    let arms = sc_par::par_map_coarse(factors, |&k| {
         let mut cfg = study_config(base, model, None);
         cfg.cluster.nodes = ((cfg.cluster.nodes as f64) * k).round().max(1.0) as u32;
         cfg.cluster.cpu_only_nodes = ((cfg.cluster.cpu_only_nodes as f64) * k).round() as u32;
@@ -276,7 +279,7 @@ pub fn growth_study(
         let median = if waits.is_empty() { 0.0 } else { waits[waits.len() / 2] };
         let mean =
             if waits.is_empty() { 0.0 } else { waits.iter().sum::<f64>() / waits.len() as f64 };
-        rows.push(GrowthRow {
+        let row = GrowthRow {
             factor: k,
             nodes: cfg.cluster.total_nodes(),
             gpus: cfg.cluster.total_gpus(),
@@ -285,14 +288,16 @@ pub fn growth_study(
             goodput_fraction: out.goodput.goodput_fraction(),
             makespan_days: out.stats.makespan_secs / 86_400.0,
             events: out.stats.events,
-        });
-        timings.push(GrowthTiming {
+        };
+        let timing = GrowthTiming {
             factor: k,
             jobs: trace.jobs().len(),
             event_loop_secs: t.event_loop_secs,
             telemetry_secs: t.telemetry_secs,
-        });
-    }
+        };
+        (row, timing)
+    });
+    let (rows, timings): (Vec<_>, Vec<_>) = arms.into_iter().unzip();
     (GrowthStudyFig::try_new(rows).ok(), timings)
 }
 

@@ -9,9 +9,11 @@
 //!
 //! The thread budget is a process-wide setting ([`set_max_threads`]),
 //! defaulting to the machine's available parallelism. Helpers fall back
-//! to plain sequential execution when the budget is 1 or the input is
-//! trivially small, so single-threaded runs pay no synchronization
-//! cost.
+//! to plain sequential execution when the budget is 1, when the input
+//! is too small to pay for threads, or when they are called on one of
+//! this crate's own workers (a map nested in a map runs on its outer
+//! item's worker, so the budget is never oversubscribed). Sequential
+//! runs pay no synchronization cost.
 
 #![warn(missing_docs)]
 
@@ -21,6 +23,7 @@ pub mod executor;
 pub use cache::{CacheOutcome, CacheStats, MemoCache};
 pub use executor::Executor;
 
+use std::cell::Cell;
 use std::panic;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;
@@ -51,9 +54,15 @@ pub fn current_threads() -> usize {
     }
 }
 
-/// Inputs below this size run sequentially regardless of the budget —
-/// thread startup costs more than the work.
+/// Inputs below this size run sequentially in [`par_map`] regardless
+/// of the budget — thread startup costs more than the work.
 const MIN_PARALLEL_ITEMS: usize = 4;
+
+thread_local! {
+    /// Set on this crate's worker threads, where the helpers run
+    /// sequentially: the outer map already holds the budget.
+    static ON_WORKER: Cell<bool> = const { Cell::new(false) };
+}
 
 /// Maps `f` over `items` in parallel, preserving input order.
 ///
@@ -61,6 +70,9 @@ const MIN_PARALLEL_ITEMS: usize = 4;
 /// so uneven item costs balance across threads; each result lands in
 /// its item's slot, so the returned `Vec` is identical to
 /// `items.iter().map(f).collect()` for any thread count.
+///
+/// Runs sequentially when the budget is 1, for fewer than four items,
+/// and on a worker of this crate's helpers.
 ///
 /// Returns only after every worker thread has exited, so thread-local
 /// scratch the workers filled (such as the telemetry spill buffer) is
@@ -76,8 +88,43 @@ where
     R: Send,
     F: Fn(&T) -> R + Sync,
 {
+    map_on_workers(items, MIN_PARALLEL_ITEMS, f)
+}
+
+/// [`par_map`] for a few expensive items, such as whole simulation
+/// replays: parallel from two items, where one item's work outweighs
+/// a thread's startup.
+///
+/// Shares [`par_map`]'s workers and guarantees: items are claimed in
+/// input order, results come back in input order, and the output is
+/// identical at any thread budget. It runs sequentially when the
+/// budget is 1, for a single item, and on a worker of this crate's
+/// helpers. A [`par_map`] that `f` calls runs on `f`'s own worker.
+///
+/// # Panics
+///
+/// If `f` panics on a worker, the panic is re-raised on the calling
+/// thread with the worker's own payload.
+pub fn par_map_coarse<T, R, F>(items: &[T], f: F) -> Vec<R>
+where
+    T: Sync,
+    R: Send,
+    F: Fn(&T) -> R + Sync,
+{
+    map_on_workers(items, 2, f)
+}
+
+/// The worker loop behind both maps: sequential below `min_items`, at
+/// a budget of 1 or on a worker, else one worker per thread claiming
+/// items through an atomic cursor.
+fn map_on_workers<T, R, F>(items: &[T], min_items: usize, f: F) -> Vec<R>
+where
+    T: Sync,
+    R: Send,
+    F: Fn(&T) -> R + Sync,
+{
     let threads = current_threads().min(items.len());
-    if threads <= 1 || items.len() < MIN_PARALLEL_ITEMS {
+    if threads <= 1 || items.len() < min_items || ON_WORKER.get() {
         return items.iter().map(f).collect();
     }
 
@@ -88,11 +135,14 @@ where
             .map(|_| {
                 let tx = tx.clone();
                 let (cursor, f) = (&cursor, &f);
-                scope.spawn(move || loop {
-                    let i = cursor.fetch_add(1, Ordering::Relaxed);
-                    let Some(item) = items.get(i) else { break };
-                    if tx.send((i, f(item))).is_err() {
-                        break;
+                scope.spawn(move || {
+                    ON_WORKER.set(true);
+                    loop {
+                        let i = cursor.fetch_add(1, Ordering::Relaxed);
+                        let Some(item) = items.get(i) else { break };
+                        if tx.send((i, f(item))).is_err() {
+                            break;
+                        }
                     }
                 })
             })
@@ -209,6 +259,79 @@ mod tests {
         set_max_threads(saved);
         assert!(CREATED.load(Ordering::SeqCst) > 0);
         assert_eq!(FREED.load(Ordering::SeqCst), CREATED.load(Ordering::SeqCst));
+    }
+
+    #[test]
+    fn par_map_coarse_matches_sequential_for_any_budget() {
+        // Uneven costs: the first item is far dearer than the rest.
+        let work = |&x: &u64| {
+            let mut acc = x;
+            for _ in 0..(if x == 0 { 200_000 } else { 1_000 }) {
+                acc = std::hint::black_box(acc.wrapping_mul(0x9e37).rotate_left(7));
+            }
+            acc
+        };
+        let _guard = BUDGET_LOCK.lock().unwrap();
+        let saved = current_threads();
+        for len in [2u64, 3] {
+            let items: Vec<u64> = (0..len).collect();
+            let sequential: Vec<u64> = items.iter().map(work).collect();
+            for budget in [1, 2, 3, 8] {
+                set_max_threads(budget);
+                assert_eq!(
+                    par_map_coarse(&items, work),
+                    sequential,
+                    "{len} items, budget {budget}"
+                );
+            }
+        }
+        set_max_threads(saved);
+    }
+
+    #[test]
+    fn par_map_coarse_reraises_the_worker_panic() {
+        let items: Vec<u64> = (0..3).collect();
+        let _guard = BUDGET_LOCK.lock().unwrap();
+        let saved = current_threads();
+        for budget in [2, 8] {
+            set_max_threads(budget);
+            let caught = panic::catch_unwind(|| {
+                par_map_coarse(&items, |&x| {
+                    assert!(x != 1, "worker failed on item {x}");
+                    x
+                })
+            });
+            let payload = caught.expect_err("the worker panic must propagate");
+            let message = payload
+                .downcast_ref::<String>()
+                .map(String::as_str)
+                .or_else(|| payload.downcast_ref::<&str>().copied())
+                .unwrap_or_default();
+            assert_eq!(message, "worker failed on item 1", "budget {budget}");
+        }
+        set_max_threads(saved);
+    }
+
+    #[test]
+    fn par_map_on_a_worker_runs_on_that_worker() {
+        let _guard = BUDGET_LOCK.lock().unwrap();
+        let saved = current_threads();
+        set_max_threads(4);
+        let caller = thread::current().id();
+        let inner: Vec<u64> = (0..64).collect();
+        let arms = par_map_coarse(&[0u8, 1], |_| {
+            let worker = thread::current().id();
+            (worker, par_map(&inner, |_| thread::current().id()))
+        });
+        for (worker, ids) in arms {
+            assert_ne!(worker, caller, "each arm runs on a worker");
+            assert!(ids.iter().all(|&id| id == worker), "the nested map left its worker");
+        }
+        // The flag stays on the workers: the caller still fans out, and
+        // its own thread never runs an item.
+        let ids = par_map(&inner, |_| thread::current().id());
+        assert!(ids.iter().all(|&id| id != caller), "a later par_map ran on the caller");
+        set_max_threads(saved);
     }
 
     #[test]

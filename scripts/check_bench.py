@@ -55,6 +55,12 @@ Suites:
              shrinks, and the cluster-growth replay must hold the
              event-loop throughput floor. Null gated scalars (a study
              that never ran its sweep or growth legs) fail as missing.
+  reliability-scaling
+             --reliability-scaling ONE MANY: two `repro_figures
+             --reliability-json` reports of the same study at 1 thread
+             and at more threads. The study replays its arms in
+             parallel, so the multi-thread `study_secs` must not exceed
+             the 1-thread one.
 
 --serve-compare FILE... additionally requires the response digests of
 two or more serve_load reports to be identical — the byte-level
@@ -75,6 +81,7 @@ usage: check_bench.py [BASELINE SMOKE] [--tolerance 2.0]
                       [--serve JSON] [--serve-compare JSON JSON...]
                       [--classifier JSON]
                       [--reliability JSON]
+                      [--reliability-scaling ONE MANY]
                       [--selftest]
 """
 
@@ -167,6 +174,14 @@ RELIABILITY_GATES = [
     Gate("ceiling", "sweep_worst_ratio", 4.0),
     Gate("ceiling", "frontier_monotone_violation", 0.05),
     Gate("floor", "growth_min_jobs_per_sec", 2000.0),
+]
+
+# Thread scaling of the whole reliability study, whose independent
+# replays (frontier, sweep and growth arms) run in parallel: the
+# multi-thread study's wall time over the 1-thread one's must not
+# exceed 1.0. Relative, like SCALING_GATES, so runner speed cancels.
+RELIABILITY_SCALING_GATES = [
+    Gate("max_ratio", ("many.study_secs", "one.study_secs"), 1.0),
 ]
 
 
@@ -308,6 +323,17 @@ def check_reliability(path):
     return apply_gates("reliability", metrics, RELIABILITY_GATES)
 
 
+def check_reliability_scaling(one_path, many_path):
+    metrics = {}
+    for label, path in (("one", one_path), ("many", many_path)):
+        report = load(path)
+        if isinstance(report.get("study_secs"), (int, float)):
+            metrics[f"{label}.study_secs"] = report["study_secs"]
+    print(f"reliability-scaling: {one_path} vs {many_path}")
+    return apply_gates("reliability-scaling", metrics,
+                       RELIABILITY_SCALING_GATES)
+
+
 def check_scaling(one_path, many_path):
     one, many = load(one_path), load(many_path)
     print(f"scaling: {one_path} (threads {one.get('threads', '?')}) vs "
@@ -428,6 +454,14 @@ def selftest():
          lambda: check_reliability(fixture("reliability_pass.json")), True),
         ("reliability fail",
          lambda: check_reliability(fixture("reliability_fail.json")), False),
+        ("reliability-scaling pass",
+         lambda: check_reliability_scaling(
+             fixture("reliability_t1.json"),
+             fixture("reliability_scaling_pass.json")), True),
+        ("reliability-scaling fail",
+         lambda: check_reliability_scaling(
+             fixture("reliability_t1.json"),
+             fixture("reliability_scaling_fail.json")), False),
     ]
     wrong = []
     for name, run, expect_pass in cases:
@@ -512,6 +546,13 @@ def main():
         "sweep band, frontier monotonicity, growth throughput floor)",
     )
     ap.add_argument(
+        "--reliability-scaling",
+        nargs=2,
+        metavar=("ONE", "MANY"),
+        help="1-thread and multi-thread --reliability-json reports of the "
+        "same study; fails when more threads make the study slower",
+    )
+    ap.add_argument(
         "--selftest",
         action="store_true",
         help="judge every suite against its committed scripts/fixtures/ "
@@ -542,12 +583,14 @@ def main():
         failures += check_classifier(args.classifier)
     if args.reliability:
         failures += check_reliability(args.reliability)
+    if args.reliability_scaling:
+        failures += check_reliability_scaling(*args.reliability_scaling)
     if args.baseline:
         failures += check_repro(args.baseline, args.smoke, args.tolerance,
                                 args.max_rss_ratio)
     if not (args.placement or args.streaming or args.scaling or args.serve
             or args.serve_compare or args.classifier or args.reliability
-            or args.baseline):
+            or args.reliability_scaling or args.baseline):
         ap.error("nothing to do: give BASELINE SMOKE, a suite flag, "
                  "or --selftest")
 

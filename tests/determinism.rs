@@ -661,11 +661,13 @@ fn golden_reliability_report_matches_committed_bytes() {
     );
 }
 
-/// The reliability study under the deterministic-parallelism rule: all
-/// accumulation happens on the single-threaded event loop and only
-/// telemetry synthesis fans out, so the rendered report must be
-/// byte-identical between a 1-thread and an N-thread run (the CI matrix
-/// sweeps N over 1, 4, 8 via `SC_PAR_THREADS`).
+/// The reliability study under the deterministic-parallelism rule: the
+/// study's independent replays fan out one per worker, each replay's
+/// accumulation happens on its own single-threaded event loop (with its
+/// telemetry batch on the same worker), and results come back in input
+/// order, so the rendered report must be byte-identical between a
+/// 1-thread and an N-thread run (the CI matrix sweeps N over 1, 4, 8
+/// via `SC_PAR_THREADS`).
 #[test]
 fn reliability_report_is_deterministic_across_thread_budgets() {
     let saved = sc_repro::par::current_threads();
@@ -678,10 +680,10 @@ fn reliability_report_is_deterministic_across_thread_budgets() {
     assert_eq!(a.render(), b.render(), "reliability report must not depend on the thread budget");
 }
 
-/// The failure subsystem under the same rule: the pre-computed failure
-/// schedule, every requeue decision (job fates), the goodput ledger,
-/// and the rendered figures must be byte-identical between a 1-thread
-/// and an N-thread run.
+/// The failure subsystem under the same rule: the failure schedule,
+/// every requeue decision (job fates), the goodput ledger, and the
+/// rendered figures must be byte-identical between a 1-thread and an
+/// N-thread run.
 #[test]
 fn failure_injection_is_deterministic_across_thread_budgets() {
     let saved = sc_repro::par::current_threads();

@@ -146,3 +146,34 @@ fn reliability_render_is_reproducible() {
     assert_eq!(a.reliability.render(), b.reliability.render());
     assert_eq!(a.reliability, b.reliability);
 }
+
+/// Metamorphic identity: a growth factor of 1.0 is a plain replay of
+/// the study's configuration — failures on, no checkpointing, detailed
+/// subset off — whatever arm the study replays beside it. The base
+/// config carries a checkpoint policy and the default detailed subset,
+/// so the study must clear both.
+#[test]
+fn growth_factor_one_equals_a_plain_replay() {
+    let trace = Trace::generate(&WorkloadSpec::supercloud().scaled(0.004), 42);
+    let base = SimConfig {
+        checkpoint: Some(CheckpointPolicy { interval_secs: 1_800.0, write_secs: 30.0 }),
+        ..Default::default()
+    };
+    let model = FailureModel::supercloud(42).scaled_mtbf(0.05);
+    let (fig, _) = sc_repro::core::reliability::growth_study(&trace, &base, &model, &[1.0, 8.0]);
+    let row = fig.expect("two growth rows").rows[0].clone();
+
+    let cfg =
+        SimConfig { failures: Some(model), checkpoint: None, detailed_series_jobs: 0, ..base };
+    let out = Simulation::new(cfg.clone()).run(&trace);
+    assert!(out.stats.injected_failures > 0, "no failure fired, so the identity is vacuous");
+    let mut waits: Vec<f64> = out.dataset.records().iter().map(|r| r.sched.queue_wait()).collect();
+    waits.sort_by(|a, b| a.partial_cmp(b).expect("finite waits"));
+    assert_eq!(row.factor, 1.0);
+    assert_eq!((row.nodes, row.gpus), (cfg.cluster.total_nodes(), cfg.cluster.total_gpus()));
+    assert_eq!(row.median_wait_secs, waits[waits.len() / 2]);
+    assert_eq!(row.mean_wait_secs, waits.iter().sum::<f64>() / waits.len() as f64);
+    assert_eq!(row.goodput_fraction, out.goodput.goodput_fraction());
+    assert_eq!(row.makespan_days, out.stats.makespan_secs / 86_400.0);
+    assert_eq!(row.events, out.stats.events);
+}
