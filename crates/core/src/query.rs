@@ -7,7 +7,7 @@
 //! address space:
 //!
 //! - [`FigureId`] — every figure of the report, each renderable on its
-//!   own from a [`SimOutput`].
+//!   own from a [`SimOutput`] and its per-user statistics.
 //! - [`PointStat`] — headline scalar statistics (medians, utilization
 //!   means, totals), cheap enough to flood-query.
 //! - [`QueryKey`] — the `(scenario, seed, query)` triple that uniquely
@@ -19,7 +19,7 @@
 
 use crate::figures::*;
 use crate::pipeline::PipelineError;
-use crate::userstats::user_stats;
+use crate::userstats::UserStats;
 use crate::view::gpu_views;
 use sc_cluster::SimOutput;
 use sc_stats::{mean, percentile};
@@ -104,22 +104,21 @@ impl FigureId {
         FigureId::ALL.iter().copied().find(|id| id.name() == s)
     }
 
-    /// Computes and renders this figure from a simulation output.
+    /// Computes and renders this figure from a simulation output and
+    /// its per-user statistics, `user_stats(&gpu_views(&out.dataset))`.
     ///
-    /// Per-figure inputs (job views, user statistics) are derived on
-    /// demand — the serving layer memoizes whole responses, so repeated
-    /// requests never recompute them.
+    /// The caller computes `users` once per world: Figs. 10–13 and 17
+    /// read them, and every other figure ignores them. The job views
+    /// are built here, which costs one pass that borrows the dataset's
+    /// stored job-level aggregates.
     ///
     /// # Errors
     ///
     /// Returns a [`PipelineError`] tagged with this figure's stage name
     /// when the output lacks the population the figure needs.
-    pub fn render_from_sim(&self, out: &SimOutput) -> Result<String, PipelineError> {
+    pub fn render(&self, out: &SimOutput, users: &[UserStats]) -> Result<String, PipelineError> {
         let stage = self.name();
         let err = |source| PipelineError { stage, source };
-        // Views and (where needed) user stats are recomputed per call;
-        // both are cheap relative to a figure over them, and response
-        // memoization amortizes everything above this line anyway.
         let views = gpu_views(&out.dataset);
         let rendered = match self {
             FigureId::Fig3 => Fig3::try_compute(&out.dataset).map_err(err)?.render(),
@@ -129,16 +128,14 @@ impl FigureId {
             FigureId::Fig7 => Fig7::try_compute(&out.detailed, &views).map_err(err)?.render(),
             FigureId::Fig8 => Fig8::try_compute(&views).map_err(err)?.render(),
             FigureId::Fig9 => Fig9::try_compute(&views).map_err(err)?.render(),
-            FigureId::Fig10 => Fig10::try_compute(&user_stats(&views)).map_err(err)?.render(),
-            FigureId::Fig11 => Fig11::try_compute(&user_stats(&views)).map_err(err)?.render(),
-            FigureId::Fig12 => Fig12::try_compute(&user_stats(&views)).map_err(err)?.render(),
-            FigureId::Fig13 => {
-                Fig13::try_compute(&views, &user_stats(&views)).map_err(err)?.render()
-            }
+            FigureId::Fig10 => Fig10::try_compute(users).map_err(err)?.render(),
+            FigureId::Fig11 => Fig11::try_compute(users).map_err(err)?.render(),
+            FigureId::Fig12 => Fig12::try_compute(users).map_err(err)?.render(),
+            FigureId::Fig13 => Fig13::try_compute(&views, users).map_err(err)?.render(),
             FigureId::Fig14 => Fig14::try_compute(&views).map_err(err)?.render(),
             FigureId::Fig15 => Fig15::try_compute(&views).map_err(err)?.render(),
             FigureId::Fig16 => Fig16::try_compute(&views).map_err(err)?.render(),
-            FigureId::Fig17 => Fig17::try_compute(&user_stats(&views)).map_err(err)?.render(),
+            FigureId::Fig17 => Fig17::try_compute(users).map_err(err)?.render(),
             FigureId::Goodput => GoodputFig::try_compute(out).map_err(err)?.render(),
             FigureId::Timeline => ClusterTimelineFig::try_compute(out).map_err(err)?.render(),
             FigureId::Streaming => StreamingTelemetryFig::try_compute(out).map_err(err)?.render(),
@@ -286,6 +283,7 @@ impl std::fmt::Display for QueryKey {
 mod tests {
     use super::*;
     use crate::testsupport::small_sim;
+    use crate::userstats::user_stats;
 
     #[test]
     fn figure_tokens_round_trip() {
@@ -306,8 +304,9 @@ mod tests {
     #[test]
     fn every_figure_renders_standalone() {
         let out = small_sim();
+        let users = user_stats(&gpu_views(&out.dataset));
         for id in FigureId::ALL {
-            let text = id.render_from_sim(out).unwrap_or_else(|e| panic!("{}: {e}", id.name()));
+            let text = id.render(out, &users).unwrap_or_else(|e| panic!("{}: {e}", id.name()));
             assert!(!text.is_empty(), "{} rendered empty", id.name());
         }
     }
@@ -316,12 +315,38 @@ mod tests {
     fn standalone_renders_match_the_batch_pipeline() {
         let out = small_sim();
         let report = crate::AnalysisReport::try_from_sim(out).unwrap();
-        assert_eq!(FigureId::Fig3.render_from_sim(out).expect("fig3"), report.fig3.render());
-        assert_eq!(FigureId::Fig17.render_from_sim(out).expect("fig17"), report.fig17.render());
-        assert_eq!(
-            FigureId::Goodput.render_from_sim(out).expect("goodput"),
-            report.goodput.render()
-        );
+        // Every figure the report carries; the streaming cross-check is
+        // the one figure it does not.
+        let batch = |id: FigureId| match id {
+            FigureId::Fig3 => Some(report.fig3.render()),
+            FigureId::Fig4 => Some(report.fig4.render()),
+            FigureId::Fig5 => Some(report.fig5.render()),
+            FigureId::Fig6 => Some(report.fig6.render()),
+            FigureId::Fig7 => Some(report.fig7.render()),
+            FigureId::Fig8 => Some(report.fig8.render()),
+            FigureId::Fig9 => Some(report.fig9.render()),
+            FigureId::Fig10 => Some(report.fig10.render()),
+            FigureId::Fig11 => Some(report.fig11.render()),
+            FigureId::Fig12 => Some(report.fig12.render()),
+            FigureId::Fig13 => Some(report.fig13.render()),
+            FigureId::Fig14 => Some(report.fig14.render()),
+            FigureId::Fig15 => Some(report.fig15.render()),
+            FigureId::Fig16 => Some(report.fig16.render()),
+            FigureId::Fig17 => Some(report.fig17.render()),
+            FigureId::Goodput => Some(report.goodput.render()),
+            FigureId::Timeline => Some(report.timeline.render()),
+            FigureId::Streaming => None,
+        };
+        let users = user_stats(&gpu_views(&out.dataset));
+        let mut compared = 0;
+        for id in FigureId::ALL {
+            if let Some(expected) = batch(id) {
+                let text = id.render(out, &users).unwrap_or_else(|e| panic!("{}: {e}", id.name()));
+                assert_eq!(text, expected, "{}", id.name());
+                compared += 1;
+            }
+        }
+        assert_eq!(compared, FigureId::ALL.len() - 1);
     }
 
     #[test]

@@ -13,8 +13,9 @@ use std::collections::BTreeMap;
 pub struct GpuJobView<'a> {
     /// Scheduler-side record.
     pub sched: &'a SchedulerRecord,
-    /// Job-level aggregates (averaged over GPUs, Sec. II methodology).
-    pub agg: GpuAggregates,
+    /// Job-level aggregates (averaged over GPUs, Sec. II methodology),
+    /// as the dataset stored them.
+    pub agg: &'a GpuAggregates,
     /// Per-GPU aggregates.
     pub per_gpu: &'a [GpuAggregates],
     /// Lifecycle class inferred from the exit status.
@@ -34,23 +35,21 @@ impl GpuJobView<'_> {
 }
 
 /// Builds the view of every analyzed GPU job (post-filter, telemetry
-/// present). Per-record work (job-level aggregation, classification)
-/// runs on the `sc-par` thread budget; record order is preserved, so
-/// the result is identical at any thread count.
+/// present), in record order. A view borrows the job-level aggregates
+/// the dataset computed when it was built, so the only per-record work
+/// left is classifying the exit status.
 pub fn gpu_views(dataset: &Dataset) -> Vec<GpuJobView<'_>> {
-    let records: Vec<_> = dataset.gpu_jobs().collect();
-    sc_par::par_map(&records, |r| {
-        let gpu = r.gpu.as_ref()?;
-        Some(GpuJobView {
-            sched: &r.sched,
-            agg: gpu.job_level(),
-            per_gpu: &gpu.per_gpu,
-            class: classify_record(&r.sched),
+    dataset
+        .gpu_jobs_with_job_level()
+        .filter_map(|(r, agg)| {
+            Some(GpuJobView {
+                sched: &r.sched,
+                agg,
+                per_gpu: &r.gpu.as_ref()?.per_gpu,
+                class: classify_record(&r.sched),
+            })
         })
-    })
-    .into_iter()
-    .flatten()
-    .collect()
+        .collect()
 }
 
 /// Groups GPU-job views by user, ordered by user id for determinism.

@@ -1,10 +1,13 @@
 //! The long-running query service over one frozen simulated world.
 //!
 //! [`Service::build`] pays the simulation cost exactly once, then the
-//! world — trace, configuration, [`SimOutput`] — is immutable for the
-//! service's lifetime. Every response is a pure render of that frozen
-//! state, so a response's bytes depend only on `(scenario, seed,
-//! query)`: cache state, request interleaving, and the executor's
+//! world — trace, configuration, [`SimOutput`] and the per-user
+//! statistics of its dataset — is immutable for the service's lifetime.
+//! The dataset holds every GPU job's job-level aggregates and the user
+//! statistics are computed in `build`, so a point or figure miss
+//! computes only its own statistic. Every response is a pure render of
+//! that frozen state, so a response's bytes depend only on `(scenario,
+//! seed, query)`: cache state, request interleaving, and the executor's
 //! thread budget can change *when* a response is ready, never *what* it
 //! says. That is the whole determinism contract, inherited rather than
 //! re-proved.
@@ -25,7 +28,7 @@
 use crate::query::{Query, RelQuery};
 use sc_cluster::{SimConfig, SimOutput, Simulation};
 use sc_core::pipeline::DatasetReport;
-use sc_core::{corrupt_and_ingest, QueryKey};
+use sc_core::{corrupt_and_ingest, gpu_views, user_stats, QueryKey, UserStats};
 use sc_obs::stagelog::StageSpan;
 use sc_obs::{Obs, SharedCounter, StageLog};
 use sc_par::{CacheOutcome, CacheStats, Executor, MemoCache};
@@ -149,6 +152,8 @@ pub struct Service {
     trace: Trace,
     sim_config: SimConfig,
     out: SimOutput,
+    /// `user_stats(&gpu_views(&out.dataset))`, for the user figures.
+    users: Vec<UserStats>,
     cache: MemoCache<QueryKey, String>,
     exec: Executor,
     metrics: ServeMetrics,
@@ -185,12 +190,14 @@ impl Service {
         spec.users = spec.users.max(config.users_floor);
         let trace = Trace::generate(&spec, config.seed);
         let out = Simulation::new(sim_config.clone()).run(&trace);
+        let users = user_stats(&gpu_views(&out.dataset));
         let threads = if config.threads == 0 { sc_par::current_threads() } else { config.threads };
         Service {
             scenario,
             trace,
             sim_config,
             out,
+            users,
             cache: MemoCache::with_capacity(config.cache_capacity),
             exec: Executor::new(threads),
             metrics: ServeMetrics::default(),
@@ -310,7 +317,7 @@ impl Service {
                 Err(e) => format!("ERROR point:{}: {e}\n", p.name()),
             },
             Query::Figure(id) => id
-                .render_from_sim(&self.out)
+                .render(&self.out, &self.users)
                 .unwrap_or_else(|e| format!("ERROR fig:{}: {e}\n", id.name())),
             Query::PolicyAb(spec) => {
                 // The arms re-simulate the frozen trace; the detailed
@@ -409,11 +416,26 @@ mod tests {
 
     #[test]
     fn figure_query_matches_the_standalone_render() {
+        // Every point and figure query against a body computed from
+        // freshly built views and user statistics, so the per-world
+        // copies `build` keeps cannot drift from a direct computation.
         let s = svc();
-        let served = s.query_blocking(&Query::Figure(FigureId::Fig3));
-        let direct = FigureId::Fig3.render_from_sim(s.sim_output()).expect("fig3");
-        assert_eq!(*served.body, direct);
-        assert!(!served.body.contains("ERROR"), "{}", served.body);
+        let out = s.sim_output();
+        let users = user_stats(&gpu_views(&out.dataset));
+        let surface: Vec<Query> =
+            Query::point_queries().into_iter().chain(Query::figure_queries()).collect();
+        assert_eq!(surface.len(), PointStat::ALL.len() + FigureId::ALL.len());
+        for q in &surface {
+            let direct = match q {
+                Query::Point(p) => p.compute(out).map(|v| format!("{} = {v:.6}\n", p.name())),
+                Query::Figure(id) => id.render(out, &users),
+                other => panic!("not a point or figure query: {}", other.token()),
+            }
+            .unwrap_or_else(|e| panic!("{}: {e}", q.token()));
+            let served = s.query_blocking(q);
+            assert_eq!(*served.body, direct, "{}", q.token());
+            assert!(!served.body.contains("ERROR"), "{}", served.body);
+        }
     }
 
     #[test]

@@ -6,6 +6,7 @@
 //! short jobs, and 47,120 jobs are considered. … both datasets are
 //! combined using job Ids to create a single dataset" (Sec. II).
 
+use crate::aggregate::GpuAggregates;
 use crate::record::{GpuJobRecord, JobRecord, SchedulerRecord, UserId};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
@@ -34,8 +35,23 @@ pub struct DatasetFunnel {
 }
 
 /// The joined analysis dataset.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+///
+/// Besides the records and the funnel, a dataset holds the job-level
+/// aggregates of every GPU job, averaged over its GPUs once when the
+/// dataset is built. Nothing can change a dataset after that, so the
+/// stored averages always describe its records.
+#[derive(Debug, Clone, Default)]
 pub struct Dataset {
+    tables: Tables,
+    /// [`GpuJobRecord::job_level`] of each GPU record, in record order.
+    job_level: Vec<GpuAggregates>,
+}
+
+/// What a dataset serializes: the JSON release format holds the
+/// records and the funnel, and the job-level aggregates are derived
+/// again on load.
+#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+struct Tables {
     records: Vec<JobRecord>,
     funnel: DatasetFunnel,
 }
@@ -47,6 +63,11 @@ impl Dataset {
     /// CPU-only jobs are retained (Fig. 3 compares GPU and CPU jobs);
     /// GPU jobs shorter than [`MIN_GPU_JOB_RUNTIME_SECS`] are dropped
     /// entirely, as in the paper.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a retained GPU record has no per-GPU aggregates (see
+    /// [`GpuAggregates::average_of`]).
     pub fn join(sched: Vec<SchedulerRecord>, gpu: Vec<GpuJobRecord>) -> Self {
         let mut gpu_by_id: HashMap<_, _> = gpu.into_iter().map(|g| (g.job_id, g)).collect();
         let mut funnel = DatasetFunnel { total_jobs: sched.len(), ..Default::default() };
@@ -75,27 +96,46 @@ impl Dataset {
         users.sort();
         users.dedup();
         funnel.unique_users = users.len();
-        Dataset { records, funnel }
+        Dataset::from_tables(Tables { records, funnel })
+    }
+
+    /// Averages every GPU record's per-GPU aggregates into its stored
+    /// job-level aggregates.
+    fn from_tables(tables: Tables) -> Dataset {
+        let job_level = tables
+            .records
+            .iter()
+            .filter_map(|r| r.gpu.as_ref())
+            .map(GpuJobRecord::job_level)
+            .collect();
+        Dataset { tables, job_level }
     }
 
     /// All retained records (CPU and GPU jobs).
     pub fn records(&self) -> &[JobRecord] {
-        &self.records
+        &self.tables.records
     }
 
     /// The funnel counts.
     pub fn funnel(&self) -> DatasetFunnel {
-        self.funnel
+        self.tables.funnel
     }
 
     /// GPU jobs with telemetry — the population of every GPU figure.
     pub fn gpu_jobs(&self) -> impl Iterator<Item = &JobRecord> {
-        self.records.iter().filter(|r| r.gpu.is_some())
+        self.tables.records.iter().filter(|r| r.gpu.is_some())
+    }
+
+    /// [`Dataset::gpu_jobs`], each paired with its job-level aggregates
+    /// ("the average over multiple GPUs", Sec. II), which the dataset
+    /// computed once when it was built.
+    pub fn gpu_jobs_with_job_level(&self) -> impl Iterator<Item = (&JobRecord, &GpuAggregates)> {
+        self.gpu_jobs().zip(&self.job_level)
     }
 
     /// CPU-only jobs (Fig. 3 comparison population).
     pub fn cpu_jobs(&self) -> impl Iterator<Item = &JobRecord> {
-        self.records.iter().filter(|r| !r.sched.is_gpu_job())
+        self.tables.records.iter().filter(|r| !r.sched.is_gpu_job())
     }
 
     /// Groups GPU jobs by user, preserving record references.
@@ -116,16 +156,26 @@ impl Dataset {
     /// Propagates serialization errors (practically unreachable for
     /// this schema).
     pub fn to_json(&self) -> serde_json::Result<String> {
-        serde_json::to_string(self)
+        serde_json::to_string(&self.tables)
     }
 
     /// Deserializes a dataset previously written by [`Dataset::to_json`].
     ///
     /// # Errors
     ///
-    /// Returns a parse error for malformed input.
+    /// Returns a parse error for malformed input, and an error naming
+    /// the job when a GPU record has no per-GPU aggregates to average.
     pub fn from_json(json: &str) -> serde_json::Result<Dataset> {
-        serde_json::from_str(json)
+        let tables: Tables = serde_json::from_str(json)?;
+        let empty =
+            tables.records.iter().filter_map(|r| r.gpu.as_ref()).find(|g| g.per_gpu.is_empty());
+        if let Some(g) = empty {
+            return Err(serde::de::Error::custom(format_args!(
+                "GPU record of {} has no per-GPU aggregates",
+                g.job_id
+            )));
+        }
+        Ok(Dataset::from_tables(tables))
     }
 
     /// Serializes the dataset as a flat CSV table, one row per job with
@@ -140,7 +190,8 @@ impl Dataset {
              pcie_tx_mean,pcie_tx_max,pcie_rx_mean,pcie_rx_max,\
              power_min,power_mean,power_max\n",
         );
-        for r in &self.records {
+        let mut job_level = self.job_level.iter();
+        for r in &self.tables.records {
             let j = &r.sched;
             s.push_str(&format!(
                 "{},{},{},{},{},{:.1},{:.1},{:.1},{:.1},{:.0},{}",
@@ -156,7 +207,8 @@ impl Dataset {
                 j.time_limit,
                 j.exit
             ));
-            let tail = match r.gpu_job_level() {
+            let agg = if r.gpu.is_some() { job_level.next() } else { None };
+            let tail = match agg {
                 Some(a) => {
                     let f = |x: f64| if x.is_finite() { format!("{x:.3}") } else { String::new() };
                     format!(
@@ -191,7 +243,6 @@ impl Dataset {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::aggregate::GpuAggregates;
     use crate::record::{ExitStatus, JobId, SubmissionInterface};
 
     fn sched(id: u64, user: u32, gpus: u32, run_secs: f64) -> SchedulerRecord {
@@ -214,14 +265,57 @@ mod tests {
         GpuJobRecord { job_id: JobId(id), per_gpu: vec![GpuAggregates::new(); gpus] }
     }
 
+    /// A GPU record whose GPUs saw different samples, so averaging them
+    /// is not the identity.
+    fn sampled_gpu_rec(id: u64, gpus: usize) -> GpuJobRecord {
+        let per_gpu = (0..gpus)
+            .map(|g| {
+                let mut a = GpuAggregates::new();
+                for k in 0..3 {
+                    let x = (id * 7 + g as u64 * 3 + k) as f64 / 3.0;
+                    a.update(&crate::metrics::GpuMetricSample {
+                        sm_util: x,
+                        mem_util: x / 2.0,
+                        mem_size_util: 100.0 - x,
+                        pcie_tx: x * 0.1,
+                        pcie_rx: x * 0.2,
+                        power_w: 50.0 + x,
+                    });
+                }
+                a
+            })
+            .collect();
+        GpuJobRecord { job_id: JobId(id), per_gpu }
+    }
+
+    /// Every float and count of `a`, as bits.
+    fn bits(a: &GpuAggregates) -> Vec<u64> {
+        [a.sm_util, a.mem_util, a.mem_size_util, a.pcie_tx, a.pcie_rx, a.power_w]
+            .iter()
+            .flat_map(|x| [x.min.to_bits(), x.mean.to_bits(), x.max.to_bits(), x.count])
+            .collect()
+    }
+
+    /// The stored aggregates are `GpuJobRecord::job_level` bit for bit,
+    /// one per GPU job, in record order.
+    fn assert_job_level_matches(ds: &Dataset) {
+        let stored: Vec<_> = ds.gpu_jobs_with_job_level().collect();
+        assert_eq!(stored.len(), ds.gpu_jobs().count());
+        for ((r, agg), g) in stored.into_iter().zip(ds.gpu_jobs()) {
+            assert_eq!(r.sched, g.sched);
+            let gpu = r.gpu.as_ref().expect("a GPU job");
+            assert_eq!(bits(agg), bits(&gpu.job_level()), "{}", gpu.job_id);
+        }
+    }
+
     #[test]
     fn join_filters_short_gpu_jobs() {
         let sched_recs = vec![
-            sched(1, 1, 1, 600.0),
+            sched(1, 1, 2, 600.0),
             sched(2, 1, 1, 10.0), // < 30 s: dropped
             sched(3, 2, 0, 5.0),  // CPU job: kept regardless of duration
         ];
-        let gpu_recs = vec![gpu_rec(1, 1), gpu_rec(2, 1)];
+        let gpu_recs = vec![sampled_gpu_rec(1, 2), sampled_gpu_rec(2, 1)];
         let ds = Dataset::join(sched_recs, gpu_recs);
         let f = ds.funnel();
         assert_eq!(f.total_jobs, 3);
@@ -233,6 +327,7 @@ mod tests {
         assert_eq!(ds.records().len(), 2);
         assert_eq!(ds.gpu_jobs().count(), 1);
         assert_eq!(ds.cpu_jobs().count(), 1);
+        assert_job_level_matches(&ds);
     }
 
     #[test]
@@ -256,8 +351,14 @@ mod tests {
 
     #[test]
     fn json_roundtrip_preserves_everything() {
-        let sched_recs = vec![sched(1, 1, 1, 600.0), sched(2, 2, 0, 120.0)];
-        let gpu_recs = vec![gpu_rec(1, 1)];
+        let sched_recs = vec![
+            sched(1, 1, 1, 600.0),
+            sched(2, 2, 0, 120.0),
+            sched(3, 2, 3, 700.0),
+            sched(5, 3, 1, 60.0), // no telemetry
+            sched(4, 3, 2, 800.0),
+        ];
+        let gpu_recs = vec![gpu_rec(1, 1), sampled_gpu_rec(3, 3), sampled_gpu_rec(4, 2)];
         let ds = Dataset::join(sched_recs, gpu_recs);
         let json = ds.to_json().expect("serializable");
         let back = Dataset::from_json(&json).expect("parseable");
@@ -267,13 +368,26 @@ mod tests {
             assert_eq!(a.sched, b.sched);
             assert_eq!(a.gpu, b.gpu);
         }
+        // The JSON holds only the records and the funnel; the loaded
+        // dataset derives the same job-level aggregates again.
+        assert!(json.starts_with("{\"records\":[") && json.contains("],\"funnel\":{"));
+        assert_job_level_matches(&back);
+        for ((_, a), (_, b)) in back.gpu_jobs_with_job_level().zip(ds.gpu_jobs_with_job_level()) {
+            assert_eq!(bits(a), bits(b));
+        }
+        assert_eq!(back.to_json().expect("serializable"), json);
         assert!(Dataset::from_json("not json").is_err());
     }
 
     #[test]
     fn csv_has_one_row_per_job_and_consistent_columns() {
-        let sched_recs = vec![sched(1, 1, 1, 600.0), sched(2, 2, 0, 120.0)];
-        let gpu_recs = vec![gpu_rec(1, 1)];
+        let sched_recs = vec![
+            sched(1, 1, 1, 600.0),
+            sched(2, 2, 0, 120.0),
+            sched(3, 2, 2, 300.0), // no telemetry
+            sched(4, 3, 2, 900.0),
+        ];
+        let gpu_recs = vec![gpu_rec(1, 1), sampled_gpu_rec(4, 2)];
         let ds = Dataset::join(sched_recs, gpu_recs);
         let csv = ds.to_csv();
         let lines: Vec<&str> = csv.trim_end().lines().collect();
@@ -283,6 +397,16 @@ mod tests {
             assert_eq!(l.matches(',').count(), cols, "ragged row: {l}");
         }
         assert!(lines[0].starts_with("job_id,user,interface"));
+        // Each row's GPU columns belong to its own job: the job-level
+        // mean SM utilization, or empty where the job has no telemetry.
+        let sm_mean = lines[0].split(',').position(|c| c == "sm_mean").expect("sm_mean column");
+        for (r, l) in ds.records().iter().zip(&lines[1..]) {
+            let want = r
+                .gpu
+                .as_ref()
+                .map_or(String::new(), |g| format!("{:.3}", g.job_level().sm_util.mean));
+            assert_eq!(l.split(',').nth(sm_mean), Some(want.as_str()), "{l}");
+        }
     }
 
     #[test]

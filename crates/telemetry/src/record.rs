@@ -251,13 +251,6 @@ pub struct JobRecord {
     pub gpu: Option<GpuJobRecord>,
 }
 
-impl JobRecord {
-    /// Job-level GPU aggregates if this is a GPU job with telemetry.
-    pub fn gpu_job_level(&self) -> Option<GpuAggregates> {
-        self.gpu.as_ref().map(GpuJobRecord::job_level)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

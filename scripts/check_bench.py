@@ -31,6 +31,10 @@ Suites:
              overhead relative to the baseline pass.
   streaming  --streaming LOG: console log of `cargo bench --bench
              streaming`; absolute ceilings per aggregator/producer bench.
+  serve-bench
+             --serve-bench LOG: console log of `cargo bench --bench
+             serve`; absolute ceilings on the cold point and figure
+             queries (`serve/point_cold`, `serve/figure_cold`).
   scaling    --scaling ONE MANY: two `repro_figures --bench-json`
              reports of the same run at 1 thread and at more threads.
              The multi-thread telemetry stage must not take longer than
@@ -77,7 +81,8 @@ runs this, so the gate logic cannot rot silently.
 usage: check_bench.py [BASELINE SMOKE] [--tolerance 2.0]
                       [--max-rss-ratio 1.5]
                       [--placement LOG] [--placement-overhead 5.0]
-                      [--streaming LOG] [--scaling ONE MANY]
+                      [--streaming LOG] [--serve-bench LOG]
+                      [--scaling ONE MANY]
                       [--serve JSON] [--serve-compare JSON JSON...]
                       [--classifier JSON]
                       [--reliability JSON]
@@ -109,6 +114,20 @@ STREAMING_GATES = [
     Gate("ceiling", "welford_push_merge_100k", 0.050),
     Gate("ceiling", "histogram_push_merge_100k", 0.050),
     Gate("ceiling", "stream_detail_30min_2gpu", 0.010),
+]
+
+# Ceilings for the query service's cold path (seconds): one uncached
+# point query (median_run_min) and one uncached figure (fig9) over the
+# bench's 2%-scale world. A miss computes only its own statistic: the
+# dataset stores each GPU job's job-level aggregates and the service
+# keeps its user statistics, so neither is rebuilt per query. On a
+# 2-vCPU guest the medians read 33-38 us and 80-87 us; when every miss
+# re-averaged all jobs on fresh par_map threads they read 391-542 us
+# and 631-760 us. Each ceiling is 2-3x today's median and under half
+# the old cost, so the old path fails even on a runner twice as fast.
+SERVE_BENCH_GATES = [
+    Gate("ceiling", "point_cold", 100e-6),
+    Gate("ceiling", "figure_cold", 160e-6),
 ]
 
 # Thread scaling of the telemetry stage: the multi-thread run's time
@@ -424,6 +443,14 @@ def selftest():
          lambda: apply_gates("streaming",
                              parse_medians(fixture("streaming_fail.txt")),
                              STREAMING_GATES), False),
+        ("serve-bench pass",
+         lambda: apply_gates("serve-bench",
+                             parse_medians(fixture("serve_bench_pass.txt")),
+                             SERVE_BENCH_GATES), True),
+        ("serve-bench fail",
+         lambda: apply_gates("serve-bench",
+                             parse_medians(fixture("serve_bench_fail.txt")),
+                             SERVE_BENCH_GATES), False),
         ("scaling pass",
          lambda: check_scaling(fixture("scaling_t1.json"),
                                fixture("scaling_pass.json")), True),
@@ -514,6 +541,12 @@ def main():
         help="console log of `cargo bench --bench streaming` to gate",
     )
     ap.add_argument(
+        "--serve-bench",
+        metavar="LOG",
+        help="console log of `cargo bench --bench serve` to gate (cold "
+        "point and figure query ceilings)",
+    )
+    ap.add_argument(
         "--scaling",
         nargs=2,
         metavar=("ONE", "MANY"),
@@ -573,6 +606,9 @@ def main():
     if args.streaming:
         failures += apply_gates("streaming", parse_medians(args.streaming),
                                 STREAMING_GATES)
+    if args.serve_bench:
+        failures += apply_gates("serve-bench", parse_medians(args.serve_bench),
+                                SERVE_BENCH_GATES)
     if args.scaling:
         failures += check_scaling(*args.scaling)
     if args.serve:
@@ -588,8 +624,8 @@ def main():
     if args.baseline:
         failures += check_repro(args.baseline, args.smoke, args.tolerance,
                                 args.max_rss_ratio)
-    if not (args.placement or args.streaming or args.scaling or args.serve
-            or args.serve_compare or args.classifier or args.reliability
+    if not (args.placement or args.streaming or args.serve_bench
+            or args.scaling or args.serve or args.serve_compare or args.classifier or args.reliability
             or args.reliability_scaling or args.baseline):
         ap.error("nothing to do: give BASELINE SMOKE, a suite flag, "
                  "or --selftest")

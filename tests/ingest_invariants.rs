@@ -1,13 +1,15 @@
 //! Ingest-repair invariants: for any corruption profile and seed, the
 //! corrupt -> ingest round trip produces a structurally valid dataset
 //! and a ledger that balances per fault class; the `off` profile is a
-//! byte-exact no-op.
+//! byte-exact no-op. Loading a dataset from JSON never panics, whatever
+//! the bytes: any input gives a dataset or a typed error.
 //!
 //! The small simulation is computed once (`OnceLock`) and only the
 //! cheap corrupt/ingest round trip varies per proptest case, so the
 //! suite stays fast while sweeping profiles and seeds.
 
 use proptest::prelude::*;
+use proptest::test_runner::TestCaseError;
 use sc_repro::prelude::*;
 use std::sync::OnceLock;
 
@@ -155,4 +157,126 @@ fn round_trip_is_seed_stable() {
         b.dataset.to_json().expect("serializable")
     );
     assert_eq!(a.report.render(), b.report.render());
+}
+
+static EXPORT: OnceLock<String> = OnceLock::new();
+
+/// A 0.5%-scale dataset as `export_dataset` writes it: the starting
+/// point every mutation below edits.
+fn exported() -> &'static str {
+    EXPORT.get_or_init(|| {
+        let trace = Trace::generate(&WorkloadSpec::supercloud().scaled(0.005), 20_261_018);
+        let out = Simulation::new(SimConfig { detailed_series_jobs: 0, ..Default::default() })
+            .run(&trace);
+        out.dataset.to_json().expect("serializable")
+    })
+}
+
+/// Loads `json` the way `analyze_dataset` does, giving the dataset or
+/// the error message. A panic anywhere fails the test; an error must
+/// say what is wrong, and a dataset must give one view per GPU job,
+/// since every GPU record has GPUs to average.
+fn load(json: &str) -> Result<Result<Dataset, String>, TestCaseError> {
+    let loaded = Dataset::from_json(json).map_err(|e| e.to_string());
+    match &loaded {
+        Ok(ds) => prop_assert_eq!(gpu_views(ds).len(), ds.gpu_jobs().count()),
+        Err(msg) => prop_assert!(!msg.is_empty(), "empty diagnostic"),
+    }
+    Ok(loaded)
+}
+
+/// Byte offsets just past every `"per_gpu":[` in `json`.
+fn per_gpu_lists(json: &str) -> Vec<usize> {
+    const KEY: &str = "\"per_gpu\":[";
+    json.match_indices(KEY).map(|(i, _)| i + KEY.len()).collect()
+}
+
+/// Bytes an overwrite draws from: JSON punctuation, digits and the
+/// letters of its literals, so mutations often still parse.
+const JSON_BYTES: &[u8] = b"0123456789-+.eE,:[]{}\"nultrfas ";
+
+#[test]
+fn exported_dataset_loads_with_one_view_per_gpu_job() {
+    let ds = load(exported()).expect("one view per GPU job").expect("the export loads");
+    assert!(ds.gpu_jobs().count() > 0);
+    assert_eq!(per_gpu_lists(exported()).len(), ds.gpu_jobs().count());
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Cutting the export off at any byte never panics the loader.
+    #[test]
+    fn truncated_dataset_json_never_panics(cut in 0usize..1 << 22) {
+        let json = exported();
+        let mut end = cut % (json.len() + 1);
+        while !json.is_char_boundary(end) {
+            end -= 1;
+        }
+        let _ = load(&json[..end])?;
+    }
+
+    /// Deleting, duplicating or overwriting short byte ranges never
+    /// panics the loader.
+    #[test]
+    fn edited_dataset_json_never_panics(
+        edits in proptest::collection::vec(
+            (0usize..3, 0usize..1 << 22, 1usize..12, proptest::collection::vec(0usize..64, 1..12)),
+            1..4,
+        ),
+    ) {
+        let mut bytes = exported().as_bytes().to_vec();
+        for (op, pos, len, fill) in edits {
+            let pos = pos % bytes.len();
+            let end = (pos + len).min(bytes.len());
+            match op {
+                0 => {
+                    bytes.drain(pos..end);
+                }
+                1 => {
+                    let copy = bytes[pos..end].to_vec();
+                    bytes.splice(pos..pos, copy);
+                }
+                _ => {
+                    let fill = fill.iter().map(|&i| JSON_BYTES[i % JSON_BYTES.len()]);
+                    bytes.splice(pos..end, fill);
+                }
+            }
+        }
+        let _ = load(&String::from_utf8_lossy(&bytes))?;
+    }
+
+    /// Emptying any GPU records' per-GPU lists is a typed error naming
+    /// the first such job; emptying none loads as before.
+    #[test]
+    fn emptied_per_gpu_lists_are_typed_errors(
+        picks in proptest::collection::vec(0usize..1 << 20, 0..4),
+    ) {
+        let json = exported();
+        let lists = per_gpu_lists(json);
+        let mut chosen: Vec<usize> = picks.iter().map(|p| lists[p % lists.len()]).collect();
+        chosen.sort_unstable();
+        chosen.dedup();
+        // Cut each chosen list's contents, back to front so earlier
+        // offsets stay valid. Aggregates hold no arrays, so a list ends
+        // at the first `]`.
+        let mut emptied = json.to_string();
+        for &start in chosen.iter().rev() {
+            let end = start + emptied[start..].find(']').expect("closed list");
+            emptied.replace_range(start..end, "");
+        }
+        let loaded = load(&emptied)?;
+        match chosen.first() {
+            None => prop_assert!(loaded.is_ok()),
+            Some(&first) => {
+                // A GPU record serializes as `{"job_id":N,"per_gpu":[…]}`.
+                let head = &json[..first];
+                let id_at = head.rfind("\"job_id\":").expect("a job id") + "\"job_id\":".len();
+                let id = &head[id_at..id_at + head[id_at..].find(',').expect("id ends")];
+                let want = format!("job-{id} has no per-GPU aggregates");
+                let msg = loaded.err();
+                prop_assert!(msg.as_ref().is_some_and(|m| m.contains(&want)), "{msg:?}");
+            }
+        }
+    }
 }
