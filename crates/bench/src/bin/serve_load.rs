@@ -5,36 +5,22 @@
 //!            [--requests N] [--out BENCH_serve.json] [--trace FILE]
 //! ```
 //!
-//! Builds one frozen-world [`Service`], then drives four request mixes
-//! through it in a fixed order, each over a seeded query sequence:
-//!
-//! 1. `point_flood` — random point-statistic queries; the first
-//!    occurrence of each statistic is cold, the rest hit.
-//! 2. `cold_ab` — every standard policy arm and corruption profile
-//!    once, all cold: the heavy what-if tail.
-//! 3. `cache_storm` — warm the whole point+figure surface, then hammer
-//!    it with random queries: the steady-state hit path.
-//! 4. `steady` — a 70/25/5 point/figure/what-if blend over the now-warm
-//!    cache: mixed steady-state serving.
-//!
-//! A final uncached replay of the storm surface measures the
-//! cold-compute baseline the cache's speedup is gated against. Every
-//! response body (mixes and baseline alike) folds into one FNV-1a
-//! digest in submission order; because responses are pure functions of
-//! `(scenario, seed, query)`, the digest is byte-stable across thread
-//! budgets, cache states, and request interleavings — CI compares runs
-//! by this one hex string. `--scenario` picks the world (the
-//! `supercloud` preset by default): the service's cache keys carry the
-//! parsed scenario's hash as a dimension, and the reported `scenario`
-//! label records exactly which world the digest describes.
-//!
-//! The report (per-mix p50/p95/p99 latency, throughput, cache
-//! hit-rate; cold baseline; storm speedup) prints to stdout as JSON
-//! and also lands in `--out` when given. `--trace FILE` enables
-//! per-query wall-clock spans and writes them as a Chrome trace.
+//! Builds one frozen-world [`Service`], then drives four seeded request
+//! mixes through it in a fixed order (`point_flood`, `cold_ab`,
+//! `cache_storm`, `steady`; the README's "Query service" section
+//! describes each) and one uncached pass over the storm surface. The
+//! storm speedup divides the median of 15 storm passes by the median of
+//! 15 cold passes. Every response body folds into one FNV-1a
+//! digest once, in submission order, so the digest depends only on the
+//! scenario, the seed and the query streams, never on thread budget,
+//! cache state or interleaving. The JSON report prints to stdout and
+//! also lands in `--out`; `--trace FILE` writes per-query wall-clock
+//! spans as a Chrome trace.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use sc_bench::peak_rss_bytes;
+use sc_obs::json;
 use sc_serve::{Digest, Pending, Query, ServeConfig, Service};
 use sc_stats::percentile;
 use std::collections::VecDeque;
@@ -155,6 +141,10 @@ fn parse_args() -> Args {
     args
 }
 
+/// Timed passes of the cache storm and of the cold baseline behind
+/// `storm_speedup`, which divides their medians.
+const SPEEDUP_REPS: usize = 15;
+
 /// Submissions kept in flight at once. Deep enough to exercise
 /// coalescing and stealing, shallow enough that latency still reflects
 /// service time rather than pure queueing.
@@ -258,15 +248,9 @@ fn steady_stream(n: usize, rng: &mut StdRng) -> Vec<Query> {
         .collect()
 }
 
-fn peak_rss_bytes() -> u64 {
-    let Ok(status) = std::fs::read_to_string("/proc/self/status") else {
-        return 0;
-    };
-    status
-        .lines()
-        .find_map(|l| l.strip_prefix("VmHWM:"))
-        .and_then(|rest| rest.trim().trim_end_matches("kB").trim().parse::<u64>().ok())
-        .map_or(0, |kb| kb * 1024)
+/// The median of `samples`.
+fn median(samples: &[f64]) -> f64 {
+    percentile(samples, 50.0).unwrap_or_else(|e| fail(&format!("median of {samples:?}: {e}")))
 }
 
 /// Renders the report by hand, matching the repo's other bench JSONs:
@@ -284,46 +268,48 @@ fn report_json(
     storm_speedup: f64,
     digest_hex: &str,
 ) -> String {
-    let mut out = String::from("{\n");
-    out.push_str(&format!("  \"scenario\": \"{scenario}\",\n"));
-    out.push_str(&format!("  \"threads\": {threads},\n"));
-    out.push_str(&format!("  \"scale\": {},\n", args.scale));
-    out.push_str(&format!("  \"seed\": {},\n", args.seed));
-    out.push_str(&format!("  \"requests_per_mix\": {},\n", args.requests));
-    out.push_str(&format!("  \"build_secs\": {build_secs:.6},\n"));
-    out.push_str("  \"mixes\": {\n");
-    for (i, m) in mixes.iter().enumerate() {
-        let comma = if i + 1 < mixes.len() { "," } else { "" };
-        out.push_str(&format!(
-            "    \"{}\": {{ \"requests\": {}, \"secs\": {:.6}, \"qps\": {:.1}, \
-             \"p50_ms\": {:.4}, \"p95_ms\": {:.4}, \"p99_ms\": {:.4}, \
-             \"hits\": {}, \"misses\": {}, \"coalesced\": {}, \"evictions\": {}, \
-             \"hit_rate\": {:.4} }}{comma}\n",
-            m.name,
-            m.requests,
-            m.secs,
-            m.qps(),
-            m.pct(50.0),
-            m.pct(95.0),
-            m.pct(99.0),
-            m.hits,
-            m.misses,
-            m.coalesced,
-            m.evictions,
-            m.hit_rate(),
-        ));
-    }
-    out.push_str("  },\n");
-    let cold_qps = cold_requests as f64 / cold_secs.max(1e-9);
-    out.push_str(&format!(
-        "  \"cold_baseline\": {{ \"requests\": {cold_requests}, \"secs\": {cold_secs:.6}, \
-         \"qps\": {cold_qps:.1} }},\n"
-    ));
-    out.push_str(&format!("  \"storm_speedup\": {storm_speedup:.1},\n"));
-    out.push_str(&format!("  \"digest\": \"{digest_hex}\",\n"));
-    out.push_str(&format!("  \"peak_rss_bytes\": {}\n", peak_rss_bytes()));
-    out.push_str("}\n");
-    out
+    let num = json::number;
+    let mix_rows: Vec<String> = mixes
+        .iter()
+        .map(|m| {
+            format!(
+                "    {}: {{ \"requests\": {}, \"secs\": {}, \"qps\": {}, \
+                 \"p50_ms\": {}, \"p95_ms\": {}, \"p99_ms\": {}, \
+                 \"hits\": {}, \"misses\": {}, \"coalesced\": {}, \"evictions\": {}, \
+                 \"hit_rate\": {} }}",
+                json::string(m.name),
+                m.requests,
+                num(m.secs, Some(6)),
+                num(m.qps(), Some(1)),
+                num(m.pct(50.0), Some(4)),
+                num(m.pct(95.0), Some(4)),
+                num(m.pct(99.0), Some(4)),
+                m.hits,
+                m.misses,
+                m.coalesced,
+                m.evictions,
+                num(m.hit_rate(), Some(4)),
+            )
+        })
+        .collect();
+    format!(
+        "{{\n  \"scenario\": {},\n  \"threads\": {threads},\n  \"scale\": {},\n  \
+         \"seed\": {},\n  \"requests_per_mix\": {},\n  \"build_secs\": {},\n  \
+         \"mixes\": {{\n{}\n  }},\n  \
+         \"cold_baseline\": {{ \"requests\": {cold_requests}, \"secs\": {}, \"qps\": {} }},\n  \
+         \"storm_speedup\": {},\n  \"digest\": {},\n  \"peak_rss_bytes\": {}\n}}\n",
+        json::string(scenario),
+        num(args.scale, None),
+        args.seed,
+        args.requests,
+        num(build_secs, Some(6)),
+        mix_rows.join(",\n"),
+        num(cold_secs, Some(6)),
+        num(cold_requests as f64 / cold_secs.max(1e-9), Some(1)),
+        num(storm_speedup, Some(1)),
+        json::string(digest_hex),
+        peak_rss_bytes(),
+    )
 }
 
 fn main() {
@@ -377,6 +363,7 @@ fn main() {
     let mut rng = StdRng::seed_from_u64(args.seed ^ 0x0073_746f_726d); // "storm"
     let storm = random_stream(&surface, args.requests * 2, &mut rng);
     mixes.push(run_mix(&svc, "cache_storm", &storm, &mut digest));
+    let mut storm_secs = vec![mixes[mixes.len() - 1].secs];
     eprintln!("cache_storm: {:.0} req/s", mixes[mixes.len() - 1].qps());
 
     let mut rng = StdRng::seed_from_u64(args.seed ^ 0x7374_6561_6479); // "steady"
@@ -387,14 +374,28 @@ fn main() {
     // Cold-compute baseline: the storm surface once each, bypassing the
     // cache. Folded into the digest too — a cold render that diverged
     // from its cached twin must fail the cross-run comparison.
-    let t0 = Instant::now();
-    for q in &surface {
-        digest.update(svc.query_uncached(q).as_bytes());
+    let cold_pass = |digest: &mut Digest| {
+        let t0 = Instant::now();
+        for q in &surface {
+            digest.update(svc.query_uncached(q).as_bytes());
+        }
+        t0.elapsed().as_secs_f64()
+    };
+    let mut cold_secs = vec![cold_pass(&mut digest)];
+    // At smoke scale a storm and a cold pass each take milliseconds, so
+    // one timing of either swings with host scheduling. Repeat both in
+    // turn, so a noisy stretch slows both sides, and divide the medians.
+    // Every body is already in the digest; the repeats fold into a
+    // discarded one.
+    let mut discard = Digest::new();
+    for _ in 1..SPEEDUP_REPS {
+        storm_secs.push(run_mix(&svc, "cache_storm", &storm, &mut discard).secs);
+        cold_secs.push(cold_pass(&mut discard));
     }
-    let cold_secs = t0.elapsed().as_secs_f64();
+    let cold_secs = median(&cold_secs);
     let cold_qps = surface.len() as f64 / cold_secs.max(1e-9);
-    let storm = mixes.iter().find(|m| m.name == "cache_storm").expect("storm mix ran");
-    let storm_speedup = storm.qps() / cold_qps.max(1e-9);
+    let storm_qps = storm.len() as f64 / median(&storm_secs).max(1e-9);
+    let storm_speedup = storm_qps / cold_qps.max(1e-9);
     eprintln!("cold baseline: {cold_qps:.1} req/s (storm speedup {storm_speedup:.0}x)");
 
     let json = report_json(

@@ -1,9 +1,16 @@
+//! The command-line tools as a user runs them.
+//!
 //! `repro_figures` world flags edit one field of the scenario they run
-//! on, wherever they sit on the command line. The checks read the
+//! on, wherever they sit on the command line. Those checks read the
 //! `failure injection on:` line the binary prints to stderr, which
 //! names the class count of the failure model that actually ran and
-//! the Young checkpoint interval derived from its MTBFs.
+//! the Young checkpoint interval derived from its MTBFs. The artifact
+//! checks parse every JSON file the tools write and read the keys the
+//! bench gates consume, and look for every section of the `--out`
+//! report.
 
+use serde::de::Value;
+use std::path::Path;
 use std::process::Command;
 
 /// The stderr failure-injection line of a 1%-scale, one-thread run.
@@ -58,4 +65,123 @@ fn failure_profile_keeps_the_scenario_mtbf_factor() {
         injection_line(&["--scenario", "in2p3", "--failure-profile", "stress"]),
         "3 classes, checkpoint interval 3501s"
     );
+}
+
+/// A parsed JSON document: the artifacts are read back through the
+/// workspace's JSON parser, not by string matching.
+struct Json(Value);
+
+impl<'de> serde::Deserialize<'de> for Json {
+    fn deserialize<D: serde::Deserializer<'de>>(d: D) -> Result<Self, D::Error> {
+        d.value().map(Json)
+    }
+}
+
+/// Parses the JSON file at `path`.
+fn parse(path: &Path) -> Value {
+    let text = std::fs::read_to_string(path).expect("artifact written");
+    let Json(value) = serde_json::from_str(&text)
+        .unwrap_or_else(|e| panic!("{} is not JSON ({e}):\n{text}", path.display()));
+    value
+}
+
+/// The member `key` of an object.
+fn member<'a>(value: &'a Value, key: &str) -> &'a Value {
+    let Value::Map(entries) = value else { panic!("{key}: expected an object") };
+    &entries.iter().find(|(k, _)| k == key).unwrap_or_else(|| panic!("no {key}")).1
+}
+
+/// Asserts that `value` is an object whose keys are the words of
+/// `expected`, in order: the gates read these keys.
+fn assert_keys(value: &Value, expected: &str) {
+    let Value::Map(entries) = value else { panic!("{expected}: expected an object") };
+    let keys: Vec<&str> = entries.iter().map(|(k, _)| k.as_str()).collect();
+    assert_eq!(keys, expected.split_whitespace().collect::<Vec<_>>());
+}
+
+/// A scratch path for one artifact of one test.
+fn scratch(name: &str) -> String {
+    Path::new(env!("CARGO_TARGET_TMPDIR")).join(name).to_str().expect("utf-8 path").to_string()
+}
+
+/// Runs `bin` with the words of `flags` and then `files`, and returns
+/// its stdout, failing the test on a non-zero exit.
+fn run(bin: &str, flags: &str, files: &[&str]) -> String {
+    let run = Command::new(bin).args(flags.split_whitespace()).args(files).output().expect("runs");
+    assert!(run.status.success(), "{flags} failed:\n{}", String::from_utf8_lossy(&run.stderr));
+    String::from_utf8(run.stdout).expect("utf-8 stdout")
+}
+
+/// Every heading of the `--out` report when every optional study runs.
+const REPORT_HEADINGS: &str = "# EXPERIMENTS — paper vs. measured
+## Table I / dataset funnel
+## Known residual gaps
+## Failure taxonomy and goodput accounting
+## ClusterTimeline and deterministic tracing
+## Streaming telemetry engine
+## Query service methodology
+## Beyond the figures
+## Opportunity studies (Secs. III, VI, VIII)
+## Closed-loop policy A/B
+## Workload classification
+## Data quality & ingest repair
+## Reliability at scale
+## Cross-system comparison methodology";
+
+#[test]
+fn every_artifact_parses_and_the_report_has_every_section() {
+    let [out, bench, classifier, reliability] =
+        ["report.md", "bench.json", "classifier.json", "reliability.json"].map(scratch);
+    let flags = "--scale 0.01 --threads 1 --policy coshare-predicted --classify \
+                 --data-quality lossy --reliability --growth 2 --cross-system philly,in2p3";
+    let files = ["--out", &out, "--bench-json", &bench];
+    let files =
+        [&files[..], &["--classifier-json", &classifier, "--reliability-json", &reliability]];
+    run(env!("CARGO_BIN_EXE_repro_figures"), flags, &files.concat());
+
+    let bench = parse(Path::new(&bench));
+    let keys = "threads scale seed jobs stages peak_rss_bytes total_secs total_jobs_per_sec";
+    assert_keys(&bench, keys);
+    assert_keys(member(&bench, "stages"), "trace_gen sim_event_loop telemetry analysis");
+    assert_keys(member(member(&bench, "stages"), "telemetry"), "secs jobs_per_sec");
+
+    let classifier = parse(Path::new(&classifier));
+    let keys = "accuracy centroid_accuracy train_jobs test_jobs goodput_delta_pp";
+    assert_keys(&classifier, keys);
+    // The oracle arm ran, so the delta the classifier gate bands is set.
+    assert!(matches!(member(&classifier, "goodput_delta_pp"), Value::Float(_)));
+
+    let reliability = parse(Path::new(&reliability));
+    let keys = "sweep_worst_ratio frontier_monotone_violation growth_min_jobs_per_sec \
+                study_secs sweep_classes growth";
+    assert_keys(&reliability, keys);
+    let Value::Seq(growth) = member(&reliability, "growth") else { panic!("growth is a list") };
+    assert_eq!(growth.len(), 1);
+    assert_keys(&growth[0], "factor jobs event_loop_secs jobs_per_sec");
+
+    let report = std::fs::read_to_string(&out).expect("report written");
+    for heading in REPORT_HEADINGS.lines() {
+        assert!(report.lines().any(|l| l == heading), "report lacks {heading:?}");
+    }
+    let footer = format!("Generated by `repro_figures {flags} --out {out} ");
+    assert!(report.contains(&footer.split_whitespace().collect::<Vec<_>>().join(" ")));
+}
+
+#[test]
+fn serve_report_is_json_for_any_scenario_name() {
+    // A scenario name is free text, and the report quotes it.
+    let [scenario, out] = ["quote.toml", "serve.json"].map(scratch);
+    std::fs::write(&scenario, "[scenario]\nname = \"quote\\\"d\"\n").expect("scenario written");
+    let flags = "--scale 0.01 --threads 1 --requests 20";
+    let stdout =
+        run(env!("CARGO_BIN_EXE_serve_load"), flags, &["--scenario", &scenario, "--out", &out]);
+    assert_eq!(std::fs::read_to_string(&out).expect("report written"), stdout);
+    let report = parse(Path::new(&out));
+    let keys = "scenario threads scale seed requests_per_mix build_secs mixes cold_baseline \
+                storm_speedup digest peak_rss_bytes";
+    assert_keys(&report, keys);
+    let Value::Str(label) = member(&report, "scenario") else { panic!("scenario is a string") };
+    assert!(label.starts_with("quote\"d#"), "{label}");
+    assert_keys(member(&report, "mixes"), "point_flood cold_ab cache_storm steady");
+    assert_keys(member(&report, "cold_baseline"), "requests secs qps");
 }

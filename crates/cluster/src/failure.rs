@@ -23,7 +23,6 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use sc_stats::dist::{Exponential, Sample, Weibull};
 pub use sc_telemetry::record::FailureCause;
-use serde::{Deserialize, Serialize};
 use std::cmp::{Ordering, Reverse};
 use std::fmt;
 
@@ -57,7 +56,7 @@ impl std::error::Error for FailureConfigError {}
 
 /// Interarrival law for one failure class, parameterized by the mean
 /// time between failures of a single unit (node or GPU).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Interarrival {
     /// Memoryless arrivals — transient faults with a constant hazard.
     Exponential {
@@ -151,7 +150,7 @@ impl Sample for FleetGap {
 
 /// One class of the failure taxonomy: its cause label, interarrival
 /// law, and how long the struck node stays out of service.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ClassModel {
     /// The cause recorded against victims.
     pub cause: FailureCause,
@@ -164,7 +163,7 @@ pub struct ClassModel {
 }
 
 /// Automatic-requeue policy applied to victims of injected failures.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RetryPolicy {
     /// Global cap on requeues per job; the effective cap is the minimum
     /// of this and the job's own `max_restarts`.
@@ -195,7 +194,7 @@ impl Default for RetryPolicy {
 
 /// The complete failure-injection model: taxonomy classes, the retry
 /// policy, and the schedule seed.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FailureModel {
     /// Seed for the failure schedule (independent of the trace seed).
     pub seed: u64,
@@ -554,7 +553,7 @@ impl<D: Iterator<Item = ScheduledFailure>> ClassQueue<D> {
 }
 
 /// One injected failure event.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ScheduledFailure {
     /// When it strikes, seconds from trace start.
     pub time: f64,

@@ -15,8 +15,6 @@
 //! the first bucket alongside single-GPU jobs; their exposure is
 //! wall-clock only (zero GPU-seconds) but they still fail and restart.
 
-use serde::{Deserialize, Serialize};
-
 /// Canonical size-bucket edges used by the fixed-width ledger arrays in
 /// [`GoodputAccounting`](crate::GoodputAccounting) and anywhere a
 /// compile-time bucket count is required.
@@ -71,7 +69,7 @@ fn label_for(edges: &[u32], i: usize) -> String {
 /// All fields are raw sums accumulated by the event loop; the derived
 /// metrics (ETTF, ETTR, rates) are computed on demand so the struct
 /// stays mergeable and `Copy`.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct SizeClassStats {
     /// Distinct jobs whose GPU count falls in this bucket.
     pub jobs: u64,
@@ -161,7 +159,7 @@ impl SizeClassStats {
 /// Built once per simulation from the configured bucket edges and fed
 /// exclusively by the single-threaded event loop, so rendering it is
 /// byte-identical across `SC_PAR_THREADS` budgets.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ReliabilityStats {
     /// Sorted, strictly increasing GPU-count upper edges; `edges.len()+1`
     /// buckets, the last one open-ended.

@@ -8,14 +8,13 @@
 
 use crate::spec::ClusterSpec;
 use sc_workload::JobSpec;
-use serde::{Deserialize, Serialize};
 
 /// Index of a node within the cluster.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct NodeId(pub u32);
 
 /// A job's slice of one node.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NodeAlloc {
     /// The node.
     pub node: NodeId,
@@ -28,7 +27,7 @@ pub struct NodeAlloc {
 }
 
 /// A complete allocation for one job, possibly spanning nodes.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct Allocation {
     /// Per-node slices.
     pub parts: Vec<NodeAlloc>,
@@ -58,7 +57,7 @@ impl Allocation {
 }
 
 /// Free capacity of one node.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NodeState {
     /// Free CPU threads.
     pub cpus_free: u32,

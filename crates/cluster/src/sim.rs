@@ -16,7 +16,6 @@ use sc_telemetry::record::{ExitStatus, FailureCause, GpuJobRecord, JobId, Schedu
 use sc_telemetry::sampler::{tick_count, GpuSampler};
 use sc_telemetry::stream::{stream_detail, TelemetryStreamSummary};
 use sc_workload::{JobSpec, PlannedOutcome, Trace};
-use serde::{Deserialize, Serialize};
 
 /// Simulation configuration.
 #[derive(Debug, Clone, PartialEq)]
@@ -58,7 +57,7 @@ pub struct SimConfig {
 /// Periodic checkpointing as the event loop models it: a fixed
 /// wall-clock interval between checkpoint writes. Derive the interval
 /// from a [`sc_stats`]-style optimum (Young/Daly) or set it directly.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CheckpointPolicy {
     /// Wall-clock seconds between checkpoint writes.
     pub interval_secs: f64,
@@ -83,7 +82,7 @@ impl Default for SimConfig {
 }
 
 /// Phase statistics extracted from one detailed-subset job.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DetailedJobStats {
     /// The job.
     pub job_id: JobId,
@@ -95,7 +94,7 @@ pub struct DetailedJobStats {
 }
 
 /// Aggregate simulation health statistics.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct SimStats {
     /// Events processed.
     pub events: u64,
@@ -144,7 +143,7 @@ pub struct SimStats {
 /// allocated-but-idle GPU time (the paper's Fig. 6 idle phases, plus
 /// wholly idle GPUs of multi-GPU jobs). By construction
 /// `useful + lost + idle == allocated`.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct GoodputAccounting {
     /// Total allocated GPU-seconds over all attempts.
     pub allocated_gpu_secs: f64,
@@ -211,7 +210,7 @@ impl GoodputAccounting {
 
 /// How one job's life ended, across all its attempts — the
 /// failure-attribution record the goodput report aggregates.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct JobFate {
     /// The job.
     pub job_id: JobId,
@@ -260,7 +259,7 @@ pub struct SimOutput {
 /// Kept separate from [`SimStats`] on purpose: stats are part of the
 /// deterministic output contract (tests assert equality across runs and
 /// thread counts), while timings vary run to run.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SimTimings {
     /// Discrete-event loop (scheduling + event processing), seconds.
     pub event_loop_secs: f64,

@@ -1,9 +1,7 @@
 //! The Table I hardware model of the Supercloud system.
 
-use serde::{Deserialize, Serialize};
-
 /// One GPU's specification (Nvidia Volta V100 in the paper).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GpuSpec {
     /// Marketing name.
     pub model: String,
@@ -25,7 +23,7 @@ impl GpuSpec {
 }
 
 /// One compute node's specification.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct NodeSpec {
     /// Schedulable CPU threads per node. Table I: two Intel Xeon Gold
     /// 6248 CPUs, 20 cores each, 2-way hyperthreading → 80 threads.
@@ -48,7 +46,7 @@ impl NodeSpec {
 }
 
 /// The whole-cluster specification.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ClusterSpec {
     /// Number of nodes (Table I: 224).
     pub nodes: u32,
@@ -78,7 +76,7 @@ pub struct ClusterSpec {
 }
 
 /// A slow GPU tier appended to the cluster.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SlowTierSpec {
     /// Number of slow nodes (same per-node GPU count as the fast tier).
     pub nodes: u32,

@@ -9,13 +9,12 @@
 //! deadline-window surge ratio, and the hour-of-day profile.
 
 use sc_telemetry::dataset::Dataset;
-use serde::{Deserialize, Serialize};
 
 /// Seconds per day.
 const DAY_SECS: f64 = 86_400.0;
 
 /// Arrival-pattern statistics recovered from the trace.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ArrivalAnalysis {
     /// Submissions per day, day 0 first.
     pub daily: Vec<usize>,

@@ -8,10 +8,9 @@
 //! provisioned envelope was ever touched.
 
 use crate::view::GpuJobView;
-use serde::{Deserialize, Serialize};
 
 /// The facility power reconstruction.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FacilityPower {
     /// Provisioned GPU power envelope, watts (448 × 300 W).
     pub provisioned_w: f64,

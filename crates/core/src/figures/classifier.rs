@@ -14,11 +14,9 @@
 
 use std::fmt::Write as _;
 
-use serde::{Deserialize, Serialize};
-
 /// Confusion-matrix report for one trained classifier, over the
 /// held-out evaluation split.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ClassifierFig {
     /// Class labels, in class-index order (rows and columns).
     pub labels: Vec<String>,

@@ -9,9 +9,11 @@
 //! profile, push it through [`mod@crate::ingest`], and compare the
 //! recovered headline statistics against the clean ones.
 
-use crate::ingest::IngestReport;
+use crate::ingest::{corrupt_and_ingest, IngestReport};
 use crate::pipeline::DatasetReport;
-use sc_telemetry::corruption::{CorruptionCounters, FaultClass};
+use sc_obs::Obs;
+use sc_telemetry::corruption::{CorruptionCounters, DataQualityProfile, FaultClass};
+use sc_telemetry::Dataset;
 
 use crate::figures::fig13::SizeBucket;
 use crate::ingest::SeriesStudy;
@@ -58,6 +60,29 @@ pub struct DataQualityFig {
 }
 
 impl DataQualityFig {
+    /// The data-quality round trip: corrupts `dataset` with `profile`,
+    /// repairs it through the ingest stage (whose repair and quarantine
+    /// events go to `obs`), and compares the recovered figures with the
+    /// clean ones.
+    ///
+    /// # Errors
+    ///
+    /// Names the figure stage or ingest step that failed.
+    pub fn round_trip(
+        dataset: &Dataset,
+        profile: DataQualityProfile,
+        seed: u64,
+        obs: &Obs,
+        series: Option<SeriesStudy>,
+    ) -> Result<Self, String> {
+        let clean = DatasetReport::try_from_dataset(dataset).map_err(|e| e.to_string())?;
+        let (ingested, injected) =
+            corrupt_and_ingest(dataset, profile, seed, obs).map_err(|e| e.to_string())?;
+        let recovered =
+            DatasetReport::try_from_dataset(&ingested.dataset).map_err(|e| e.to_string())?;
+        Ok(Self::compute(profile.label(), injected, ingested.report, &clean, &recovered, series))
+    }
+
     /// Builds the report from the two pipeline runs and the ledgers.
     pub fn compute(
         profile: &str,

@@ -93,15 +93,6 @@ impl GoodputFig {
         })
     }
 
-    /// Fraction of allocated GPU time destroyed by failures.
-    pub fn lost_fraction(&self) -> f64 {
-        if self.allocated_gpu_hours <= 0.0 {
-            0.0
-        } else {
-            self.lost_gpu_hours / self.allocated_gpu_hours
-        }
-    }
-
     /// Paper-vs-measured rows. Only the hardware-death fraction has a
     /// paper value; the rest of the breakdown is the extension.
     pub fn comparisons(&self) -> Vec<Comparison> {

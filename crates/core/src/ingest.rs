@@ -36,7 +36,6 @@ use sc_telemetry::record::{GpuJobRecord, JobId, SchedulerRecord};
 use sc_telemetry::sampler::{GpuSampler, GpuTimeSeries, GPU_SAMPLE_PERIOD_SECS};
 use sc_telemetry::{phases, V100_IDLE_W, V100_TDP_W};
 use sc_workload::{JobGroundTruth, TruthParams};
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, HashMap, HashSet};
 
 /// Typed ingest failures: the faults no repair strategy covers. These
@@ -72,7 +71,7 @@ impl std::error::Error for DataQualityError {}
 
 /// Per-record provenance: which fault classes touched a record on its
 /// way through ingest. One bit per [`FaultClass`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct Provenance(pub u16);
 
 impl Provenance {
@@ -112,7 +111,7 @@ impl std::fmt::Display for Provenance {
 }
 
 /// What happened to a quarantined fault.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum QuarantineAction {
     /// The record could not be repaired and was dropped entirely.
     DroppedRecord,
@@ -142,7 +141,7 @@ impl std::fmt::Display for QuarantineAction {
 }
 
 /// One quarantined fault: the audit-trail row.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct QuarantineEntry {
     /// The affected job.
     pub job_id: JobId,
@@ -154,7 +153,7 @@ pub struct QuarantineEntry {
 
 /// The ingest ledger: what was detected, what was repaired, what was
 /// quarantined, and which records carry provenance flags.
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct IngestReport {
     /// Faults detected, per class.
     pub detected: CorruptionCounters,
@@ -412,7 +411,7 @@ fn is_gpu_analyzed(rec: &SchedulerRecord) -> bool {
 }
 
 /// The outcome of repairing one detailed time series.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct SeriesRepair {
     /// Faults detected (dropped windows, truncated tails).
     pub detected: CorruptionCounters,
@@ -491,7 +490,7 @@ pub fn repair_series(series: &mut GpuTimeSeries, expected_len: usize) -> SeriesR
 /// panel of representative ground-truth processes is sampled, fed
 /// through the injector's series faults, repaired, and compared
 /// against its clean phase statistics.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SeriesStudy {
     /// Number of series in the panel.
     pub jobs: usize,

@@ -203,7 +203,7 @@ impl AnalysisReport {
     }
 
     /// Renders the paper-vs-measured comparison as Markdown (the body
-    /// of `EXPERIMENTS.md`).
+    /// of `EXPERIMENTS.md`), closing with the known residual gaps.
     pub fn experiments_markdown(&self) -> String {
         let mut s = String::from(
             "# EXPERIMENTS — paper vs. measured\n\n\
@@ -229,9 +229,46 @@ impl AnalysisReport {
             s.push_str(&markdown_table(title, &rows));
             s.push('\n');
         }
+        s.push_str(KNOWN_GAPS);
         s
     }
 }
+
+/// Residual deviations we know about and accept; everything else in the
+/// tables above tracks the paper within roughly ±30%.
+const KNOWN_GAPS: &str = "\n## Known residual gaps\n\n\
+- **Queue-wait CDF depth (Fig. 3b).** The orderings hold (GPU jobs clear in \
+seconds, CPU jobs in minutes; 70% of CPU jobs wait over a minute), but our \
+simulated cluster runs at ~20% GPU occupancy, so fewer GPU jobs ever wait at \
+all than on the real system (≈90% under 2% of service time vs the paper's \
+≈50%). Reproducing the deeper waits would require knowledge of the real \
+system's background load that the paper does not report.\n\
+- **Run-time p75 (Fig. 3a).** The paper's quantile triple (4/30/300 min) is \
+wider than any single heavy-tailed family; our mixture honours the median and \
+the GPU-hour shares of Fig. 15b, leaving p75 at ≈180-230 min. The class-level \
+medians (36 min mature / 62 min exploratory) are matched instead.\n\
+- **Per-user average run time (Fig. 10).** Median-of-averages lands at \
+≈170-190 min vs the paper's 392 min; the spread (p25:p75 ≈ 1:3) and the \
+heavy-tail shape are reproduced. Lifting it further would break the job-level \
+run-time medians we prioritize.\n\
+- **Fig. 12 CoV correlations.** The paper reports low positive bars; we land \
+slightly negative to flat (≈-0.2…0.1). The qualitative claim — expert users \
+are *not* more predictable — holds; the exact bar heights depend on \
+unpublished within-user structure.\n\
+- **Top-share sampling variance (Fig. 11).** The fitted Pareto shape \
+(α ≈ 1.13) has infinite variance, so the *empirical* top-20% GPU-hour share \
+of a 20k-user draw ranges 0.75-0.96 across seeds even though the analytic \
+Lorenz shares match the paper exactly. Sampled-share tests therefore assert \
+wide heavy-tail bands; the exact calibration is checked analytically.\n\
+- **Wait growth under capacity loss.** With the full cluster at ~20% \
+occupancy the mean queue wait is floored at the 3 s scheduler latency, so \
+the wait-growth factor when capacity shrinks is bounded by queueing pressure \
+alone: we measure ≈7× and assert a robust 5× directional bar rather than the \
+10× one might expect from utilization ratios.\n\
+- **Deadline surge is a GPU-job metric.** CPU campaign bursts can land \
+hundreds of jobs on a single off-season day and swamp the all-jobs daily \
+mean, so the pre-deadline surge (Sec. II) is computed over GPU submissions \
+only, where the deadline ramp actually shows (≈1.2× vs the 1.1× bar).\n";
 
 /// The figures computable from a joined dataset alone — what a consumer
 /// of the *published* dataset (the paper's dcc.mit.edu release, our

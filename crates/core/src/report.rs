@@ -1,10 +1,8 @@
 //! Paper-vs-measured comparison plumbing shared by all figures.
 
-use serde::{Deserialize, Serialize};
-
 /// One comparison row: a statistic the paper reports vs what this
 /// reproduction measured.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Comparison {
     /// Human-readable metric name, e.g. `"median GPU-job run time"`.
     pub metric: String,

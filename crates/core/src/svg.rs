@@ -328,6 +328,80 @@ fn axis_labels(s: &mut String, x_label: &str, y_label: &str) {
     }
 }
 
+/// The reliability figure family as SVGs: the goodput frontier and the
+/// checkpoint sweep as log-x line charts, the growth study as a bar
+/// chart of median queue wait per scale. Series a degenerate run left
+/// empty (a class with no exposure) are dropped; a chart with no data
+/// at all is skipped rather than rendered blank.
+pub fn reliability_svgs(report: &crate::ReliabilityReport) -> Vec<(&'static str, String)> {
+    let mut out = Vec::new();
+
+    let frontier: Vec<Series> = report
+        .frontier
+        .rows
+        .iter()
+        .map(|r| {
+            let pts: Vec<(f64, f64)> = report
+                .frontier
+                .class_gpus
+                .iter()
+                .zip(&r.goodput_by_class)
+                .filter_map(|(&g, gp)| gp.map(|v| (g as f64, v)))
+                .collect();
+            Series::new(format!("mtbf x{}", r.mtbf_factor), pts)
+        })
+        .filter(|s| !s.points.is_empty())
+        .collect();
+    if !frontier.is_empty() {
+        out.push((
+            "goodput_frontier.svg",
+            line_chart(
+                "Goodput frontier",
+                "job size (GPUs)",
+                "goodput fraction",
+                Scale::Log10,
+                &frontier,
+            ),
+        ));
+    }
+
+    let mut sweep = vec![Series::new(
+        "overall",
+        report.sweep.rows.iter().map(|r| (r.interval_secs, r.overall_goodput)).collect(),
+    )];
+    for (c, verdict) in report.sweep.classes.iter().enumerate() {
+        let pts: Vec<(f64, f64)> = report
+            .sweep
+            .rows
+            .iter()
+            .filter_map(|r| r.goodput_by_class[c].map(|v| (r.interval_secs, v)))
+            .collect();
+        if !pts.is_empty() {
+            sweep.push(Series::new(verdict.label.clone(), pts));
+        }
+    }
+    out.push((
+        "checkpoint_sweep.svg",
+        line_chart(
+            "Checkpoint-interval sweep (Young/Daly)",
+            "checkpoint interval (s)",
+            "goodput fraction",
+            Scale::Log10,
+            &sweep,
+        ),
+    ));
+
+    if let Some(growth) = &report.growth {
+        let bars: Vec<(String, f64)> =
+            growth.rows.iter().map(|r| (format!("x{}", r.factor), r.median_wait_secs)).collect();
+        out.push((
+            "reliability_growth.svg",
+            bar_chart("Cluster growth: median queue wait", "seconds", &bars),
+        ));
+    }
+    out
+}
+
 /// Writes every figure of an [`crate::AnalysisReport`] as SVG files into
 /// `dir` (created if missing). Returns the written paths.
 ///

@@ -4,10 +4,9 @@ use crate::view::{views_by_user, GpuJobView};
 use sc_stats::coefficient_of_variation;
 use sc_telemetry::record::UserId;
 use sc_workload::LifecycleClass;
-use serde::{Deserialize, Serialize};
 
 /// One user's aggregate behaviour over their GPU jobs.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct UserStats {
     /// The user.
     pub user: UserId,

@@ -11,10 +11,9 @@
 
 use crate::view::{views_by_user, GpuJobView};
 use sc_workload::LifecycleClass;
-use serde::{Deserialize, Serialize};
 
 /// A first-order Markov chain over lifecycle classes.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WorkflowChain {
     /// `counts[i][j]`: transitions from class `i` to class `j`
     /// (indices in [`LifecycleClass::ALL`] order).

@@ -42,14 +42,12 @@ pub use features::{job_features, FeatureSink, FEATURE_COUNT, FEATURE_NAMES};
 pub use forest::Forest;
 pub use predictor::ArchetypePredictor;
 
-use serde::{Deserialize, Serialize};
-
 /// Classifier hyper-parameters and dataset-construction knobs.
 ///
 /// The defaults here are the single source of truth: the scenario
 /// DSL's `[classifier]` section and the CLI flags both default to
 /// exactly these values.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ClassifierConfig {
     /// Trees in the decision forest.
     pub trees: usize,

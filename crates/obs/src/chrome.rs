@@ -8,6 +8,7 @@
 
 use std::fmt::Write as _;
 
+use crate::json;
 use crate::stagelog::StageSpan;
 
 /// Renders `spans` as a Chrome trace-event JSON document.
@@ -38,29 +39,14 @@ pub fn chrome_trace_json(spans: &[StageSpan]) -> String {
         }
         let _ = write!(
             out,
-            "{{\"name\":\"{}\",\"cat\":\"stage\",\"ph\":\"X\",\"ts\":{},\"dur\":{},\"pid\":1,\"tid\":{}}}",
-            escape(&span.name),
+            "{{\"name\":{},\"cat\":\"stage\",\"ph\":\"X\",\"ts\":{},\"dur\":{},\"pid\":1,\"tid\":{}}}",
+            json::string(&span.name),
             (span.start_secs * 1e6).round() as u64,
             (span.dur_secs * 1e6).round().max(1.0) as u64,
             lane
         );
     }
     out.push_str("],\"displayTimeUnit\":\"ms\"}");
-    out
-}
-
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
     out
 }
 

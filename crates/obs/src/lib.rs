@@ -21,6 +21,8 @@
 //!
 //! - [`record`]: trace levels, field values, and the canonical JSONL
 //!   encoding.
+//! - [`json`]: the JSON string and number encoding every hand-written
+//!   JSON artifact shares (non-finite numbers become `null`).
 //! - [`sink`]: the [`TraceSink`] trait and the [`NullSink`] /
 //!   [`RingSink`] / [`JsonlSink`] implementations, plus the cheap
 //!   [`Obs`] handle instrumented code carries.
@@ -36,6 +38,7 @@
 #![warn(missing_debug_implementations)]
 
 pub mod chrome;
+pub mod json;
 pub mod metrics;
 pub mod record;
 pub mod sink;

@@ -2,6 +2,8 @@
 
 use std::fmt::Write as _;
 
+use crate::json;
+
 /// How much the attached sink wants to see.
 ///
 /// Ordered: `Off < Spans < Events`. `Spans` keeps only lifetime pairs
@@ -115,44 +117,22 @@ impl TraceRecord {
     /// round-trip representation of the bits.
     pub fn to_json_line(&self) -> String {
         let mut s = String::with_capacity(64);
-        s.push_str("{\"t\":");
-        write_f64(&mut s, self.t);
-        let _ = write!(s, ",\"kind\":\"{}\",\"name\":\"{}\"", self.kind.label(), self.name);
+        let _ = write!(
+            s,
+            "{{\"t\":{},\"kind\":\"{}\",\"name\":{}",
+            json::number(self.t, None),
+            self.kind.label(),
+            json::string(self.name)
+        );
         for (key, value) in &self.fields {
-            let _ = write!(s, ",\"{key}\":");
-            match value {
-                Value::U64(v) => {
-                    let _ = write!(s, "{v}");
-                }
-                Value::F64(v) => write_f64(&mut s, *v),
-                Value::Str(v) => {
-                    s.push('"');
-                    for c in v.chars() {
-                        match c {
-                            '"' => s.push_str("\\\""),
-                            '\\' => s.push_str("\\\\"),
-                            c if (c as u32) < 0x20 => {
-                                let _ = write!(s, "\\u{:04x}", c as u32);
-                            }
-                            c => s.push(c),
-                        }
-                    }
-                    s.push('"');
-                }
-            }
+            let _ = match value {
+                Value::U64(v) => write!(s, ",\"{key}\":{v}"),
+                Value::F64(v) => write!(s, ",\"{key}\":{}", json::number(*v, None)),
+                Value::Str(v) => write!(s, ",\"{key}\":{}", json::string(v)),
+            };
         }
         s.push('}');
         s
-    }
-}
-
-/// Writes a float as JSON: shortest round-trip decimal for finite
-/// values, `null` otherwise (JSON has no NaN/Inf).
-fn write_f64(s: &mut String, v: f64) {
-    if v.is_finite() {
-        let _ = write!(s, "{v}");
-    } else {
-        s.push_str("null");
     }
 }
 

@@ -14,10 +14,9 @@
 
 use sc_core::GpuJobView;
 use sc_telemetry::record::ExitStatus;
-use serde::{Deserialize, Serialize};
 
 /// Checkpointing configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CheckpointConfig {
     /// Time to write one checkpoint, seconds (model state → shared SSD;
     /// a few GB at a few GB/s).
@@ -36,7 +35,7 @@ impl CheckpointConfig {
     /// Panics unless both parameters are positive.
     pub fn young_interval(&self) -> f64 {
         assert!(self.write_secs > 0.0 && self.mtti_secs > 0.0, "parameters must be positive");
-        (2.0 * self.write_secs * self.mtti_secs).sqrt()
+        sc_core::reliability::young_daly_secs(self.write_secs, self.mtti_secs)
     }
 
     /// Bridges the analytical model into the event loop: a
@@ -65,7 +64,7 @@ impl CheckpointConfig {
 }
 
 /// Outcome of applying checkpointing to the killed-work population.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CheckpointStudy {
     /// The interval used, seconds.
     pub interval_secs: f64,

@@ -17,10 +17,9 @@
 
 use sc_telemetry::metrics::GpuResource;
 use sc_workload::{GpuGroundTruth, PowerModel};
-use serde::{Deserialize, Serialize};
 
 /// How candidate jobs are paired onto GPUs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PairingPolicy {
     /// No sharing: every job gets a dedicated GPU (the production
     /// baseline — "Supercloud does not co-locate jobs on the same GPU").
@@ -39,7 +38,7 @@ pub enum PairingPolicy {
 }
 
 /// One co-located pair's outcome.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PairOutcome {
     /// Slowdown of the first job (≥ 1).
     pub slowdown_a: f64,
@@ -51,7 +50,7 @@ pub struct PairOutcome {
 }
 
 /// Aggregate results of one policy over a job population.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ColocationResult {
     /// The policy evaluated.
     pub policy: PairingPolicy,

@@ -15,10 +15,9 @@
 //! reconfiguration).
 
 use sc_core::GpuJobView;
-use serde::{Deserialize, Serialize};
 
 /// MIG configuration parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MigConfig {
     /// Slices per physical GPU (A100: 7).
     pub slices_per_gpu: u32,
@@ -44,7 +43,7 @@ pub fn slice_demand(peak_sm: f64, peak_mem_size: f64, slices_per_gpu: u32) -> u3
 }
 
 /// Outcome of the packing study.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MigStudy {
     /// GPUs needed with exclusive assignment (one job instance per GPU).
     pub gpus_exclusive: usize,

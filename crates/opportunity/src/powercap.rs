@@ -8,14 +8,13 @@
 //! whose demand exceeds the cap.
 
 use sc_core::GpuJobView;
-use serde::{Deserialize, Serialize};
 
 /// DVFS sensitivity, re-exported from the shared power-constants module
 /// (one source of truth for every crate that models capping).
 pub use sc_telemetry::gpu_power::DVFS_PERF_PER_POWER;
 
 /// The per-cap outcome of the over-provisioning study.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CapOutcome {
     /// The cap, watts.
     pub cap_w: f64,
@@ -33,7 +32,7 @@ pub struct CapOutcome {
 }
 
 /// The full sweep.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct OverProvisionStudy {
     /// Outcomes, one per cap level, ascending.
     pub outcomes: Vec<CapOutcome>,

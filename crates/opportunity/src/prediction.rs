@@ -10,11 +10,10 @@
 //! when within-user CoV is ~155%.
 
 use sc_core::GpuJobView;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// The estimators compared.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Predictor {
     /// Predict the user's previous job's value.
     LastValue,
@@ -40,7 +39,7 @@ impl Predictor {
 }
 
 /// Accuracy of one predictor on one target metric.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PredictorScore {
     /// The estimator.
     pub predictor: Predictor,
@@ -54,7 +53,7 @@ pub struct PredictorScore {
 }
 
 /// The prediction study over run times and SM utilization.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PredictionStudy {
     /// Run-time prediction scores.
     pub runtime: Vec<PredictorScore>,

@@ -16,10 +16,9 @@
 
 use sc_core::GpuJobView;
 use sc_workload::LifecycleClass;
-use serde::{Deserialize, Serialize};
 
 /// A GPU tier.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Tier {
     /// Relative speed (fast tier = 1.0).
     pub speed: f64,
@@ -28,7 +27,7 @@ pub struct Tier {
 }
 
 /// Which classes go to the slow tier.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum RoutingPolicy {
     /// Everything on fast GPUs (the single-tier baseline).
     AllFast,
@@ -66,7 +65,7 @@ impl RoutingPolicy {
 }
 
 /// Outcome of one routing policy under a fixed budget.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TierOutcome {
     /// The policy.
     pub policy: RoutingPolicy,

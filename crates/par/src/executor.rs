@@ -132,12 +132,6 @@ impl Executor {
         Executor { inner, workers }
     }
 
-    /// A pool sized to the current `sc-par` thread budget
-    /// ([`crate::current_threads`]).
-    pub fn with_current_threads() -> Executor {
-        Executor::new(crate::current_threads())
-    }
-
     /// Number of worker threads.
     pub fn threads(&self) -> usize {
         self.workers.len()

@@ -101,11 +101,13 @@ impl PolicySpec {
         }
     }
 
-    /// Display label (`powercap:250` style; watts rounded).
+    /// Display label (`powercap:250` style). The watts print exactly,
+    /// so the label parses back to this spec and two caps never share
+    /// a label.
     pub fn label(&self) -> String {
         match self {
             PolicySpec::Off => "off".to_string(),
-            PolicySpec::PowerCap { cap_w } => format!("powercap:{}", cap_w.round() as i64),
+            PolicySpec::PowerCap { cap_w } => format!("powercap:{cap_w}"),
             PolicySpec::Coshare => "coshare".to_string(),
             PolicySpec::CosharePredicted => "coshare-predicted".to_string(),
             PolicySpec::Tiered => "tiered".to_string(),

@@ -27,14 +27,12 @@
 
 use crate::query::{Query, RelQuery};
 use sc_cluster::{SimConfig, SimOutput, Simulation};
-use sc_core::pipeline::DatasetReport;
-use sc_core::{corrupt_and_ingest, gpu_views, user_stats, QueryKey, UserStats};
+use sc_core::{gpu_views, user_stats, DataQualityFig, QueryKey, UserStats};
 use sc_obs::stagelog::StageSpan;
 use sc_obs::{Obs, SharedCounter, StageLog};
 use sc_par::{CacheOutcome, CacheStats, Executor, MemoCache};
 use sc_policy::PolicyExperiment;
 use sc_scenario::Scenario;
-use sc_telemetry::corruption::DataQualityProfile;
 use sc_workload::Trace;
 use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
@@ -329,9 +327,12 @@ impl Service {
                     Err(e) => format!("ERROR ab:{}: {e}\n", spec.label()),
                 }
             }
-            Query::DataQuality(profile) => self
-                .compute_data_quality(*profile)
-                .unwrap_or_else(|e| format!("ERROR dq:{}: {e}\n", profile.label())),
+            Query::DataQuality(profile) => {
+                let dataset = &self.out.dataset;
+                DataQualityFig::round_trip(dataset, *profile, self.config.seed, &Obs::off(), None)
+                    .map(|fig| fig.render())
+                    .unwrap_or_else(|e| format!("ERROR dq:{}: {e}\n", profile.label()))
+            }
             Query::Reliability(r) => self.compute_reliability(*r),
         }
     }
@@ -361,25 +362,6 @@ impl Service {
                 sc_core::reliability::checkpoint_sweep(&self.trace, &base, &model, &cfg).render()
             }
         }
-    }
-
-    fn compute_data_quality(&self, profile: DataQualityProfile) -> Result<String, String> {
-        let clean =
-            DatasetReport::try_from_dataset(&self.out.dataset).map_err(|e| e.to_string())?;
-        let (ingested, injected) =
-            corrupt_and_ingest(&self.out.dataset, profile, self.config.seed, &Obs::off())
-                .map_err(|e| e.to_string())?;
-        let recovered =
-            DatasetReport::try_from_dataset(&ingested.dataset).map_err(|e| e.to_string())?;
-        let fig = sc_core::DataQualityFig::compute(
-            profile.label(),
-            injected,
-            ingested.report,
-            &clean,
-            &recovered,
-            None,
-        );
-        Ok(fig.render())
     }
 }
 
@@ -456,6 +438,15 @@ mod tests {
         let done = s.submit(q).wait();
         assert_eq!(done.response.body, blocking.body);
         assert!(done.latency >= Duration::ZERO);
+    }
+
+    #[test]
+    fn power_caps_that_round_alike_are_cached_apart() {
+        let s = svc();
+        let a = s.query_blocking(&Query::parse("ab:powercap:99.6").unwrap());
+        let b = s.query_blocking(&Query::parse("ab:powercap:100.4").unwrap());
+        assert_eq!(b.outcome, CacheOutcome::Miss);
+        assert_ne!(a.body, b.body);
     }
 
     #[test]

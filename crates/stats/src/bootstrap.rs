@@ -9,10 +9,9 @@
 use crate::error::{ensure_sample, StatsError};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// A bootstrap confidence interval for one statistic.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BootstrapCi {
     /// Point estimate on the original sample.
     pub estimate: f64,

@@ -7,7 +7,6 @@
 
 use crate::descriptive::percentile_of_sorted;
 use crate::error::{ensure_sample, StatsError};
-use serde::{Deserialize, Serialize};
 
 /// Five-number box-plot summary with Tukey whiskers and outliers.
 ///
@@ -24,7 +23,7 @@ use serde::{Deserialize, Serialize};
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BoxStats {
     /// Number of observations.
     pub count: usize,

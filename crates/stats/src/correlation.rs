@@ -7,10 +7,9 @@
 //! are statistically significant: p-value < 0.05".
 
 use crate::error::{ensure_finite, StatsError};
-use serde::{Deserialize, Serialize};
 
 /// Result of a Spearman rank-correlation test.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SpearmanResult {
     /// Spearman's rho in `[-1, 1]`.
     pub rho: f64,

@@ -2,7 +2,6 @@
 //! coefficient of variation that the paper leans on throughout Secs. III–V.
 
 use crate::error::{ensure_sample, StatsError};
-use serde::{Deserialize, Serialize};
 
 /// Arithmetic mean of a sample.
 ///
@@ -110,7 +109,7 @@ pub(crate) fn percentile_of_sorted(sorted: &[f64], p: f64) -> f64 {
 /// deviation, CoV, and the quartiles used in the paper's prose
 /// ("the 25th percentile run time is 4 minutes and the 75th percentile
 /// is 300 minutes").
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Summary {
     /// Number of observations.
     pub count: usize,

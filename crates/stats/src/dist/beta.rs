@@ -7,13 +7,12 @@
 use super::Sample;
 use crate::error::StatsError;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// A beta distribution on `(0, 1)` with shape parameters `a, b > 0`.
 ///
 /// Sampling uses the ratio of two gamma variates, themselves drawn with
 /// the Marsaglia–Tsang squeeze method (with the `a < 1` boost).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Beta {
     a: f64,
     b: f64,
@@ -81,7 +80,7 @@ impl Beta {
 /// A gamma distribution with the given shape and unit scale, sampled via
 /// Marsaglia–Tsang. Exposed primarily for Dirichlet-style normalized
 /// draws (per-user lifecycle mixes in the workload generator).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Gamma {
     shape: f64,
 }

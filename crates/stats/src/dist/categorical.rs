@@ -8,7 +8,6 @@
 
 use crate::error::StatsError;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// A categorical distribution over indices `0..k` with arbitrary
 /// non-negative weights.
@@ -28,7 +27,7 @@ use serde::{Deserialize, Serialize};
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Categorical {
     cumulative: Vec<f64>,
 }
@@ -96,7 +95,7 @@ impl Categorical {
 /// An empirical discrete distribution over arbitrary `u32` values with
 /// observed frequencies — used for GPU-count draws where the support is
 /// `{1, 2, 3, …, 32}` with very uneven mass.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EmpiricalDiscrete {
     values: Vec<u32>,
     dist: Categorical,

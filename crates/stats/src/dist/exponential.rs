@@ -3,12 +3,11 @@
 use super::Sample;
 use crate::error::StatsError;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// An exponential distribution with rate `lambda` (mean `1 / lambda`).
 ///
 /// Used for Poisson job inter-arrival times in the cluster simulator.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Exponential {
     rate: f64,
 }

@@ -8,10 +8,9 @@
 use super::{standard_normal_quantile, Normal, Sample};
 use crate::error::StatsError;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// A lognormal distribution: `exp(N(mu, sigma^2))`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LogNormal {
     mu: f64,
     sigma: f64,

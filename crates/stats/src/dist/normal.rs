@@ -3,7 +3,6 @@
 use super::Sample;
 use crate::error::StatsError;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// A normal (Gaussian) distribution `N(mean, std_dev^2)`.
 ///
@@ -21,7 +20,7 @@ use serde::{Deserialize, Serialize};
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Normal {
     mean: f64,
     std_dev: f64,

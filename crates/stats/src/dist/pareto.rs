@@ -8,11 +8,10 @@
 use super::Sample;
 use crate::error::StatsError;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// A Pareto (type I) distribution with scale `x_min > 0` and shape
 /// `alpha > 0`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Pareto {
     x_min: f64,
     alpha: f64,

@@ -10,14 +10,13 @@
 use super::Sample;
 use crate::error::StatsError;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// A two-parameter Weibull distribution with shape `k` and scale
 /// (characteristic life) `lambda`.
 ///
 /// `k = 1` reduces to the exponential distribution with mean `lambda`;
 /// `k < 1` has a decreasing hazard rate, `k > 1` an increasing one.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Weibull {
     shape: f64,
     scale: f64,

@@ -9,7 +9,6 @@
 
 use crate::descriptive::percentile_of_sorted;
 use crate::error::{ensure_sample, StatsError};
-use serde::{Deserialize, Serialize};
 
 /// An empirical cumulative distribution function over a finite sample.
 ///
@@ -28,7 +27,7 @@ use serde::{Deserialize, Serialize};
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Ecdf {
     sorted: Vec<f64>,
 }
@@ -64,11 +63,6 @@ impl Ecdf {
     /// successfully constructed value; provided for API completeness.
     pub fn is_empty(&self) -> bool {
         self.sorted.is_empty()
-    }
-
-    /// The sorted observations underlying this ECDF.
-    pub fn as_sorted(&self) -> &[f64] {
-        &self.sorted
     }
 
     /// Fraction of observations `<= x` (the CDF evaluated at `x`).
@@ -154,15 +148,6 @@ impl Ecdf {
                 let x = (llo + (lhi - llo) * i as f64 / (n - 1) as f64).exp();
                 (x, self.fraction_at_most(x))
             })
-            .collect()
-    }
-
-    /// A fixed set of quantiles `(q, value)` convenient for text reports:
-    /// p1, p5, p10, p25, p50, p75, p90, p95, p99.
-    pub fn quantile_report(&self) -> Vec<(f64, f64)> {
-        [0.01, 0.05, 0.10, 0.25, 0.50, 0.75, 0.90, 0.95, 0.99]
-            .iter()
-            .map(|&q| (q, self.quantile(q)))
             .collect()
     }
 }

@@ -1,7 +1,6 @@
 //! Linear- and log-binned histograms for distribution shape reports.
 
 use crate::error::{ensure_sample, StatsError};
-use serde::{Deserialize, Serialize};
 
 /// A fixed-bin histogram over a closed range.
 ///
@@ -17,7 +16,7 @@ use serde::{Deserialize, Serialize};
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Histogram {
     edges: Vec<f64>,
     counts: Vec<u64>,

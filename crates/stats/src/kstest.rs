@@ -6,10 +6,9 @@
 //! of the generator agree.
 
 use crate::error::{ensure_sample, StatsError};
-use serde::{Deserialize, Serialize};
 
 /// Result of a two-sample KS test.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct KsResult {
     /// The KS statistic: the supremum distance between the two empirical
     /// CDFs, in `[0, 1]`.

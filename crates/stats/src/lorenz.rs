@@ -6,7 +6,6 @@
 //! quantifies exactly this concentration structure.
 
 use crate::error::{ensure_sample, StatsError};
-use serde::{Deserialize, Serialize};
 
 /// Concentration analysis of a non-negative quantity across a population
 /// (jobs per user, GPU hours per user, …).
@@ -25,7 +24,7 @@ use serde::{Deserialize, Serialize};
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Lorenz {
     /// Values sorted descending (largest contributor first).
     sorted_desc: Vec<f64>,

@@ -10,10 +10,9 @@
 
 use crate::descriptive::coefficient_of_variation;
 use crate::error::{ensure_sample, StatsError};
-use serde::{Deserialize, Serialize};
 
 /// Whether an interval is active (utilization above threshold) or idle.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum IntervalKind {
     /// GPU resources in use.
     Active,
@@ -22,7 +21,7 @@ pub enum IntervalKind {
 }
 
 /// A maximal run of consecutive samples of one kind.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Interval {
     /// Active or idle.
     pub kind: IntervalKind,
@@ -40,7 +39,7 @@ impl Interval {
 }
 
 /// The result of segmenting one job's utilization series.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Segmentation {
     intervals: Vec<Interval>,
     samples: usize,

@@ -24,7 +24,6 @@
 //! `O(samples)`.
 
 use crate::error::StatsError;
-use serde::{Deserialize, Serialize};
 
 /// Online mean/variance accumulator (Welford) with a deterministic
 /// pairwise merge.
@@ -41,7 +40,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(w.count(), 3);
 /// assert!((w.mean().unwrap() - 4.0).abs() < 1e-12);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Welford {
     count: u64,
     mean: f64,
@@ -140,7 +139,7 @@ impl Welford {
 /// let median = q.quantile(0.5).unwrap();
 /// assert!((median - 500.0).abs() / 500.0 <= 0.01);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LogQuantileSketch {
     alpha: f64,
     ln_gamma: f64,
@@ -283,7 +282,7 @@ impl LogQuantileSketch {
 /// h.push(100.0); // == hi: clamped into the last bin
 /// assert_eq!(h.counts(), &[1, 0, 0, 0, 0, 0, 0, 0, 0, 2]);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MergeHistogram {
     lo: f64,
     hi: f64,

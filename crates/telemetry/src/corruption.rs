@@ -22,10 +22,9 @@ use crate::dataset::Dataset;
 use crate::metrics::GpuMetricSample;
 use crate::record::{GpuJobRecord, JobId, SchedulerRecord};
 use crate::sampler::GpuTimeSeries;
-use serde::{Deserialize, Serialize};
 
 /// How dirty the simulated collection pipeline is.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DataQualityProfile {
     /// Byte-perfect collection: the injector is a no-op.
     Off,
@@ -136,7 +135,7 @@ impl std::fmt::Display for DataQualityProfile {
 /// Per-fault injection rates. All rates are per-record (or per-series
 /// segment for [`CorruptionConfig::dropped_window`]) probabilities in
 /// `[0, 1]`; the all-zero default injects nothing.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct CorruptionConfig {
     /// Probability a scheduler record is emitted twice.
     pub duplicate: f64,
@@ -171,7 +170,7 @@ pub struct CorruptionConfig {
 }
 
 /// One class of collection fault — the unit of the repair ledger.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FaultClass {
     /// A scheduler record emitted more than once.
     DuplicateRecord,
@@ -248,7 +247,7 @@ impl std::fmt::Display for FaultClass {
 }
 
 /// A per-class fault ledger: one counter slot per [`FaultClass`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CorruptionCounters {
     counts: [u64; FaultClass::COUNT],
 }
@@ -290,7 +289,7 @@ impl CorruptionCounters {
 /// The raw (possibly corrupted) collection output: the two streams the
 /// real pipeline joins, plus the injection ledger. Canonical order is
 /// by `(submit_time, job_id)` — the shape of a sorted accounting log.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RawCollection {
     /// Scheduler-side accounting records (may hold duplicates, skewed
     /// or missing timestamps, and out-of-order entries).

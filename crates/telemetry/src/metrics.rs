@@ -1,15 +1,13 @@
 //! Metric sample schema: the `nvidia-smi` and Slurm-plugin fields the
 //! paper's dataset retains.
 
-use serde::{Deserialize, Serialize};
-
 /// One 100 ms GPU sample, mirroring the `nvidia-smi` fields analyzed in
 /// the paper (Secs. II–III).
 ///
 /// Utilization fields are percentages in `[0, 100]`; PCIe bandwidths are
 /// percentages of the V100's 16-lane PCIe 3.0 peak (the paper plots
 /// "PCIe Tx and Rx bandwidth utilization"); power is in watts.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct GpuMetricSample {
     /// Streaming-multiprocessor utilization (%): "usage percentage of the
     /// GPU streaming multiprocessors".
@@ -57,7 +55,7 @@ impl GpuMetricSample {
 }
 
 /// One 10-second CPU-side sample from the Slurm monitoring plugins.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct CpuMetricSample {
     /// CPU utilization across the job's allocated cores (%).
     pub cpu_util: f64,
@@ -69,7 +67,7 @@ pub struct CpuMetricSample {
 
 /// The GPU resources the paper studies, used to index per-resource
 /// analyses (Figs. 4, 7, 8).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum GpuResource {
     /// Streaming multiprocessors.
     Sm,

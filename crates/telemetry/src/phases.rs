@@ -8,7 +8,6 @@ use crate::metrics::GpuResource;
 use crate::sampler::GpuTimeSeries;
 use sc_stats::segment::{segment_intervals, IntervalKind, Segmentation};
 use sc_stats::{coefficient_of_variation, StatsError};
-use serde::{Deserialize, Serialize};
 
 /// SM-utilization threshold separating active from idle samples (%).
 /// `nvidia-smi` reports integer percentages, so any strictly positive
@@ -20,7 +19,7 @@ pub const ACTIVE_SM_THRESHOLD: f64 = 0.5;
 pub const MIN_PHASE_SAMPLES: usize = 10;
 
 /// Per-job phase statistics extracted from the detailed time series.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PhaseStats {
     /// Fraction of run time spent in active phases, `[0, 1]` (Fig. 6a).
     pub active_fraction: f64,
@@ -37,7 +36,7 @@ pub struct PhaseStats {
 }
 
 /// Per-job utilization variability during active phases (Fig. 7a).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ActiveVariability {
     /// CoV (%) of SM utilization across active-phase samples.
     pub sm_cov: f64,

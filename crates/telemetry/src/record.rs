@@ -108,7 +108,7 @@ impl std::fmt::Display for ExitStatus {
 /// Slurm-side [`ExitStatus`] only records *that* a job died to hardware
 /// (`NodeFailure`); the cause is what the failure-injection subsystem
 /// and the goodput report attribute losses by.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FailureCause {
     /// A single GPU faults (Xid error: uncorrectable ECC, falling off
     /// the bus) and kills the one job bound to it; the GPU resets

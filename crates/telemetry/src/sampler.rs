@@ -8,7 +8,6 @@
 use crate::aggregate::GpuAggregates;
 use crate::metrics::{CpuMetricSample, GpuMetricSample};
 use crate::source::MetricSource;
-use serde::{Deserialize, Serialize};
 
 /// Default GPU sampling period: 100 ms.
 pub const GPU_SAMPLE_PERIOD_SECS: f64 = 0.1;
@@ -18,7 +17,7 @@ pub const CPU_SAMPLE_PERIOD_SECS: f64 = 10.0;
 
 /// The sampled GPU series of one job: one vector of samples per GPU,
 /// taken at a fixed period.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GpuTimeSeries {
     /// Sampling period in seconds.
     pub period_secs: f64,
@@ -35,15 +34,6 @@ impl GpuTimeSeries {
     /// Whether no samples were taken.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// Extracts one metric of one GPU as a scalar series.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `gpu` is out of range.
-    pub fn metric_series(&self, gpu: usize, f: impl Fn(&GpuMetricSample) -> f64) -> Vec<f64> {
-        self.per_gpu[gpu].iter().map(f).collect()
     }
 
     /// Per-GPU end-of-job aggregates — what the epilog reduces the series

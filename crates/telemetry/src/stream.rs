@@ -37,7 +37,6 @@
 use crate::phases::{ActiveVariability, PhaseStats, ACTIVE_SM_THRESHOLD, MIN_PHASE_SAMPLES};
 use sc_stats::segment::{IntervalKind, SegmentBuilder, Segmentation};
 use sc_stats::{LogQuantileSketch, MergeHistogram, StatsError, Welford};
-use serde::{Deserialize, Serialize};
 use std::cell::RefCell;
 
 /// Consumer of a job-level utilization stream: one `[sm, mem,
@@ -368,7 +367,7 @@ const RUN_TIME_SKETCH_ALPHA: f64 = 0.02;
 /// disjoint job sets merge exactly (order-independently) into the
 /// summary of the union. Folded in completion order by the simulation,
 /// it is byte-identical across thread budgets.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TelemetryStreamSummary {
     /// GPU jobs folded in.
     pub gpu_jobs: u64,

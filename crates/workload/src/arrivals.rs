@@ -8,13 +8,12 @@
 use crate::spec::{ArrivalProcess, WorkloadSpec};
 use rand::Rng;
 use sc_stats::dist::{Exponential, Sample};
-use serde::{Deserialize, Serialize};
 
 /// Seconds per day.
 const DAY_SECS: f64 = 86_400.0;
 
 /// A non-homogeneous arrival intensity over the trace window.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ArrivalIntensity {
     duration_secs: f64,
     diurnal_amplitude: f64,

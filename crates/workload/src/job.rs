@@ -14,13 +14,12 @@ use rand::{Rng, SeedableRng};
 use sc_stats::dist::{Beta, Categorical, LogNormal, Sample};
 use sc_telemetry::metrics::GpuResource;
 use sc_telemetry::record::{JobId, SubmissionInterface, UserId};
-use serde::{Deserialize, Serialize};
 
 /// How a job is destined to end, decided by the generator's ground
 /// truth. The scheduler turns this into an [`sc_telemetry::ExitStatus`],
 /// from which the analysis pipeline recovers the lifecycle class — the
 /// same indirect inference the paper performs.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum PlannedOutcome {
     /// Runs for `work_secs` then exits 0 (mature work).
     Complete {
@@ -56,7 +55,7 @@ impl PlannedOutcome {
 }
 
 /// The complete pre-run description of one job.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct JobSpec {
     /// Trace-unique id, assigned in arrival order.
     pub job_id: JobId,

@@ -12,10 +12,9 @@
 //! of its mean utilizations, which the analytic aggregation path exploits.
 
 use sc_telemetry::gpu_power::{V100_IDLE_W, V100_TDP_W};
-use serde::{Deserialize, Serialize};
 
 /// Linear utilization→power model for one GPU.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PowerModel {
     /// Idle floor in watts (V100 idles in the low tens of watts).
     pub idle_w: f64,

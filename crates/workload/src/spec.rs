@@ -7,11 +7,9 @@
 //! (Sec. V cites Jeon et al., reference 23 of the paper: "93% of the jobs are run on one GPU
 //! and only 2.5% of the jobs run on more than four GPUs").
 
-use serde::{Deserialize, Serialize};
-
 /// Per-lifecycle-class calibration: run-time distribution and resource
 /// behaviour (Secs. III and VI).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ClassSpec {
     /// Share of all GPU jobs in this class (Fig. 15a).
     pub job_share: f64,
@@ -40,7 +38,7 @@ pub struct ClassSpec {
 }
 
 /// The paper's four development life-cycle classes (Sec. VI, Fig. 15).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum LifecycleClass {
     /// "Completed with a zero exit code" — around 60% of jobs.
     Mature,
@@ -90,7 +88,7 @@ impl std::fmt::Display for LifecycleClass {
 /// mean levels and active fractions stay on the paper's calibrated
 /// class targets), and `sc-learn` tries to recover the label from the
 /// sampled series alone.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum WorkloadArchetype {
     /// CNN-style training: short, strongly periodic epochs — a
     /// pronounced utilization wave with a tens-of-seconds period.
@@ -148,7 +146,7 @@ pub type GpuCountMix = Vec<(u32, f64)>;
 /// DSL needs — a memoryless baseline, periodic spike bursts, and
 /// up-and-down load cycles in the spirit of the cloud-simulator
 /// exemplar scenarios.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub enum ArrivalProcess {
     /// Homogeneous Poisson arrivals: constant intensity, no rhythm.
     Poisson,
@@ -194,7 +192,7 @@ impl ArrivalProcess {
 }
 
 /// The complete generative specification of one cluster's workload.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WorkloadSpec {
     /// Human-readable name ("supercloud", "philly").
     pub name: String,

@@ -21,10 +21,9 @@ use sc_stats::dist::{LogNormal, Sample};
 use sc_telemetry::aggregate::{Aggregate, GpuAggregates};
 use sc_telemetry::metrics::{CpuMetricSample, GpuMetricSample, GpuResource};
 use sc_telemetry::source::MetricSource;
-use serde::{Deserialize, Serialize};
 
 /// Base utilization levels (percent) for the five non-power resources.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct ResourceLevels {
     /// SM utilization %.
     pub sm: f64,
@@ -73,7 +72,7 @@ impl ResourceLevels {
 pub const POWER_WAVE_DAMP: f64 = 0.4;
 
 /// A momentary excursion of one resource to 100% inside an active phase.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Spike {
     /// The resource that saturates.
     pub resource: GpuResource,
@@ -84,7 +83,7 @@ pub struct Spike {
 }
 
 /// One phase of the ground-truth process.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Phase {
     /// Phase start, seconds from job start.
     pub start: f64,
@@ -191,7 +190,7 @@ impl Phase {
 }
 
 /// The full ground-truth process of one GPU over one job.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GpuGroundTruth {
     phases: Vec<Phase>,
 }
@@ -383,7 +382,7 @@ impl GpuGroundTruth {
 }
 
 /// Parameters for generating one job's ground truth.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TruthParams {
     /// Total duration to cover (the job's wall-clock limit), seconds.
     pub duration: f64,
@@ -510,7 +509,7 @@ pub fn generate_gpu_truth<R: Rng + ?Sized>(rng: &mut R, p: &TruthParams) -> GpuG
 
 /// The ground truth of a whole job: one process per GPU plus the CPU
 /// side, implementing [`MetricSource`] for the telemetry samplers.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct JobGroundTruth {
     /// Per-GPU processes.
     pub gpus: Vec<GpuGroundTruth>,

@@ -18,10 +18,9 @@ use crate::spec::{LifecycleClass, WorkloadSpec};
 use rand::Rng;
 use sc_stats::dist::{Categorical, Gamma, LogNormal, Normal, Sample};
 use sc_telemetry::record::UserId;
-use serde::{Deserialize, Serialize};
 
 /// One synthetic user.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct UserProfile {
     /// Anonymized identity.
     pub id: UserId,
