@@ -48,6 +48,17 @@ fn flag_position_relative_to_scenario_does_not_matter() {
 }
 
 #[test]
+fn power_cap_below_idle_draw_is_a_usage_error() {
+    let run = Command::new(env!("CARGO_BIN_EXE_repro_figures"))
+        .args(["--threads", "1", "--scale", "0.01", "--policy", "powercap:1"])
+        .output()
+        .expect("repro_figures runs");
+    let stderr = String::from_utf8_lossy(&run.stderr);
+    assert_eq!(run.status.code(), Some(2), "{stderr}");
+    assert!(stderr.contains("20 W"), "{stderr}");
+}
+
+#[test]
 fn mtbf_alone_rescales_the_supercloud_taxonomy() {
     assert_eq!(injection_line(&["--mtbf", "0.5"]), "3 classes, checkpoint interval 8752s");
 }

@@ -47,10 +47,7 @@ pub use failure::{
     ScheduledFailure,
 };
 pub use policy::{Dispatch, Policy, PolicyDecision};
-pub use reliability::{
-    size_bucket, size_bucket_label, ReliabilityStats, SizeClassStats, SIZE_BUCKET_COUNT,
-    SIZE_BUCKET_EDGES,
-};
+pub use reliability::{ReliabilityStats, SizeClassStats, SIZE_BUCKET_EDGES};
 pub use resources::{Allocation, ClusterState, NodeAlloc, NodeId, NodeState};
 pub use scheduler::{QueuedJob, RunningJob, SchedulePass, SchedulePolicy, Scheduler};
 pub use sim::{

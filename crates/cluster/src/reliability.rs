@@ -15,28 +15,13 @@
 //! the first bucket alongside single-GPU jobs; their exposure is
 //! wall-clock only (zero GPU-seconds) but they still fail and restart.
 
-/// Canonical size-bucket edges used by the fixed-width ledger arrays in
-/// [`GoodputAccounting`](crate::GoodputAccounting) and anywhere a
-/// compile-time bucket count is required.
+/// The canonical size-bucket edges: the default of
+/// [`SimConfig::size_bucket_edges`](crate::SimConfig::size_bucket_edges)
+/// and of [`ReliabilityStats::default`].
 pub const SIZE_BUCKET_EDGES: [u32; 3] = [1, 2, 8];
-
-/// Number of canonical size buckets (`SIZE_BUCKET_EDGES.len() + 1`).
-pub const SIZE_BUCKET_COUNT: usize = SIZE_BUCKET_EDGES.len() + 1;
 
 /// Seconds per day, used by the failures-per-1k-GPU-days rate.
 const SECS_PER_DAY: f64 = 86_400.0;
-
-/// Map a GPU count to its canonical size bucket (see
-/// [`SIZE_BUCKET_EDGES`]). Total over all inputs: every count lands in
-/// exactly one bucket.
-pub fn size_bucket(gpus: u32) -> usize {
-    bucket_for(&SIZE_BUCKET_EDGES, gpus)
-}
-
-/// Human-readable label for canonical bucket `i` (e.g. `"3-8 GPU"`).
-pub fn size_bucket_label(i: usize) -> String {
-    label_for(&SIZE_BUCKET_EDGES, i)
-}
 
 fn bucket_for(edges: &[u32], gpus: u32) -> usize {
     edges.iter().position(|&e| gpus <= e).unwrap_or(edges.len())
@@ -293,17 +278,18 @@ mod tests {
 
     #[test]
     fn canonical_buckets_partition_gpu_counts() {
-        assert_eq!(size_bucket(0), 0);
-        assert_eq!(size_bucket(1), 0);
-        assert_eq!(size_bucket(2), 1);
-        assert_eq!(size_bucket(3), 2);
-        assert_eq!(size_bucket(8), 2);
-        assert_eq!(size_bucket(9), 3);
-        assert_eq!(size_bucket(4096), 3);
-        assert_eq!(size_bucket_label(0), "<=1 GPU");
-        assert_eq!(size_bucket_label(1), "2 GPU");
-        assert_eq!(size_bucket_label(2), "3-8 GPU");
-        assert_eq!(size_bucket_label(3), ">8 GPU");
+        let r = ReliabilityStats::default();
+        assert_eq!(r.bucket_index(0), 0);
+        assert_eq!(r.bucket_index(1), 0);
+        assert_eq!(r.bucket_index(2), 1);
+        assert_eq!(r.bucket_index(3), 2);
+        assert_eq!(r.bucket_index(8), 2);
+        assert_eq!(r.bucket_index(9), 3);
+        assert_eq!(r.bucket_index(4096), 3);
+        assert_eq!(r.label(0), "<=1 GPU");
+        assert_eq!(r.label(1), "2 GPU");
+        assert_eq!(r.label(2), "3-8 GPU");
+        assert_eq!(r.label(3), ">8 GPU");
     }
 
     #[test]

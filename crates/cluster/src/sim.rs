@@ -5,7 +5,7 @@
 use crate::event::{Event, EventQueue, Popped};
 use crate::failure::{FailureModel, FailureStream, ScheduledFailure};
 use crate::policy::{Dispatch, Policy, PolicyDecision};
-use crate::reliability::{size_bucket, ReliabilityStats, SIZE_BUCKET_COUNT, SIZE_BUCKET_EDGES};
+use crate::reliability::{ReliabilityStats, SIZE_BUCKET_EDGES};
 use crate::resources::{Allocation, ClusterState, NodeId};
 use crate::scheduler::{RunningJob, Scheduler};
 use crate::spec::ClusterSpec;
@@ -13,7 +13,7 @@ use sc_obs::{Obs, Timeline, TimelineSample, Value};
 use sc_telemetry::dataset::{Dataset, MIN_GPU_JOB_RUNTIME_SECS};
 use sc_telemetry::phases::{ActiveVariability, PhaseStats};
 use sc_telemetry::record::{ExitStatus, FailureCause, GpuJobRecord, JobId, SchedulerRecord};
-use sc_telemetry::sampler::{tick_count, GpuSampler};
+use sc_telemetry::sampler::{tick_count, GPU_SAMPLE_PERIOD_SECS};
 use sc_telemetry::stream::{stream_detail, TelemetryStreamSummary};
 use sc_workload::{JobSpec, PlannedOutcome, Trace};
 
@@ -26,14 +26,6 @@ pub struct SimConfig {
     /// paper). Membership is decided by a deterministic hash so the
     /// subset is "a representative fraction of jobs".
     pub detailed_series_jobs: usize,
-    /// GPU sampling period for the detailed subset, seconds (100 ms in
-    /// production).
-    pub gpu_sample_period_secs: f64,
-    /// Delay between a submission and the scheduling pass that can
-    /// start it, seconds — Slurm's scheduler loop latency. The paper's
-    /// median single-GPU queue wait of 3 seconds on an underloaded
-    /// cluster is exactly this constant.
-    pub sched_latency_secs: f64,
     /// Queue discipline (ablation knob; production is EASY backfill).
     pub policy: crate::scheduler::SchedulePolicy,
     /// Optional failure-injection model. `None` (the default) matches
@@ -49,10 +41,15 @@ pub struct SimConfig {
     pub checkpoint: Option<CheckpointPolicy>,
     /// Job-size class edges (GPU-count upper bounds) for the
     /// [`ReliabilityStats`] accumulator; defaults to the canonical
-    /// [`SIZE_BUCKET_EDGES`]. The fixed-width per-size arrays in
-    /// [`GoodputAccounting`] always use the canonical edges regardless.
+    /// [`SIZE_BUCKET_EDGES`].
     pub size_bucket_edges: Vec<u32>,
 }
+
+/// Delay between a submission and the scheduling pass that can start
+/// it, seconds — Slurm's scheduler loop latency. The paper's median
+/// single-GPU queue wait of 3 seconds on an underloaded cluster is
+/// exactly this constant.
+const SCHED_LATENCY_SECS: f64 = 3.0;
 
 /// Periodic checkpointing as the event loop models it: a fixed
 /// wall-clock interval between checkpoint writes. Derive the interval
@@ -71,8 +68,6 @@ impl Default for SimConfig {
         SimConfig {
             cluster: ClusterSpec::supercloud(),
             detailed_series_jobs: 2_149,
-            gpu_sample_period_secs: 0.1,
-            sched_latency_secs: 3.0,
             policy: crate::scheduler::SchedulePolicy::EasyBackfill,
             failures: None,
             checkpoint: None,
@@ -161,16 +156,6 @@ pub struct GoodputAccounting {
     pub lost_by_cause_gpu_secs: [f64; 3],
     /// Job-attempt deaths per cause, indexed by [`FailureCause::index`].
     pub deaths_by_cause: [u64; 3],
-    /// Allocated GPU-seconds per canonical job-size bucket, indexed by
-    /// [`size_bucket`].
-    pub allocated_by_size_gpu_secs: [f64; SIZE_BUCKET_COUNT],
-    /// Useful GPU-seconds per canonical job-size bucket.
-    pub useful_by_size_gpu_secs: [f64; SIZE_BUCKET_COUNT],
-    /// Lost GPU-seconds per canonical job-size bucket — restart
-    /// overhead attributed by job size, the Meta rate-vs-size view.
-    pub lost_by_size_gpu_secs: [f64; SIZE_BUCKET_COUNT],
-    /// Idle GPU-seconds per canonical job-size bucket.
-    pub idle_by_size_gpu_secs: [f64; SIZE_BUCKET_COUNT],
 }
 
 impl GoodputAccounting {
@@ -195,16 +180,6 @@ impl GoodputAccounting {
     /// Total injected deaths across causes.
     pub fn total_deaths(&self) -> u64 {
         self.deaths_by_cause.iter().sum()
-    }
-
-    /// Absolute imbalance of the per-size ledger identity for canonical
-    /// bucket `i`: `|allocated − (useful + lost + idle)|`, GPU-seconds.
-    pub fn size_balance_error(&self, i: usize) -> f64 {
-        (self.allocated_by_size_gpu_secs[i]
-            - (self.useful_by_size_gpu_secs[i]
-                + self.lost_by_size_gpu_secs[i]
-                + self.idle_by_size_gpu_secs[i]))
-            .abs()
     }
 }
 
@@ -398,9 +373,8 @@ impl Simulation {
             .max(1.0);
         let detailed_fraction =
             (self.config.detailed_series_jobs as f64 / expected_analyzed).min(1.0);
-        let sampler = GpuSampler::with_period(self.config.gpu_sample_period_secs);
         let epilogs = sc_par::par_map(&completions, |c| {
-            self.synthesize_epilog(&jobs[c.trace_idx], c, detailed_fraction, &sampler)
+            self.synthesize_epilog(&jobs[c.trace_idx], c, detailed_fraction)
         });
         // Scalar stats and the streaming summary fold in input order, so
         // float addition order (and therefore every output byte) is the
@@ -514,7 +488,6 @@ impl Simulation {
         job: &JobSpec,
         c: &Completion,
         detailed_fraction: f64,
-        sampler: &GpuSampler,
     ) -> JobEpilog {
         let sched = SchedulerRecord {
             job_id: job.job_id,
@@ -551,7 +524,7 @@ impl Simulation {
                     // bit-identical to materializing the series and
                     // running `phase_stats` / `active_variability`, at
                     // O(#runs) memory (tested in sc-workload).
-                    let period = sampler.period_secs();
+                    let period = GPU_SAMPLE_PERIOD_SECS;
                     if tick_count(run_time, period) > 0 && !truth.gpus.is_empty() {
                         let (phases, variability) =
                             stream_detail(|sink| truth.stream_util3(run_time, period, sink))
@@ -662,7 +635,7 @@ impl<'a, 'p> EventLoop<'a, 'p> {
             p.admit(job, now);
         }
         self.scheduler.submit(idx, now);
-        self.queue.push(now + self.sim.config.sched_latency_secs, Event::Tick);
+        self.queue.push(now + SCHED_LATENCY_SECS, Event::Tick);
         false
     }
 
@@ -960,8 +933,8 @@ impl<'a, 'p> EventLoop<'a, 'p> {
     /// Posts one finished attempt to the goodput ledger and the
     /// per-size reliability accumulator. `failure` is the cause if an
     /// infrastructure failure ended the attempt; `None` means the work
-    /// survived. Both ledgers see identical split values, so the
-    /// per-size sums reconcile exactly with the global totals.
+    /// survived. Both see identical split values, so the per-size sums
+    /// reconcile with the global totals.
     fn settle_attempt(&mut self, job: &JobSpec, elapsed: f64, failure: Option<FailureCause>) {
         let goodput = &mut self.goodput;
         let d = elapsed.max(0.0);
@@ -997,11 +970,6 @@ impl<'a, 'p> EventLoop<'a, 'p> {
         goodput.idle_gpu_secs += idle;
         goodput.useful_gpu_secs += useful;
         goodput.lost_gpu_secs += lost;
-        let b = size_bucket(job.gpus);
-        goodput.allocated_by_size_gpu_secs[b] += gpus * d;
-        goodput.useful_by_size_gpu_secs[b] += useful;
-        goodput.lost_by_size_gpu_secs[b] += lost;
-        goodput.idle_by_size_gpu_secs[b] += idle;
         self.reliability.settle_attempt(job.gpus, d, useful, lost, idle, failure.is_some());
     }
 
@@ -1324,7 +1292,7 @@ mod tests {
         });
         let out = sim.run(&trace);
         let rel = &out.reliability;
-        assert_eq!(rel.buckets.len(), SIZE_BUCKET_COUNT);
+        assert_eq!(rel.buckets.len(), SIZE_BUCKET_EDGES.len() + 1);
         // Every job counted once; attempts >= jobs (restarts only add).
         assert_eq!(rel.total(|b| b.jobs as f64) as usize, trace.jobs().len());
         let attempts: u64 = rel.buckets.iter().map(|b| b.attempts).sum();
@@ -1339,13 +1307,8 @@ mod tests {
         assert!((rel.total(|b| b.useful_gpu_secs) - out.goodput.useful_gpu_secs).abs() < tol);
         assert!((rel.total(|b| b.lost_gpu_secs) - out.goodput.lost_gpu_secs).abs() < tol);
         assert!((rel.total(|b| b.idle_gpu_secs) - out.goodput.idle_gpu_secs).abs() < tol);
-        for i in 0..SIZE_BUCKET_COUNT {
-            assert!(out.goodput.size_balance_error(i) < tol, "bucket {i} ledger imbalance");
-            assert!(
-                (out.goodput.allocated_by_size_gpu_secs[i] - rel.buckets[i].exposed_gpu_secs).abs()
-                    < tol,
-                "bucket {i}: ledger and reliability disagree on exposure"
-            );
+        for (i, b) in rel.buckets.iter().enumerate() {
+            assert!(b.balance_error() < tol, "bucket {i} ledger imbalance");
         }
         // Requeues produced recoveries with a sane ETTR: at least the
         // base backoff plus scheduler latency.

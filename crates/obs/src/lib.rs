@@ -26,7 +26,7 @@
 //! - [`sink`]: the [`TraceSink`] trait and the [`NullSink`] /
 //!   [`RingSink`] / [`JsonlSink`] implementations, plus the cheap
 //!   [`Obs`] handle instrumented code carries.
-//! - [`metrics`]: a thread-shared counter and log₂-bucketed histograms.
+//! - [`metrics`]: log₂-bucketed histograms.
 //! - [`timeline`]: the cluster time-series ([`Timeline`]) sampled on
 //!   event-loop transitions — queue depth, running jobs, free GPUs,
 //!   requeue backlog, failure injections, checkpoint restores.
@@ -46,7 +46,7 @@ pub mod stagelog;
 pub mod timeline;
 
 pub use chrome::chrome_trace_json;
-pub use metrics::{Histogram, SharedCounter};
+pub use metrics::Histogram;
 pub use record::{RecordKind, TraceLevel, TraceRecord, Value};
 pub use sink::{JsonlSink, NullSink, Obs, RingSink, TraceSink};
 pub use stagelog::{StageLog, StageSpan};

@@ -1,49 +1,8 @@
-//! A thread-shared counter and deterministic log₂-bucketed histograms.
+//! Deterministic log₂-bucketed histograms.
 //!
 //! [`Histogram`] is a plain value, not an atomic: the simulator's metric
 //! updates all happen on the single-threaded event loop, so interior
-//! mutability would only buy non-determinism. [`SharedCounter`] is the
-//! exception, for the serving layer's worker threads.
-
-/// Monotone event count shared across threads.
-///
-/// The serving layer's request path runs on executor worker threads,
-/// so its counters (cache hits/misses, queries served) must be atomic:
-/// relaxed ordering (counts are monotone and independent), cheap
-/// enough for per-request increments, and safe behind an `Arc`.
-#[derive(Debug, Default)]
-pub struct SharedCounter {
-    value: std::sync::atomic::AtomicU64,
-}
-
-impl SharedCounter {
-    /// A counter at zero.
-    pub fn new() -> SharedCounter {
-        SharedCounter::default()
-    }
-
-    /// Adds one.
-    pub fn incr(&self) {
-        self.add(1);
-    }
-
-    /// Adds `n`.
-    pub fn add(&self, n: u64) {
-        self.value.fetch_add(n, std::sync::atomic::Ordering::Relaxed);
-    }
-
-    /// Raises the count to `n` if it is below (no-op otherwise).
-    /// Idempotent and race-free, so a counter can mirror another
-    /// subsystem's monotone total without double-counting.
-    pub fn record_at_least(&self, n: u64) {
-        self.value.fetch_max(n, std::sync::atomic::Ordering::Relaxed);
-    }
-
-    /// Current count.
-    pub fn get(&self) -> u64 {
-        self.value.load(std::sync::atomic::Ordering::Relaxed)
-    }
-}
+//! mutability would only buy non-determinism.
 
 /// Number of histogram buckets: bucket 0 is `[0, 1)`, bucket `i ≥ 1`
 /// is `[2^(i-1), 2^i)`, and the last bucket absorbs everything above.
@@ -158,18 +117,6 @@ impl Histogram {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn shared_counter_record_at_least_is_monotone() {
-        let c = SharedCounter::new();
-        c.add(5);
-        c.record_at_least(3); // below: no-op
-        assert_eq!(c.get(), 5);
-        c.record_at_least(9);
-        assert_eq!(c.get(), 9);
-        c.record_at_least(9); // idempotent
-        assert_eq!(c.get(), 9);
-    }
 
     #[test]
     fn histogram_buckets_are_powers_of_two() {

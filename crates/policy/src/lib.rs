@@ -43,6 +43,7 @@ pub use tiered::TieredPolicy;
 
 use sc_cluster::{ClusterSpec, Policy};
 use sc_opportunity::tiering::RoutingPolicy;
+use sc_telemetry::gpu_power::V100_IDLE_W;
 
 /// A parsed `--policy` selection, as accepted by `repro_figures`.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -76,7 +77,10 @@ impl PolicySpec {
         [PolicySpec::PowerCap { cap_w: 150.0 }, PolicySpec::Coshare, PolicySpec::Tiered];
 
     /// Parses a CLI selector: `off`, `powercap:<watts>`, `coshare`, or
-    /// `tiered`.
+    /// `tiered`. A cap must be finite and at least the V100's idle draw
+    /// ([`V100_IDLE_W`]): a board cannot draw less than it idles at, so
+    /// a lower cap would only clamp the telemetry below what the GPUs
+    /// burn.
     pub fn parse(s: &str) -> Result<PolicySpec, String> {
         match s {
             "off" => Ok(PolicySpec::Off),
@@ -87,8 +91,11 @@ impl PolicySpec {
                 if let Some(w) = s.strip_prefix("powercap:") {
                     let cap_w: f64 =
                         w.parse().map_err(|_| format!("bad watts in --policy {s:?}"))?;
-                    if !cap_w.is_finite() || cap_w <= 0.0 {
-                        return Err(format!("--policy powercap needs positive watts, got {w}"));
+                    if !(V100_IDLE_W..f64::INFINITY).contains(&cap_w) {
+                        return Err(format!(
+                            "--policy powercap needs finite watts at or above the V100 idle \
+                             draw of {V100_IDLE_W} W, got {w}"
+                        ));
                     }
                     Ok(PolicySpec::PowerCap { cap_w })
                 } else {
@@ -154,6 +161,7 @@ mod tests {
             PolicySpec::PowerCap { cap_w: 250.0 }
         );
         assert_eq!(PolicySpec::parse("powercap:250").unwrap().label(), "powercap:250");
+        assert_eq!(PolicySpec::parse("powercap:20").unwrap(), PolicySpec::PowerCap { cap_w: 20.0 });
     }
 
     #[test]
@@ -180,6 +188,8 @@ mod tests {
         assert!(PolicySpec::parse("powercap:banana").is_err());
         assert!(PolicySpec::parse("powercap:-5").is_err());
         assert!(PolicySpec::parse("powercap:0").is_err());
+        assert!(PolicySpec::parse("powercap:19.9").is_err());
+        assert!(PolicySpec::parse("powercap:inf").is_err());
         assert!(PolicySpec::parse("turbo").is_err());
     }
 

@@ -365,11 +365,6 @@ fn check(
     }
 }
 
-/// `f64` in canonical TOML form (round-trips exactly via `{:?}`).
-fn fmt_f64(v: f64) -> String {
-    format!("{v:?}")
-}
-
 impl Scenario {
     /// Section names the schema knows.
     const SECTIONS: [&'static str; 9] = [
@@ -1237,7 +1232,6 @@ fn push_opt_usize(out: &mut String, key: &str, value: Option<usize>) {
 
 fn push_opt_f64(out: &mut String, key: &str, value: Option<f64>) {
     if let Some(v) = value {
-        let _ = fmt_f64(v); // canonical form documented above
         push_kv(out, key, &TomlValue::Float(v));
     }
 }
@@ -1332,6 +1326,15 @@ mod tests {
         .unwrap_err();
         assert!(matches!(err.kind, ErrorKind::Range(_)), "{err}");
         assert_eq!(err.line, 5);
+    }
+
+    #[test]
+    fn power_cap_arm_below_idle_draw_is_a_located_error() {
+        let err = Scenario::parse("[scenario]\nname = \"x\"\n[policy]\narm = \"powercap:1\"\n")
+            .unwrap_err();
+        assert_eq!(err.context, "[policy] arm");
+        assert_eq!(err.line, 4);
+        assert!(err.to_string().contains("20 W"), "{err}");
     }
 
     #[test]

@@ -46,4 +46,4 @@ pub mod service;
 
 pub use digest::{fnv1a64, Digest};
 pub use query::{Query, RelQuery};
-pub use service::{Completed, Pending, Response, ServeConfig, ServeMetrics, Service};
+pub use service::{Completed, Pending, Response, ServeConfig, Service};

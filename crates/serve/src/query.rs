@@ -182,6 +182,12 @@ mod tests {
     }
 
     #[test]
+    fn power_cap_queries_below_idle_draw_are_rejected() {
+        let err = Query::parse("ab:powercap:1").unwrap_err();
+        assert!(err.contains("20 W"), "{err}");
+    }
+
+    #[test]
     fn standard_surface_has_the_expected_shape() {
         assert_eq!(Query::point_queries().len(), PointStat::ALL.len());
         assert_eq!(Query::figure_queries().len(), FigureId::ALL.len());

@@ -29,7 +29,7 @@ use crate::query::{Query, RelQuery};
 use sc_cluster::{SimConfig, SimOutput, Simulation};
 use sc_core::{gpu_views, user_stats, DataQualityFig, QueryKey, UserStats};
 use sc_obs::stagelog::StageSpan;
-use sc_obs::{Obs, SharedCounter, StageLog};
+use sc_obs::{Obs, StageLog};
 use sc_par::{CacheOutcome, CacheStats, Executor, MemoCache};
 use sc_policy::PolicyExperiment;
 use sc_scenario::Scenario;
@@ -81,24 +81,6 @@ impl Default for ServeConfig {
             scenario: Scenario::default(),
         }
     }
-}
-
-/// Shared per-service request counters, safe to read from any thread
-/// while workers serve.
-#[derive(Debug, Default)]
-pub struct ServeMetrics {
-    /// Requests accepted (blocking and submitted).
-    pub queries: SharedCounter,
-    /// Responses served from the cache without waiting.
-    pub hits: SharedCounter,
-    /// Responses this service computed (cold or cache off).
-    pub misses: SharedCounter,
-    /// Responses that waited on another request's in-flight compute.
-    pub coalesced: SharedCounter,
-    /// Cached responses evicted by the second-chance sweep (mirrors
-    /// the cache's monotone eviction total; 0 when the cache is
-    /// unbounded or off).
-    pub evictions: SharedCounter,
 }
 
 /// One answered query.
@@ -154,7 +136,6 @@ pub struct Service {
     users: Vec<UserStats>,
     cache: MemoCache<QueryKey, String>,
     exec: Executor,
-    metrics: ServeMetrics,
     stage_log: StageLog,
     build_secs: f64,
 }
@@ -198,7 +179,6 @@ impl Service {
             users,
             cache: MemoCache::with_capacity(config.cache_capacity),
             exec: Executor::new(threads),
-            metrics: ServeMetrics::default(),
             stage_log: StageLog::new(),
             build_secs: t0.elapsed().as_secs_f64(),
             config,
@@ -236,12 +216,8 @@ impl Service {
         QueryKey { scenario: self.scenario.clone(), seed: self.config.seed, query: q.token() }
     }
 
-    /// Request counters.
-    pub fn metrics(&self) -> &ServeMetrics {
-        &self.metrics
-    }
-
-    /// Cache counters (hits/misses/coalesced as the cache saw them).
+    /// Request counters: hits, misses, coalesced waits and evictions,
+    /// as the cache saw them (all zero with the cache off).
     pub fn cache_stats(&self) -> CacheStats {
         self.cache.stats()
     }
@@ -255,24 +231,11 @@ impl Service {
 
     /// Answers `q` on the calling thread, through the cache.
     pub fn query_blocking(&self, q: &Query) -> Response {
-        self.metrics.queries.incr();
         if !self.config.cache {
             let body = Arc::new(self.compute_traced(q));
-            self.metrics.misses.incr();
             return Response { body, outcome: CacheOutcome::Miss };
         }
         let (body, outcome) = self.cache.get_or_compute(self.key(q), || self.compute_traced(q));
-        match outcome {
-            CacheOutcome::Hit => self.metrics.hits.incr(),
-            CacheOutcome::Miss => self.metrics.misses.incr(),
-            CacheOutcome::Coalesced => self.metrics.coalesced.incr(),
-        }
-        // Only a miss can have pushed the cache over capacity, so the
-        // mirror only needs refreshing here; `record_at_least` keeps
-        // concurrent misses from double-counting.
-        if outcome == CacheOutcome::Miss {
-            self.metrics.evictions.record_at_least(self.cache.stats().evictions);
-        }
         Response { body, outcome }
     }
 
@@ -498,7 +461,6 @@ mod tests {
         let first: Vec<Arc<String>> = surface.iter().map(|q| s.query_blocking(q).body).collect();
         let stats = s.cache_stats();
         assert!(stats.evictions > 0, "an overfull cache must evict: {stats:?}");
-        assert_eq!(s.metrics().evictions.get(), stats.evictions, "metrics mirror the cache");
         // Second pass: hits and post-eviction recomputes alike must
         // reproduce the first pass byte-for-byte.
         for (q, body) in surface.iter().zip(&first) {
@@ -518,7 +480,7 @@ mod tests {
         let q = Query::Point(PointStat::JobsAnalyzed);
         assert_eq!(s.query_blocking(&q).outcome, CacheOutcome::Miss);
         assert_eq!(s.query_blocking(&q).outcome, CacheOutcome::Miss);
-        assert_eq!(s.metrics().misses.get(), 2);
+        assert_eq!(s.cache_stats(), CacheStats::default(), "the cache is never consulted");
     }
 
     #[test]

@@ -10,7 +10,6 @@
 //!   coefficient of variation (CoV) used throughout Secs. III–V.
 //! - [`BoxStats`]: five-number box-plot summaries (Figs. 5 and 16).
 //! - [`correlation`]: Spearman rank correlation with p-values (Fig. 12).
-//! - [`Histogram`]: linear- and log-binned histograms.
 //! - [`lorenz`]: Lorenz curves, Gini coefficients, and top-*k*% shares
 //!   (the "top 5% of users submit 44% of jobs" Pareto analysis).
 //! - [`segment`]: run-length segmentation of time series into active and
@@ -38,7 +37,6 @@
 // panics; tests are exempt (unwrap there is an assertion).
 #![cfg_attr(not(test), warn(clippy::unwrap_used))]
 
-pub mod autocorr;
 pub mod bootstrap;
 pub mod boxplot;
 pub mod correlation;
@@ -46,20 +44,17 @@ pub mod descriptive;
 pub mod dist;
 pub mod ecdf;
 pub mod error;
-pub mod histogram;
 pub mod kstest;
 pub mod lorenz;
 pub mod segment;
 pub mod streaming;
 
-pub use autocorr::{acf, autocorrelation, decorrelation_lag, moving_average};
 pub use bootstrap::{bootstrap_ci, BootstrapCi};
 pub use boxplot::BoxStats;
 pub use correlation::{pearson, spearman, SpearmanResult};
 pub use descriptive::{coefficient_of_variation, mean, percentile, std_dev, Summary};
 pub use ecdf::Ecdf;
 pub use error::StatsError;
-pub use histogram::Histogram;
 pub use kstest::{ks_two_sample, KsResult};
 pub use lorenz::Lorenz;
 pub use segment::{segment_intervals, Interval, IntervalKind, SegmentBuilder, Segmentation};

@@ -6,13 +6,14 @@
 //! storage, copied them to the central file system in the epilog, and
 //! finally joined the scheduler-side and GPU-side datasets by job id.
 //!
-//! This crate models that pipeline faithfully:
+//! This crate models that pipeline. Of the two series it keeps the GPU
+//! one, which every figure reads:
 //!
 //! - [`metrics`]: the sample schema (`nvidia-smi` fields the paper uses:
 //!   SM %, memory-bandwidth %, memory-size %, PCIe Tx/Rx, power).
 //! - [`source`]: the [`MetricSource`] trait — the ground-truth process a
 //!   running job exposes; the workload crate provides implementations.
-//! - [`sampler`]: [`GpuSampler`] (100 ms) and [`CpuSampler`] (10 s).
+//! - [`sampler`]: [`GpuSampler`], the 100 ms poller.
 //! - [`aggregate`]: streaming min/mean/max aggregation, the only thing
 //!   retained for most jobs ("the minimum, mean, and maximum resource
 //!   utilization during the run were reported at the end of the job").
@@ -53,11 +54,11 @@ pub use gpu_power::{
     gpu_energy_kwh, DVFS_PERF_PER_POWER, FACILITY_BUDGET_W, SUPERCLOUD_GPUS, V100_IDLE_W,
     V100_TDP_W,
 };
-pub use metrics::{CpuMetricSample, GpuMetricSample, GpuResource};
+pub use metrics::{GpuMetricSample, GpuResource};
 pub use record::{
     ExitStatus, FailureCause, GpuJobRecord, JobId, JobRecord, SchedulerRecord, SubmissionInterface,
     UserId,
 };
-pub use sampler::{CpuSampler, GpuSampler, GpuTimeSeries};
+pub use sampler::{GpuSampler, GpuTimeSeries};
 pub use source::MetricSource;
 pub use stream::{stream_detail, DetailSink, TelemetryStreamSummary, Util3Sink};

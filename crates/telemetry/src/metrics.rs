@@ -1,5 +1,5 @@
-//! Metric sample schema: the `nvidia-smi` and Slurm-plugin fields the
-//! paper's dataset retains.
+//! Metric sample schema: the `nvidia-smi` fields the paper's dataset
+//! retains.
 
 /// One 100 ms GPU sample, mirroring the `nvidia-smi` fields analyzed in
 /// the paper (Secs. II–III).
@@ -52,17 +52,6 @@ impl GpuMetricSample {
         let pct = [self.sm_util, self.mem_util, self.mem_size_util, self.pcie_tx, self.pcie_rx];
         pct.iter().all(|v| (0.0..=100.0).contains(v)) && self.power_w >= 0.0
     }
-}
-
-/// One 10-second CPU-side sample from the Slurm monitoring plugins.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct CpuMetricSample {
-    /// CPU utilization across the job's allocated cores (%).
-    pub cpu_util: f64,
-    /// Host memory in use (GiB).
-    pub mem_used_gib: f64,
-    /// File I/O throughput (MiB/s).
-    pub io_mib_s: f64,
 }
 
 /// The GPU resources the paper studies, used to index per-resource

@@ -1,19 +1,17 @@
-//! The 100 ms GPU sampler and 10 s CPU sampler of Sec. II.
+//! The 100 ms GPU sampler of Sec. II.
 //!
 //! "The CPU time series data is collected at 10-second intervals and the
 //! GPU time series data is collected at an interval of 100ms. Both time
 //! intervals were empirically chosen as a compromise between data volume
-//! and usability."
+//! and usability." Every figure this reproduction draws reads the GPU
+//! series, so only the GPU sampler is modelled.
 
 use crate::aggregate::GpuAggregates;
-use crate::metrics::{CpuMetricSample, GpuMetricSample};
+use crate::metrics::GpuMetricSample;
 use crate::source::MetricSource;
 
 /// Default GPU sampling period: 100 ms.
 pub const GPU_SAMPLE_PERIOD_SECS: f64 = 0.1;
-
-/// Default CPU sampling period: 10 s.
-pub const CPU_SAMPLE_PERIOD_SECS: f64 = 10.0;
 
 /// The sampled GPU series of one job: one vector of samples per GPU,
 /// taken at a fixed period.
@@ -164,41 +162,6 @@ impl GpuSampler {
     }
 }
 
-/// Samples the CPU-side metrics at 10-second intervals via the Slurm
-/// plugin path.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CpuSampler {
-    period_secs: f64,
-}
-
-impl Default for CpuSampler {
-    fn default() -> Self {
-        CpuSampler::new()
-    }
-}
-
-impl CpuSampler {
-    /// A sampler at the production period of 10 s.
-    pub fn new() -> Self {
-        CpuSampler { period_secs: CPU_SAMPLE_PERIOD_SECS }
-    }
-
-    /// Sampling period in seconds.
-    pub fn period_secs(&self) -> f64 {
-        self.period_secs
-    }
-
-    /// Samples the CPU series over the job duration.
-    pub fn sample_series<S: MetricSource + ?Sized>(
-        &self,
-        source: &S,
-        duration_secs: f64,
-    ) -> Vec<CpuMetricSample> {
-        let n = tick_count(duration_secs, self.period_secs);
-        (0..n).map(|k| source.cpu_state(k as f64 * self.period_secs)).collect()
-    }
-}
-
 /// Number of ticks `k` (from 0) with `k * period < duration` — the
 /// samples a poller started with the job and killed by the epilog takes.
 ///
@@ -230,11 +193,7 @@ mod tests {
     use crate::source::ConstantSource;
 
     fn source(gpus: u32, sm: f64) -> ConstantSource {
-        ConstantSource {
-            gpus,
-            gpu: GpuMetricSample { sm_util: sm, ..Default::default() },
-            cpu: CpuMetricSample { cpu_util: 50.0, ..Default::default() },
-        }
+        ConstantSource { gpus, gpu: GpuMetricSample { sm_util: sm, ..Default::default() } }
     }
 
     #[test]
@@ -263,10 +222,8 @@ mod tests {
         // An exactly-representable multiple stays exact.
         let series = s.sample_series(&source(1, 10.0), 0.5);
         assert_eq!(series.len(), 5);
-        // CPU sampler shares the same tick arithmetic.
-        let c = CpuSampler::new();
-        let duration = 7.0 * 10.0;
-        assert_eq!(c.sample_series(&source(1, 0.0), duration).len(), 7);
+        // The same holds at a coarser period.
+        assert_eq!(tick_count(7.0 * 10.0, 10.0), 7);
     }
 
     #[test]
@@ -292,14 +249,6 @@ mod tests {
         };
         let job = series.job_level_series(|s| s.sm_util);
         assert_eq!(job, vec![50.0]);
-    }
-
-    #[test]
-    fn cpu_sampler_period() {
-        let s = CpuSampler::new();
-        let samples = s.sample_series(&source(1, 0.0), 60.0);
-        assert_eq!(samples.len(), 6);
-        assert_eq!(samples[0].cpu_util, 50.0);
     }
 
     #[test]

@@ -5,10 +5,10 @@
 //! implementations keeps the telemetry pipeline identical whether it
 //! observes a synthetic job or (hypothetically) replayed hardware data.
 
-use crate::metrics::{CpuMetricSample, GpuMetricSample};
+use crate::metrics::GpuMetricSample;
 
-/// A process that can be observed by [`crate::GpuSampler`] and
-/// [`crate::CpuSampler`] at arbitrary job-relative times.
+/// A process that can be observed by [`crate::GpuSampler`] at arbitrary
+/// job-relative times.
 ///
 /// Implementations must be deterministic in `t`: sampling the same
 /// instant twice yields the same value. This mirrors physical reality
@@ -37,9 +37,6 @@ pub trait MetricSource {
     fn gpu_constant_until(&self, _gpu_index: u32, _t: f64) -> Option<f64> {
         None
     }
-
-    /// Ground-truth CPU-side state at job-relative time `t` seconds.
-    fn cpu_state(&self, t: f64) -> CpuMetricSample;
 }
 
 /// A trivial source with constant utilization on every GPU — useful in
@@ -50,8 +47,6 @@ pub struct ConstantSource {
     pub gpus: u32,
     /// The state every GPU reports at every instant.
     pub gpu: GpuMetricSample,
-    /// The CPU state reported at every instant.
-    pub cpu: CpuMetricSample,
 }
 
 impl MetricSource for ConstantSource {
@@ -67,10 +62,6 @@ impl MetricSource for ConstantSource {
     fn gpu_constant_until(&self, _gpu_index: u32, _t: f64) -> Option<f64> {
         Some(f64::INFINITY)
     }
-
-    fn cpu_state(&self, _t: f64) -> CpuMetricSample {
-        self.cpu
-    }
 }
 
 #[cfg(test)]
@@ -82,7 +73,6 @@ mod tests {
         let src = ConstantSource {
             gpus: 2,
             gpu: GpuMetricSample { sm_util: 42.0, ..Default::default() },
-            cpu: CpuMetricSample::default(),
         };
         assert_eq!(src.gpu_state(0, 0.0), src.gpu_state(0, 100.0));
         assert_eq!(src.gpu_state(1, 5.0).sm_util, 42.0);
@@ -92,11 +82,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "out of range")]
     fn constant_source_bounds_checked() {
-        let src = ConstantSource {
-            gpus: 1,
-            gpu: GpuMetricSample::default(),
-            cpu: CpuMetricSample::default(),
-        };
+        let src = ConstantSource { gpus: 1, gpu: GpuMetricSample::default() };
         let _ = src.gpu_state(1, 0.0);
     }
 }

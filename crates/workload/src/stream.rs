@@ -521,7 +521,6 @@ mod tests {
         let idle = JobGroundTruth {
             gpus: vec![GpuGroundTruth::idle(120.0), GpuGroundTruth::idle(120.0)],
             power: PowerModel::v100(),
-            cpu_util: 10.0,
         };
         assert_stream_matches_batch(&idle, 120.0, 0.1, "all idle");
 
@@ -535,7 +534,6 @@ mod tests {
         let unrelated = JobGroundTruth {
             gpus: vec![generate_gpu_truth(&mut rng_a, &p), generate_gpu_truth(&mut rng_b, &p)],
             power: PowerModel::v100(),
-            cpu_util: 10.0,
         };
         assert_stream_matches_batch(&unrelated, 300.0, 0.1, "unrelated structures");
     }

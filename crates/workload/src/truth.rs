@@ -19,7 +19,7 @@ use crate::power::PowerModel;
 use rand::Rng;
 use sc_stats::dist::{LogNormal, Sample};
 use sc_telemetry::aggregate::{Aggregate, GpuAggregates};
-use sc_telemetry::metrics::{CpuMetricSample, GpuMetricSample, GpuResource};
+use sc_telemetry::metrics::{GpuMetricSample, GpuResource};
 use sc_telemetry::source::MetricSource;
 
 /// Base utilization levels (percent) for the five non-power resources.
@@ -507,17 +507,14 @@ pub fn generate_gpu_truth<R: Rng + ?Sized>(rng: &mut R, p: &TruthParams) -> GpuG
     GpuGroundTruth::new(phases)
 }
 
-/// The ground truth of a whole job: one process per GPU plus the CPU
-/// side, implementing [`MetricSource`] for the telemetry samplers.
+/// The ground truth of a whole job: one process per GPU, implementing
+/// [`MetricSource`] for the telemetry sampler.
 #[derive(Debug, Clone, PartialEq)]
 pub struct JobGroundTruth {
     /// Per-GPU processes.
     pub gpus: Vec<GpuGroundTruth>,
     /// Power model shared by the job's GPUs.
     pub power: PowerModel,
-    /// Host CPU utilization (constant; CPU-side detail is out of the
-    /// paper's GPU analyses).
-    pub cpu_util: f64,
 }
 
 impl JobGroundTruth {
@@ -563,7 +560,11 @@ impl JobGroundTruth {
                 .collect();
             gpus.push(GpuGroundTruth::new(phases));
         }
-        JobGroundTruth { gpus, power: PowerModel::v100(), cpu_util: rng.gen_range(2.0..60.0) }
+        // A discarded draw that keeps the stream's position: callers
+        // that generate several truths from one stream (the ingest
+        // series study) would otherwise see every later truth shift.
+        let _: f64 = rng.gen_range(2.0..60.0);
+        JobGroundTruth { gpus, power: PowerModel::v100() }
     }
 
     /// Exact per-GPU aggregates over `[0, duration]`.
@@ -583,10 +584,6 @@ impl MetricSource for JobGroundTruth {
 
     fn gpu_constant_until(&self, gpu_index: u32, t: f64) -> Option<f64> {
         self.gpus[gpu_index as usize].constant_until(t)
-    }
-
-    fn cpu_state(&self, _t: f64) -> CpuMetricSample {
-        CpuMetricSample { cpu_util: self.cpu_util, mem_used_gib: 8.0, io_mib_s: 5.0 }
     }
 }
 
@@ -722,9 +719,6 @@ mod tests {
         }
         fn gpu_state(&self, gpu_index: u32, t: f64) -> GpuMetricSample {
             self.0.gpu_state(gpu_index, t)
-        }
-        fn cpu_state(&self, t: f64) -> CpuMetricSample {
-            self.0.cpu_state(t)
         }
     }
 

@@ -51,9 +51,6 @@ fn main() {
         fn gpu_state(&self, _g: u32, t: f64) -> sc_repro::telemetry::GpuMetricSample {
             self.0.state_at(t, &self.1)
         }
-        fn cpu_state(&self, _t: f64) -> sc_repro::telemetry::CpuMetricSample {
-            sc_repro::telemetry::CpuMetricSample::default()
-        }
     }
     let source = Wrapper(&truth, power);
 

@@ -342,6 +342,34 @@ fn golden_ingest_ledger_matches_committed_bytes() {
     );
 }
 
+const GOLDEN_SERIES_STUDY: &str =
+    concat!(env!("CARGO_MANIFEST_DIR"), "/../../tests/golden/series_study_lossy_seed42_n16.txt");
+
+/// Golden series micro-study: 16 synthetic jobs drawn from one seeded
+/// stream, sampled, corrupted under the lossy profile and repaired. The
+/// `{:?}` form keeps every float at full precision, so a change to any
+/// draw in `JobGroundTruth::generate` (which shifts every later job in
+/// the stream) or to the series repair shows here. Regenerate with
+/// `scripts/update_golden.sh` only for an intended change.
+#[test]
+fn golden_series_study_matches_committed_bytes() {
+    let study =
+        sc_repro::core::ingest::series_study(DataQualityProfile::Lossy, 42, 16, 1_800.0, 0.1)
+            .expect("series study succeeds");
+    let rendered = format!("{study:?}\n");
+    if std::env::var("SC_REGEN_GOLDEN").is_ok() {
+        std::fs::write(GOLDEN_SERIES_STUDY, &rendered).expect("write golden series study");
+        return;
+    }
+    let golden = std::fs::read_to_string(GOLDEN_SERIES_STUDY)
+        .expect("golden series study committed at tests/golden/");
+    assert_eq!(
+        rendered, golden,
+        "series micro-study diverges from golden; regenerate with scripts/update_golden.sh if \
+         intentional"
+    );
+}
+
 const GOLDEN_SCENARIO_DIR: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../tests/golden");
 
 /// Golden scenario summaries: the rendered summary of each committed

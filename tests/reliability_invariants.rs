@@ -83,14 +83,6 @@ proptest! {
         prop_assert!((rel.total(|b| b.lost_gpu_secs) - out.goodput.lost_gpu_secs).abs() <= tol);
         prop_assert!((rel.total(|b| b.idle_gpu_secs) - out.goodput.idle_gpu_secs).abs() <= tol);
         prop_assert_eq!(rel.total_failures(), out.goodput.total_deaths());
-
-        // The canonical fixed-width arrays in the goodput ledger obey
-        // the same per-bucket identity and sum to the global fields.
-        for i in 0..ReliabilityStats::default().buckets.len() {
-            prop_assert!(out.goodput.size_balance_error(i) <= tol);
-        }
-        let canon_alloc: f64 = out.goodput.allocated_by_size_gpu_secs.iter().sum();
-        prop_assert!((canon_alloc - out.goodput.allocated_gpu_secs).abs() <= tol);
     }
 
     /// Derived-metric consistency: ETTF times failure count recovers
