@@ -40,7 +40,7 @@ use sc_core::{AnalysisReport, ClassifierFig, DataQualityFig, ReliabilityReport};
 use sc_learn::ArchetypePredictor;
 use sc_obs::{chrome_trace_json, json, JsonlSink, Obs, StageLog, TraceLevel};
 use sc_opportunity::OpportunityReport;
-use sc_policy::{ExperimentResult, PolicyExperiment, PolicySpec};
+use sc_policy::{ExperimentResult, PolicyExperiment, PolicyParseError, PolicySpec};
 use sc_scenario::{CrossSystemFig, Scenario};
 use sc_telemetry::gpu_power::{SUPERCLOUD_GPUS, V100_IDLE_W, V100_TDP_W};
 use sc_telemetry::DataQualityProfile;
@@ -223,7 +223,11 @@ fn parse_args() -> Args {
             "--policy" => {
                 let arm = value("--policy");
                 if let Err(e) = PolicySpec::parse(&arm) {
-                    usage_error(&e);
+                    usage_error(&match e {
+                        PolicyParseError::BadWatts(_) => format!("bad watts in --policy {arm:?}"),
+                        PolicyParseError::WattsOutOfRange(_) => format!("--policy {e}"),
+                        PolicyParseError::UnknownName(_) => e.to_string(),
+                    });
                 }
                 policy = Some(arm);
             }

@@ -55,7 +55,12 @@ fn power_cap_below_idle_draw_is_a_usage_error() {
         .expect("repro_figures runs");
     let stderr = String::from_utf8_lossy(&run.stderr);
     assert_eq!(run.status.code(), Some(2), "{stderr}");
-    assert!(stderr.contains("20 W"), "{stderr}");
+    assert!(
+        stderr.contains(
+            "--policy powercap needs finite watts at or above the V100 idle draw of 20 W, got 1"
+        ),
+        "{stderr}"
+    );
 }
 
 #[test]

@@ -13,9 +13,9 @@ use sc_obs::{Obs, Timeline, TimelineSample, Value};
 use sc_telemetry::dataset::{Dataset, MIN_GPU_JOB_RUNTIME_SECS};
 use sc_telemetry::phases::{ActiveVariability, PhaseStats};
 use sc_telemetry::record::{ExitStatus, FailureCause, GpuJobRecord, JobId, SchedulerRecord};
-use sc_telemetry::sampler::{tick_count, GPU_SAMPLE_PERIOD_SECS};
+use sc_telemetry::sampler::GPU_SAMPLE_PERIOD_SECS;
 use sc_telemetry::stream::{stream_detail, TelemetryStreamSummary};
-use sc_workload::{JobSpec, PlannedOutcome, Trace};
+use sc_workload::{JobGroundTruth, JobSpec, PlannedOutcome, Trace};
 
 /// Simulation configuration.
 #[derive(Debug, Clone, PartialEq)]
@@ -519,24 +519,27 @@ impl Simulation {
                 }
                 gpu = Some(GpuJobRecord { job_id: job.job_id, per_gpu });
                 if hash_unit(job.truth_seed ^ 0x5eed_cafe) < detailed_fraction {
-                    // Streaming path: the ground truth pushes job-level
-                    // ticks straight into the one-pass detail reducer —
-                    // bit-identical to materializing the series and
-                    // running `phase_stats` / `active_variability`, at
-                    // O(#runs) memory (tested in sc-workload).
-                    let period = GPU_SAMPLE_PERIOD_SECS;
-                    if tick_count(run_time, period) > 0 && !truth.gpus.is_empty() {
-                        let (phases, variability) =
-                            stream_detail(|sink| truth.stream_util3(run_time, period, sink))
-                                .expect("non-empty stream of finite ticks");
-                        detailed =
-                            Some(DetailedJobStats { job_id: job.job_id, phases, variability });
-                    }
+                    detailed = detail_stats(job.job_id, &truth, run_time);
                 }
             }
         }
         JobEpilog { sched, gpu, detailed }
     }
+}
+
+/// A detailed-subset job's phase statistics: its ground truth streams
+/// job-level ticks straight into the detail reducer — bit-identical to
+/// materializing the series and running `phase_stats` /
+/// `active_variability`, without storing a tick (tested in
+/// sc-workload).
+///
+/// `None` when the stream does not reduce: no tick in the run, or a
+/// non-finite level. Such a job keeps its scheduler and GPU records and
+/// is left out of the detailed subset.
+fn detail_stats(job_id: JobId, truth: &JobGroundTruth, run_time: f64) -> Option<DetailedJobStats> {
+    let (phases, variability) =
+        stream_detail(|sink| truth.stream_util3(run_time, GPU_SAMPLE_PERIOD_SECS, sink)).ok()?;
+    Some(DetailedJobStats { job_id, phases, variability })
 }
 
 /// One replay of a trace: everything the event loop mutates, with one
@@ -1056,6 +1059,34 @@ mod tests {
         let sim = Simulation::new(SimConfig { detailed_series_jobs: 60, ..Default::default() });
         let out = sim.run(&trace);
         (trace, out)
+    }
+
+    #[test]
+    fn a_truth_that_does_not_reduce_is_left_out_of_the_detailed_subset() {
+        use sc_workload::truth::Phase;
+        use sc_workload::{GpuGroundTruth, PowerModel, ResourceLevels};
+        let truth = |sm: f64, mem: f64| JobGroundTruth {
+            gpus: vec![GpuGroundTruth::new(vec![Phase {
+                start: 0.0,
+                len: 60.0,
+                active: true,
+                levels: ResourceLevels { sm, mem, mem_size: 30.0, ..Default::default() },
+                wave_frac: 0.0,
+                wave_period: 1.0,
+                wave_shift: 0.0,
+                spikes: Vec::new(),
+            }])],
+            power: PowerModel::v100(),
+        };
+        let id = JobId(7);
+        let stats = detail_stats(id, &truth(50.0, 20.0), 60.0).expect("finite levels reduce");
+        assert_eq!((stats.job_id, stats.phases.active_fraction), (id, 1.0));
+        // A non-finite SM level fails the segmentation, a non-finite
+        // memory level the active-phase CoV, and a zero-length run has
+        // no tick at all: none of them panics.
+        assert_eq!(detail_stats(id, &truth(f64::NAN, 20.0), 60.0), None);
+        assert_eq!(detail_stats(id, &truth(50.0, f64::INFINITY), 60.0), None);
+        assert_eq!(detail_stats(id, &truth(50.0, 20.0), 0.0), None);
     }
 
     #[test]

@@ -2,12 +2,12 @@
 //!
 //! [`FeatureSink`] folds the job-level `[sm, mem, mem_size]` tick
 //! stream into a fixed-width feature vector in one pass. It implements
-//! [`Util3Sink`] with the trait's *default* `push_run` (which unrolls
-//! runs into per-tick `push` calls), so the streamed fold consumes
-//! exactly the tick values the batch sampler materializes, in the same
-//! order — streamed and batch-recomputed feature vectors are
-//! bit-identical by construction, and `tests/` proves it across seeds
-//! and thread budgets.
+//! [`Util3Sink`] with the trait's *default* `push_run` and `push_block`
+//! (which unroll into per-tick `push` calls) and `sines`, so the
+//! streamed fold consumes exactly the tick values the batch sampler
+//! materializes, in the same order — streamed and batch-recomputed
+//! feature vectors are bit-identical by construction, and `tests/`
+//! proves it across seeds and thread budgets.
 //!
 //! The features are cheap per-tick accumulations chosen to separate
 //! the hidden archetype signatures: periodicity proxies (delta
@@ -150,9 +150,9 @@ impl FeatureSink {
 }
 
 impl Util3Sink for FeatureSink {
-    // Deliberately no `push_run` override: the default unrolls runs
-    // through `push`, which keeps this fold bit-identical to pushing
-    // the batch-materialized series tick by tick.
+    // Deliberately no `push_run` or `push_block` override: the defaults
+    // unroll through `push`, which keeps this fold bit-identical to
+    // pushing the batch-materialized series tick by tick.
     fn push(&mut self, v: [f64; 3]) {
         let [sm, mem, mem_size] = v;
         if (self.ticks as usize) < self.first_quarter_ticks {

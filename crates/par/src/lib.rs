@@ -75,7 +75,7 @@ thread_local! {
 /// and on a worker of this crate's helpers.
 ///
 /// Returns only after every worker thread has exited, so thread-local
-/// scratch the workers filled (such as the telemetry spill buffer) is
+/// scratch the workers filled (such as the telemetry sine tape) is
 /// already freed.
 ///
 /// # Panics

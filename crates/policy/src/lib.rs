@@ -76,34 +76,35 @@ impl PolicySpec {
     pub const STANDARD_ARMS: [PolicySpec; 3] =
         [PolicySpec::PowerCap { cap_w: 150.0 }, PolicySpec::Coshare, PolicySpec::Tiered];
 
-    /// Parses a CLI selector: `off`, `powercap:<watts>`, `coshare`, or
-    /// `tiered`. A cap must be finite and at least the V100's idle draw
-    /// ([`V100_IDLE_W`]): a board cannot draw less than it idles at, so
-    /// a lower cap would only clamp the telemetry below what the GPUs
-    /// burn.
-    pub fn parse(s: &str) -> Result<PolicySpec, String> {
+    /// The selectors [`PolicySpec::parse`] accepts, for messages.
+    pub const NAMES: &'static str = "off | powercap:<watts> | coshare | coshare-predicted | tiered";
+
+    /// Parses a selector: `off`, `powercap:<watts>`, `coshare`,
+    /// `coshare-predicted` or `tiered`. A cap must be finite and at
+    /// least the V100's idle draw ([`V100_IDLE_W`]): a board cannot draw
+    /// less than it idles at, so a lower cap would only clamp the
+    /// telemetry below what the GPUs burn.
+    ///
+    /// # Errors
+    ///
+    /// A [`PolicyParseError`] saying which part is wrong; each entry
+    /// point words it for its own syntax.
+    pub fn parse(s: &str) -> Result<PolicySpec, PolicyParseError> {
         match s {
             "off" => Ok(PolicySpec::Off),
             "coshare" => Ok(PolicySpec::Coshare),
             "coshare-predicted" => Ok(PolicySpec::CosharePredicted),
             "tiered" => Ok(PolicySpec::Tiered),
             _ => {
-                if let Some(w) = s.strip_prefix("powercap:") {
-                    let cap_w: f64 =
-                        w.parse().map_err(|_| format!("bad watts in --policy {s:?}"))?;
-                    if !(V100_IDLE_W..f64::INFINITY).contains(&cap_w) {
-                        return Err(format!(
-                            "--policy powercap needs finite watts at or above the V100 idle \
-                             draw of {V100_IDLE_W} W, got {w}"
-                        ));
-                    }
-                    Ok(PolicySpec::PowerCap { cap_w })
-                } else {
-                    Err(format!(
-                        "unknown policy {s:?}: expected off | powercap:<watts> | coshare | \
-                         coshare-predicted | tiered"
-                    ))
+                let Some(w) = s.strip_prefix("powercap:") else {
+                    return Err(PolicyParseError::UnknownName(s.to_string()));
+                };
+                let cap_w: f64 =
+                    w.parse().map_err(|_| PolicyParseError::BadWatts(w.to_string()))?;
+                if !(V100_IDLE_W..f64::INFINITY).contains(&cap_w) {
+                    return Err(PolicyParseError::WattsOutOfRange(w.to_string()));
                 }
+                Ok(PolicySpec::PowerCap { cap_w })
             }
         }
     }
@@ -147,6 +148,38 @@ impl PolicySpec {
     }
 }
 
+/// Why a selector is not a [`PolicySpec`]. The message names no entry
+/// point: `--policy`, a scenario's `[policy] arm` and `ab:` queries each
+/// word it for their own syntax.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum PolicyParseError {
+    /// The selector names no policy.
+    UnknownName(String),
+    /// The text after `powercap:` is not a number.
+    BadWatts(String),
+    /// The watts after `powercap:` parse, but are not finite or sit
+    /// below [`V100_IDLE_W`].
+    WattsOutOfRange(String),
+}
+
+impl std::fmt::Display for PolicyParseError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            PolicyParseError::UnknownName(s) => {
+                write!(f, "unknown policy {s:?}: expected {}", PolicySpec::NAMES)
+            }
+            PolicyParseError::BadWatts(w) => write!(f, "bad watts {w:?} in powercap:<watts>"),
+            PolicyParseError::WattsOutOfRange(w) => write!(
+                f,
+                "powercap needs finite watts at or above the V100 idle draw of {V100_IDLE_W} W, \
+                 got {w}"
+            ),
+        }
+    }
+}
+
+impl std::error::Error for PolicyParseError {}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -185,12 +218,27 @@ mod tests {
 
     #[test]
     fn parse_rejects_garbage() {
-        assert!(PolicySpec::parse("powercap:banana").is_err());
-        assert!(PolicySpec::parse("powercap:-5").is_err());
-        assert!(PolicySpec::parse("powercap:0").is_err());
-        assert!(PolicySpec::parse("powercap:19.9").is_err());
-        assert!(PolicySpec::parse("powercap:inf").is_err());
-        assert!(PolicySpec::parse("turbo").is_err());
+        let bad = |w: &str| PolicyParseError::BadWatts(w.to_string());
+        let range = |w: &str| PolicyParseError::WattsOutOfRange(w.to_string());
+        assert_eq!(PolicySpec::parse("powercap:banana"), Err(bad("banana")));
+        assert_eq!(PolicySpec::parse("powercap:"), Err(bad("")));
+        assert_eq!(PolicySpec::parse("powercap:-5"), Err(range("-5")));
+        assert_eq!(PolicySpec::parse("powercap:0"), Err(range("0")));
+        assert_eq!(PolicySpec::parse("powercap:19.9"), Err(range("19.9")));
+        assert_eq!(PolicySpec::parse("powercap:inf"), Err(range("inf")));
+        assert_eq!(PolicySpec::parse("powercap:NaN"), Err(range("NaN")));
+        assert_eq!(
+            PolicySpec::parse("turbo"),
+            Err(PolicyParseError::UnknownName("turbo".to_string()))
+        );
+        // The messages name no entry point.
+        assert_eq!(
+            range("1").to_string(),
+            "powercap needs finite watts at or above the V100 idle draw of 20 W, got 1"
+        );
+        for e in [bad("x"), range("1"), PolicyParseError::UnknownName("turbo".into())] {
+            assert!(!e.to_string().contains("--policy"), "{e}");
+        }
     }
 
     #[test]

@@ -13,7 +13,7 @@ use crate::error::{ErrorKind, ScenarioError};
 use crate::toml::{parse as parse_toml, render_value, TomlEntry, TomlSection, TomlValue};
 use sc_cluster::{ClusterSpec, FailureModel, SimConfig, SlowTierSpec};
 use sc_opportunity::CheckpointConfig;
-use sc_policy::PolicySpec;
+use sc_policy::{PolicyParseError, PolicySpec};
 use sc_telemetry::DataQualityProfile;
 use sc_workload::{ArrivalProcess, WorkloadSpec};
 
@@ -749,10 +749,22 @@ impl Scenario {
         r.check_keys(&["arm"])?;
         match r.str_opt("arm")? {
             None => Ok("off".to_string()),
-            Some((arm, line)) => match PolicySpec::parse(&arm) {
-                Ok(_) => Ok(arm),
-                Err(e) => Err(ScenarioError::new(line, "[policy] arm", ErrorKind::UnknownName(e))),
-            },
+            Some((arm, line)) => {
+                let kind = match PolicySpec::parse(&arm) {
+                    Ok(_) => return Ok(arm),
+                    Err(PolicyParseError::UnknownName(_)) => {
+                        ErrorKind::UnknownName(format!("{arm} (expected {})", PolicySpec::NAMES))
+                    }
+                    Err(PolicyParseError::BadWatts(w)) => ErrorKind::Type {
+                        expected: "watts after `powercap:`",
+                        found: format!("{w:?}"),
+                    },
+                    Err(e @ PolicyParseError::WattsOutOfRange(_)) => {
+                        ErrorKind::Range(e.to_string())
+                    }
+                };
+                Err(ScenarioError::new(line, "[policy] arm", kind))
+            }
         }
     }
 
@@ -1334,7 +1346,12 @@ mod tests {
             .unwrap_err();
         assert_eq!(err.context, "[policy] arm");
         assert_eq!(err.line, 4);
-        assert!(err.to_string().contains("20 W"), "{err}");
+        assert!(matches!(err.kind, ErrorKind::Range(_)), "{:?}", err.kind);
+        assert_eq!(
+            err.to_string(),
+            "line 4: [policy] arm: out of range: powercap needs finite watts at or above the \
+             V100 idle draw of 20 W, got 1"
+        );
     }
 
     #[test]
@@ -1348,6 +1365,13 @@ mod tests {
             Scenario::parse("[scenario]\nname = \"x\"\n[policy]\narm = \"powercap:banana\"\n")
                 .unwrap_err();
         assert_eq!(err.context, "[policy] arm");
+        assert!(matches!(err.kind, ErrorKind::Type { .. }), "{:?}", err.kind);
+        let err =
+            Scenario::parse("[scenario]\nname = \"x\"\n[policy]\narm = \"turbo\"\n").unwrap_err();
+        assert_eq!(
+            err.kind,
+            ErrorKind::UnknownName(format!("turbo (expected {})", PolicySpec::NAMES))
+        );
     }
 
     #[test]

@@ -92,7 +92,9 @@ impl Query {
                 .ok_or_else(|| format!("unknown figure {name:?}"));
         }
         if let Some(name) = s.strip_prefix("ab:") {
-            return PolicySpec::parse(name).map(Query::PolicyAb);
+            return PolicySpec::parse(name)
+                .map(Query::PolicyAb)
+                .map_err(|e| format!("query {s:?}: {e}"));
         }
         if let Some(name) = s.strip_prefix("dq:") {
             return DataQualityProfile::parse(name)
@@ -184,7 +186,14 @@ mod tests {
     #[test]
     fn power_cap_queries_below_idle_draw_are_rejected() {
         let err = Query::parse("ab:powercap:1").unwrap_err();
-        assert!(err.contains("20 W"), "{err}");
+        assert_eq!(
+            err,
+            "query \"ab:powercap:1\": powercap needs finite watts at or above the V100 idle \
+             draw of 20 W, got 1"
+        );
+        let err = Query::parse("ab:powercap:x").unwrap_err();
+        assert!(err.starts_with("query \"ab:powercap:x\": bad watts"), "{err}");
+        assert!(!err.contains("--policy"), "{err}");
     }
 
     #[test]

@@ -242,6 +242,14 @@ impl SegmentBuilder {
         self.samples
     }
 
+    /// Number of raw runs pushed so far, before smoothing. Each merge
+    /// in [`SegmentBuilder::finish`] removes at least one run, so the
+    /// finished segmentation has fewer intervals than this exactly when
+    /// smoothing flipped some run's kind.
+    pub fn runs(&self) -> usize {
+        self.runs.len()
+    }
+
     /// Smooths and returns the segmentation.
     ///
     /// # Errors
@@ -366,6 +374,11 @@ mod tests {
             for &v in &series {
                 b.push(v);
             }
+            // `runs` counts the unsmoothed runs, so it exceeds the
+            // interval count exactly when smoothing changed something.
+            let raw = segment_intervals(&series, threshold, 1).unwrap();
+            prop_assert_eq!(b.runs(), raw.intervals().len());
+            prop_assert_eq!(b.runs() > batch.intervals().len(), raw != batch);
             prop_assert_eq!(b.finish().unwrap(), batch);
         }
     }

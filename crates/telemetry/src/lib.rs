@@ -22,9 +22,9 @@
 //! - [`dataset`]: the joined dataset with the paper's 30-second filter.
 //! - [`phases`]: active/idle phase analysis over sampled series.
 //! - [`stream`]: streaming ingestion — the [`stream::Util3Sink`]
-//!   producer/consumer contract, one-pass detail reduction that is
-//!   bit-identical to the batch path, and mergeable run-level
-//!   summaries.
+//!   producer/consumer contract, a detail reduction that replays the
+//!   producer instead of storing its ticks and is bit-identical to the
+//!   batch path, and mergeable run-level summaries.
 //! - [`corruption`]: seeded data-quality fault injection — the lossy
 //!   version of the same pipeline, for ingest-hardening studies.
 

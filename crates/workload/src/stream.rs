@@ -15,7 +15,7 @@
 //!    the base levels; phase boundaries, wave periods, wave shifts and
 //!    spike schedules are identical. All eight `sin` evaluations the
 //!    batch sampler performed per tick per GPU therefore evaluate the
-//!    sine of the *same angle* — one `sin` per skeleton per tick
+//!    sine of the *same angle* — one sine per skeleton per tick
 //!    serves every member GPU. GPUs that do not share structure (idle
 //!    GPUs, hand-built truths) simply form one-member skeletons, so
 //!    the walk is exact for arbitrary inputs.
@@ -26,17 +26,27 @@
 //!    `k * period < end` tick arithmetic as the batch sampler's fast
 //!    path.
 //!
-//! Per-member levels go through the same [`Phase::amplitude`] /
-//! clamp arithmetic as [`Phase::level_at`], in the same operation
-//! order, so every pushed value is the f64 the batch sampler produced.
-//! The workload crate's tests assert bit equality against
-//! `sample_series` + `phase_stats` + `active_variability` across
-//! seeds, GPU mixes, spikes, and duration edge cases.
+//! Every other span goes through one blocked loop: per block of up to
+//! 256 ticks, each waving skeleton takes its sines from
+//! [`Util3Sink::sines`] (a sink may serve them from a tape instead of
+//! computing them), the GPUs are folded into the job-level triple in
+//! ascending order, and the block goes to [`Util3Sink::push_block`].
+//! Per-member levels go through the same [`Phase::amplitude`] / clamp
+//! arithmetic as [`Phase::level_at`], in the same operation order, so
+//! every pushed value is the f64 the batch sampler produced. The
+//! workload crate's tests assert bit equality against `sample_series` +
+//! `phase_stats` + `active_variability` across seeds, GPU mixes,
+//! spikes, and duration edge cases.
 
 use crate::truth::{JobGroundTruth, Phase, Spike};
 use sc_telemetry::metrics::GpuResource;
 use sc_telemetry::sampler::tick_count;
 use sc_telemetry::stream::Util3Sink;
+
+/// Ticks per block of the waving loop: enough to amortize the per-block
+/// skeleton and sink calls, small enough that a block's triples and
+/// sines stay in L1.
+const BLOCK: usize = 256;
 
 /// One GPU inside a skeleton: its own per-phase levels, with the
 /// current phase's base levels and wave amplitudes cached.
@@ -50,7 +60,7 @@ struct Member<'a> {
 }
 
 /// A group of GPUs sharing one phase structure (boundaries, waves,
-/// spikes), walked with a single cursor and a single `sin` per tick.
+/// spikes), walked with a single cursor and a single sine per tick.
 struct Skeleton<'a> {
     /// Structure source (the first member's phases).
     phases: &'a [Phase],
@@ -67,12 +77,18 @@ struct Skeleton<'a> {
     wave_shift: f64,
     spikes: &'a [Spike],
     /// Whether any member has a non-zero utilization wave amplitude in
-    /// the current phase — the only case that needs a `sin`.
+    /// the current phase — the only case that needs a sine.
     any_wave: bool,
     /// Whether this skeleton needs a per-tick evaluation in the current
     /// sub-span (set by [`Skeleton::prepare_span`]). Constant skeletons
     /// have their member values written once into the shared slots.
     waving: bool,
+    /// The current block's sines, one per tick (set by
+    /// [`Skeleton::wave_block`]).
+    sines: Vec<f64>,
+    /// The current block's per-tick spike masks; empty when no
+    /// utilization spike touches the block.
+    masks: Vec<[bool; 3]>,
 }
 
 /// The three streamed resources, in output order.
@@ -93,6 +109,28 @@ fn same_structure(a: &[Phase], b: &[Phase]) -> bool {
         })
 }
 
+/// Spike mask for the three streamed resources at phase-relative time
+/// `rel`.
+fn spike_mask(spikes: &[Spike], rel: f64) -> [bool; 3] {
+    let mut mask = [false; 3];
+    for s in spikes {
+        if rel >= s.offset && rel < s.offset + s.len {
+            match s.resource {
+                GpuResource::Sm => mask[0] = true,
+                GpuResource::Memory => mask[1] = true,
+                GpuResource::MemorySize => mask[2] = true,
+                _ => {}
+            }
+        }
+    }
+    mask
+}
+
+/// Whether a spike on `r` masks one of the streamed resources.
+fn masks_util3(r: GpuResource) -> bool {
+    matches!(r, GpuResource::Sm | GpuResource::Memory | GpuResource::MemorySize)
+}
+
 impl<'a> Skeleton<'a> {
     fn new(phases: &'a [Phase], gpu: usize) -> Self {
         Skeleton {
@@ -107,6 +145,8 @@ impl<'a> Skeleton<'a> {
             spikes: &[],
             any_wave: false,
             waving: false,
+            sines: Vec::new(),
+            masks: Vec::new(),
         }
     }
 
@@ -145,22 +185,6 @@ impl<'a> Skeleton<'a> {
         }
     }
 
-    /// Spike mask for the three streamed resources at time `t`.
-    fn spike_mask(&self, rel: f64) -> [bool; 3] {
-        let mut mask = [false; 3];
-        for s in self.spikes {
-            if rel >= s.offset && rel < s.offset + s.len {
-                match s.resource {
-                    GpuResource::Sm => mask[0] = true,
-                    GpuResource::Memory => mask[1] = true,
-                    GpuResource::MemorySize => mask[2] = true,
-                    _ => {}
-                }
-            }
-        }
-        mask
-    }
-
     /// Prepares the skeleton for the sub-span starting at `t` and
     /// returns the span end (`> t`, absolute time) up to which its
     /// prepared state is valid:
@@ -170,8 +194,9 @@ impl<'a> Skeleton<'a> {
     /// - Flat active phases (no member wave) are constant until the
     ///   phase ends or the next utilization spike boundary: member
     ///   slots are written once and `true` is returned.
-    /// - Waving phases return `false`; the caller evaluates every tick
-    ///   via [`Skeleton::eval_wave`] until the phase ends.
+    /// - Waving phases return `false`; the blocked loop evaluates every
+    ///   tick through [`Skeleton::wave_block`] and
+    ///   [`Skeleton::add_member`] until the phase ends.
     ///
     /// Values match [`Phase::level_at`] bit for bit: `100.0` under a
     /// spike, the unclamped base when the amplitude is zero.
@@ -189,11 +214,10 @@ impl<'a> Skeleton<'a> {
         }
         self.waving = false;
         let rel = t - self.start;
-        let mask = self.spike_mask(rel);
+        let mask = spike_mask(self.spikes, rel);
         let mut end = self.end;
         for s in self.spikes {
-            if matches!(s.resource, GpuResource::Sm | GpuResource::Memory | GpuResource::MemorySize)
-            {
+            if masks_util3(s.resource) {
                 for b in [s.offset, s.offset + s.len] {
                     if b > rel {
                         end = end.min(self.start + b);
@@ -211,29 +235,73 @@ impl<'a> Skeleton<'a> {
         (end, true)
     }
 
-    /// Writes every member's `[sm, mem, mem_size]` sample at time `t`
-    /// into its GPU slot — the same arithmetic, in the same order, as
-    /// [`Phase::level_at`], with the sine evaluated once. Only called
-    /// while [`Skeleton::waving`], so the phase caches are valid and a
-    /// wave is running; the spike mask is re-derived per tick exactly
-    /// like the batch path.
-    fn eval_wave(&self, t: f64, vals: &mut [[f64; 3]]) {
-        let rel = t - self.start;
-        let mask = self.spike_mask(rel);
-        let angle = 2.0 * std::f64::consts::PI * rel / self.wave_period + self.wave_shift;
-        let sin = angle.sin();
-        for m in &self.members {
-            let mut v = [0.0; 3];
-            for j in 0..3 {
-                v[j] = if mask[j] {
-                    100.0
-                } else if m.amp[j] == 0.0 {
-                    m.base[j]
-                } else {
-                    (m.base[j] + m.amp[j] * sin).clamp(0.0, 100.0)
-                };
+    /// Fills the sines and spike masks of the `len` ticks from tick
+    /// `k0` of a waving sub-span: the angle is [`Phase::level_at`]'s,
+    /// and the sines come from the sink.
+    ///
+    /// Masks are only built when some utilization spike window can
+    /// overlap the block: the per-tick `rel` is nondecreasing in the
+    /// tick index (subtraction and rounding are both monotone), so
+    /// comparing the first and last tick's `rel` against each window is
+    /// exact — every tick the per-tick test would mask lies inside
+    /// `[rel_first, rel_last]`.
+    fn wave_block<S: Util3Sink>(&mut self, k0: usize, len: usize, period: f64, sink: &mut S) {
+        let (start, wave_period, wave_shift) = (self.start, self.wave_period, self.wave_shift);
+        let rel = |k: usize| k as f64 * period - start;
+        self.sines.resize(len, 0.0);
+        sink.sines(&mut self.sines, |i| {
+            2.0 * std::f64::consts::PI * rel(k0 + i) / wave_period + wave_shift
+        });
+        self.masks.clear();
+        let (rel_first, rel_last) = (rel(k0), rel(k0 + len - 1));
+        let spikes = self.spikes;
+        if spikes.iter().any(|sp| {
+            masks_util3(sp.resource) && sp.offset <= rel_last && sp.offset + sp.len > rel_first
+        }) {
+            self.masks.extend((k0..k0 + len).map(|k| spike_mask(spikes, rel(k))));
+        }
+    }
+
+    /// Adds member `mi`'s `[sm, mem, mem_size]` at every tick of the
+    /// current block to `out` — the same arithmetic, in the same order,
+    /// as [`Phase::level_at`], with the skeleton's one sine per tick. A
+    /// skeleton that is constant over the sub-span adds the value
+    /// [`Skeleton::prepare_span`] left in `vals`.
+    fn add_member(&self, mi: usize, vals: &[[f64; 3]], out: &mut [[f64; 3]]) {
+        let m = &self.members[mi];
+        if !self.waving {
+            let v = vals[m.gpu];
+            for o in out.iter_mut() {
+                o[0] += v[0];
+                o[1] += v[1];
+                o[2] += v[2];
             }
-            vals[m.gpu] = v;
+            return;
+        }
+        if self.masks.is_empty() {
+            // The amplitude test is hoisted out of the ticks.
+            for j in 0..3 {
+                let (base, amp) = (m.base[j], m.amp[j]);
+                if amp == 0.0 {
+                    out.iter_mut().for_each(|o| o[j] += base);
+                } else {
+                    for (o, &sin) in out.iter_mut().zip(&self.sines) {
+                        o[j] += (base + amp * sin).clamp(0.0, 100.0);
+                    }
+                }
+            }
+        } else {
+            for ((o, &sin), mask) in out.iter_mut().zip(&self.sines).zip(&self.masks) {
+                for j in 0..3 {
+                    o[j] += if mask[j] {
+                        100.0
+                    } else if m.amp[j] == 0.0 {
+                        m.base[j]
+                    } else {
+                        (m.base[j] + m.amp[j] * sin).clamp(0.0, 100.0)
+                    };
+                }
+            }
         }
     }
 }
@@ -247,8 +315,10 @@ impl JobGroundTruth {
     /// reduced by `job_level_series` — bit for bit — without
     /// materializing the series: ticks follow the same strict
     /// `k * period < duration` contract, constant spans go through
-    /// [`Util3Sink::push_run`], and per-tick values reuse one sine per
-    /// shared phase skeleton.
+    /// [`Util3Sink::push_run`], and waving spans go through
+    /// [`Util3Sink::push_block`] with one sine per shared phase skeleton
+    /// and tick, taken from [`Util3Sink::sines`]. The walk is a pure
+    /// function of the truth, so a sink may run it more than once.
     pub fn stream_util3<S: Util3Sink>(&self, duration: f64, period_secs: f64, sink: &mut S) {
         let n = tick_count(duration, period_secs);
         if n == 0 || self.gpus.is_empty() {
@@ -264,8 +334,14 @@ impl JobGroundTruth {
                 None => skeletons.push(Skeleton::new(phases, gi)),
             }
         }
-        for s in &mut skeletons {
+        // Each GPU's `(skeleton, member)`, in ascending GPU order: the
+        // order of the job-level fold.
+        let mut slots = vec![(0, 0); self.gpus.len()];
+        for (si, s) in skeletons.iter_mut().enumerate() {
             s.refresh();
+            for (mi, m) in s.members.iter().enumerate() {
+                slots[m.gpu] = (si, mi);
+            }
         }
         let g = self.gpus.len() as f64;
         // When the GPU count is a power of two, dividing by it and
@@ -278,6 +354,7 @@ impl JobGroundTruth {
             None => sum / g,
         };
         let mut vals = vec![[0.0f64; 3]; self.gpus.len()];
+        let mut block = [[0.0f64; 3]; BLOCK];
         let mut k = 0usize;
         while k < n {
             let t = k as f64 * period_secs;
@@ -310,109 +387,29 @@ impl JobGroundTruth {
             if constant {
                 // All member slots were written by `prepare_span`.
                 sink.push_run(job_level(&vals, scale), kb - k);
-            } else if skeletons.len() == 1 {
-                // One skeleton covering every GPU — the dominant case.
-                // Fold member values straight into the job-level sums
-                // (members are in ascending GPU order, so each metric's
-                // chain is the exact `job_level_series` fold) without
-                // the `vals` round trip.
-                //
-                // Whether any utilization spike can fire inside the
-                // sub-span is decided up front: the per-tick `rel` is
-                // monotone nondecreasing in the tick index (subtraction
-                // and rounding are both monotone), so comparing the
-                // first and last tick's `rel` against each spike window
-                // is exact — every tick the per-tick test would mask is
-                // inside `[rel_first, rel_last]`. Spans without spikes
-                // (almost all of them) then skip the mask entirely.
-                let s = &skeletons[0];
-                let rel_first = (k as f64) * period_secs - s.start;
-                let rel_last = ((kb - 1) as f64) * period_secs - s.start;
-                let masked = s.spikes.iter().any(|sp| {
-                    matches!(
-                        sp.resource,
-                        GpuResource::Sm | GpuResource::Memory | GpuResource::MemorySize
-                    ) && sp.offset <= rel_last
-                        && sp.offset + sp.len > rel_first
-                });
-                if !masked {
-                    if let [m] = s.members.as_slice() {
-                        // Single GPU, no spikes: everything hoisted into
-                        // locals. The job-level fold for one member is
-                        // `0.0 + v` and no value here is `-0.0`, so
-                        // pushing `v` directly is bit-identical.
-                        let [b0, b1, b2] = m.base;
-                        let [a0, a1, a2] = m.amp;
-                        for kk in k..kb {
-                            let t = kk as f64 * period_secs;
-                            let rel = t - s.start;
-                            let angle =
-                                2.0 * std::f64::consts::PI * rel / s.wave_period + s.wave_shift;
-                            let sin = angle.sin();
-                            let v0 = if a0 == 0.0 { b0 } else { (b0 + a0 * sin).clamp(0.0, 100.0) };
-                            let v1 = if a1 == 0.0 { b1 } else { (b1 + a1 * sin).clamp(0.0, 100.0) };
-                            let v2 = if a2 == 0.0 { b2 } else { (b2 + a2 * sin).clamp(0.0, 100.0) };
-                            sink.push([scale(v0), scale(v1), scale(v2)]);
-                        }
-                    } else {
-                        for kk in k..kb {
-                            let t = kk as f64 * period_secs;
-                            let rel = t - s.start;
-                            let angle =
-                                2.0 * std::f64::consts::PI * rel / s.wave_period + s.wave_shift;
-                            let sin = angle.sin();
-                            let mut sum = [0.0f64; 3];
-                            for m in &s.members {
-                                for (j, sum_j) in sum.iter_mut().enumerate() {
-                                    *sum_j += if m.amp[j] == 0.0 {
-                                        m.base[j]
-                                    } else {
-                                        (m.base[j] + m.amp[j] * sin).clamp(0.0, 100.0)
-                                    };
-                                }
-                            }
-                            sink.push([scale(sum[0]), scale(sum[1]), scale(sum[2])]);
-                        }
-                    }
-                    k = kb;
-                    continue;
-                }
-                for kk in k..kb {
-                    let t = kk as f64 * period_secs;
-                    let rel = t - s.start;
-                    let mask = s.spike_mask(rel);
-                    let angle = 2.0 * std::f64::consts::PI * rel / s.wave_period + s.wave_shift;
-                    let sin = angle.sin();
-                    let mut sum = [0.0f64; 3];
-                    for m in &s.members {
-                        for j in 0..3 {
-                            sum[j] += if mask[j] {
-                                100.0
-                            } else if m.amp[j] == 0.0 {
-                                m.base[j]
-                            } else {
-                                (m.base[j] + m.amp[j] * sin).clamp(0.0, 100.0)
-                            };
-                        }
-                    }
-                    sink.push([scale(sum[0]), scale(sum[1]), scale(sum[2])]);
-                }
-            } else {
-                // Waving skeletons re-evaluate per tick; constant ones
-                // keep the slots `prepare_span` filled. No phase ends
-                // before `span`, so the per-tick phase search of the
-                // batch path is hoisted out of the loop.
-                for kk in k..kb {
-                    let t = kk as f64 * period_secs;
-                    for s in &skeletons {
-                        if s.waving {
-                            s.eval_wave(t, &mut vals);
-                        }
-                    }
-                    sink.push(job_level(&vals, scale));
-                }
+                k = kb;
+                continue;
             }
-            k = kb;
+            // No phase ends before `span`, so the batch path's per-tick
+            // phase search is hoisted out of the blocks. Each tick's
+            // job-level sum is one chain per metric, fed in ascending
+            // GPU order from 0.0 — the `job_level` fold.
+            while k < kb {
+                let len = (kb - k).min(BLOCK);
+                for s in skeletons.iter_mut().filter(|s| s.waving) {
+                    s.wave_block(k, len, period_secs, sink);
+                }
+                let out = &mut block[..len];
+                out.fill([0.0; 3]);
+                for &(si, mi) in &slots {
+                    skeletons[si].add_member(mi, &vals, out);
+                }
+                for v in out.iter_mut() {
+                    *v = v.map(scale);
+                }
+                sink.push_block(out);
+                k += len;
+            }
         }
     }
 }
@@ -470,6 +467,53 @@ mod tests {
         for (k, (s, b)) in sink.0.iter().zip(&batch).enumerate() {
             assert_eq!(s, b, "{tag}: tick {k} diverged (bit equality required)");
         }
+    }
+
+    /// Counts the ticks each entry point carries and the sines asked
+    /// for.
+    #[derive(Default)]
+    struct CountSink {
+        pushed: usize,
+        run_ticks: usize,
+        block_ticks: usize,
+        sines: usize,
+    }
+
+    impl Util3Sink for CountSink {
+        fn push(&mut self, _: [f64; 3]) {
+            self.pushed += 1;
+        }
+
+        fn push_run(&mut self, _: [f64; 3], count: usize) {
+            self.run_ticks += count;
+        }
+
+        fn push_block(&mut self, block: &[[f64; 3]]) {
+            assert!(!block.is_empty() && block.len() <= BLOCK);
+            self.block_ticks += block.len();
+        }
+
+        fn sines(&mut self, out: &mut [f64], mut angle: impl FnMut(usize) -> f64) {
+            self.sines += out.len();
+            for (i, s) in out.iter_mut().enumerate() {
+                *s = angle(i).sin();
+            }
+        }
+    }
+
+    #[test]
+    fn every_wave_tick_takes_its_sine_through_the_hook() {
+        // Two active GPUs share one skeleton and the idle one never
+        // waves, so each block asks for exactly one sine per tick.
+        let mut rng = StdRng::seed_from_u64(31);
+        let p = TruthParams { duration: 900.0, active_fraction: 0.6, ..Default::default() };
+        let truth = JobGroundTruth::generate(&mut rng, &p, 3, 1, 0.05);
+        let mut sink = CountSink::default();
+        truth.stream_util3(900.0, 0.1, &mut sink);
+        assert_eq!(sink.pushed, 0, "single ticks bypass the bulk entry points");
+        assert_eq!(sink.run_ticks + sink.block_ticks, tick_count(900.0, 0.1));
+        assert!(sink.block_ticks > 0, "the job waves");
+        assert_eq!(sink.sines, sink.block_ticks);
     }
 
     #[test]
