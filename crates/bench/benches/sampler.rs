@@ -1,6 +1,6 @@
-//! Telemetry-sampler benchmarks: the streaming aggregate path and the
-//! materialized series path, at a short (1 h) and a long (20 h) job
-//! duration.
+//! Telemetry-sampler benchmarks: the materialized series, and that
+//! series folded into per-GPU aggregates, at a short (1 h) and a long
+//! (20 h) job duration.
 //!
 //! Run `cargo bench -p sc-bench --bench sampler`. The 20-hour case is
 //! the one that dominates the full reproduction (720,000 ticks per GPU
@@ -39,7 +39,7 @@ fn bench_sampler(c: &mut Criterion) {
     for (label, hours) in [("1h", 1.0), ("20h", 20.0)] {
         let duration = hours * HOUR_SECS;
         g.bench_function(&format!("aggregates_{label}"), |b| {
-            b.iter(|| black_box(sampler.sample_aggregates(&truth, duration)))
+            b.iter(|| black_box(sampler.sample_series(&truth, duration).aggregates()))
         });
         g.bench_function(&format!("series_{label}"), |b| {
             b.iter(|| black_box(sampler.sample_series(&truth, duration)))

@@ -51,7 +51,7 @@ fn bench_telemetry(c: &mut Criterion) {
     // exact analytic aggregation that replaces it for the bulk dataset.
     g.bench_function("sample_100ms_30min_2gpu", |b| {
         let sampler = GpuSampler::new();
-        b.iter(|| black_box(sampler.sample_aggregates(&truth, 1800.0)))
+        b.iter(|| black_box(sampler.sample_series(&truth, 1800.0).aggregates()))
     });
     g.bench_function("analytic_aggregates_30min_2gpu", |b| {
         b.iter(|| black_box(truth.analytic_aggregates(1800.0)))

@@ -1,14 +1,15 @@
 //! Runs the figure pipeline over a previously exported dataset
 //! (`export_dataset` output) — the consumer side of the paper's
-//! published-dataset workflow. Figures 6–7 need the 100 ms time-series
-//! subset and are not part of the dataset release; every other figure
-//! is regenerated.
+//! published-dataset workflow. It regenerates every figure whose inputs
+//! a release carries ([`Reads::Records`]); Figs. 6–7 need the 100 ms
+//! time-series subset, and the goodput, timeline and streaming figures
+//! the simulation itself, so those are left out.
 //!
 //! ```text
 //! analyze_dataset dataset.json
 //! ```
 
-use sc_core::DatasetReport;
+use sc_core::{gpu_views, user_stats, FigureId, Inputs, Reads};
 use sc_telemetry::Dataset;
 
 const USAGE: &str = "usage: analyze_dataset <dataset.json>
@@ -51,8 +52,16 @@ fn main() {
         dataset.funnel().gpu_jobs,
         dataset.funnel().unique_users
     );
-    // A well-formed dataset can still lack a population some figure
-    // needs (Fig. 3 needs CPU jobs): report the stage, don't panic.
-    let report = DatasetReport::try_from_dataset(&dataset).unwrap_or_else(|e| fail(&e.to_string()));
-    println!("{}", report.render_text());
+    let views = gpu_views(&dataset);
+    let users = user_stats(&views);
+    let input = Inputs { dataset: &dataset, views: &views, users: &users, sim: None };
+    let mut text = String::new();
+    for id in FigureId::ALL.into_iter().filter(|id| id.reads() == Reads::Records) {
+        // A well-formed dataset can still lack a population some figure
+        // needs (Fig. 3 needs CPU jobs): report the stage, don't panic.
+        let fig = id.compute(&input).unwrap_or_else(|e| fail(&e.to_string()));
+        text.push_str(&fig.render());
+        text.push('\n');
+    }
+    println!("{text}");
 }

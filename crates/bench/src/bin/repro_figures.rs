@@ -36,7 +36,7 @@
 
 use sc_bench::peak_rss_bytes;
 use sc_cluster::{FailureModel, SimConfig, Simulation};
-use sc_core::{AnalysisReport, ClassifierFig, DataQualityFig, ReliabilityReport};
+use sc_core::{AnalysisReport, ClassifierFig, DataQualityFig, Figure, ReliabilityReport};
 use sc_learn::ArchetypePredictor;
 use sc_obs::{chrome_trace_json, json, JsonlSink, Obs, StageLog, TraceLevel};
 use sc_opportunity::OpportunityReport;
@@ -572,7 +572,9 @@ fn main() {
         sc_core::facility::reconstruct(&views, SUPERCLOUD_GPUS, V100_TDP_W, V100_IDLE_W).render()
     );
     println!("{beyond}");
+    let t0 = Instant::now();
     let opportunity = OpportunityReport::run(&views, 400).render();
+    eprintln!("opportunity studies done in {:?}", t0.elapsed());
     println!("{opportunity}");
 
     // Closed-loop policy A/B: replay the same trace with no policy and

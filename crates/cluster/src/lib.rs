@@ -49,7 +49,7 @@ pub use failure::{
 pub use policy::{Dispatch, Policy, PolicyDecision};
 pub use reliability::{ReliabilityStats, SizeClassStats, SIZE_BUCKET_EDGES};
 pub use resources::{Allocation, ClusterState, NodeAlloc, NodeId, NodeState};
-pub use scheduler::{QueuedJob, RunningJob, SchedulePass, SchedulePolicy, Scheduler};
+pub use scheduler::{QueuedJob, RunningJob, SchedulePass, Scheduler};
 pub use sim::{
     CheckpointPolicy, DetailedJobStats, GoodputAccounting, JobFate, SimConfig, SimOutput, SimStats,
     Simulation,

@@ -55,41 +55,17 @@ pub struct SchedulePass {
     pub placement_calls: u64,
 }
 
-/// The queue discipline, for ablation studies.
-///
-/// Supercloud runs backfill; the ablation bench quantifies what the
-/// backfill pass buys over strict FCFS on the same trace.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum SchedulePolicy {
-    /// Strict FCFS: a blocked head job blocks everything behind it.
-    FcfsOnly,
-    /// FCFS with EASY backfill (the production default).
-    #[default]
-    EasyBackfill,
-}
-
 /// The scheduler state: pending queue and running set.
 #[derive(Debug, Default)]
 pub struct Scheduler {
     pending: Vec<QueuedJob>,
     running: HashMap<JobId, RunningJob>,
-    policy: SchedulePolicy,
 }
 
 impl Scheduler {
-    /// An empty scheduler with the production (backfill) policy.
+    /// An empty scheduler.
     pub fn new() -> Self {
         Scheduler::default()
-    }
-
-    /// An empty scheduler with an explicit queue discipline.
-    pub fn with_policy(policy: SchedulePolicy) -> Self {
-        Scheduler { policy, ..Scheduler::default() }
-    }
-
-    /// The active queue discipline.
-    pub fn policy(&self) -> SchedulePolicy {
-        self.policy
     }
 
     /// Enqueues a submitted job.
@@ -164,10 +140,6 @@ impl Scheduler {
                         pass.started.push((q.trace_idx, alloc));
                         self.pending.remove(i);
                         continue; // do not advance i; next job shifted in
-                    }
-                    if self.policy == SchedulePolicy::FcfsOnly {
-                        // Strict FCFS: the blocked head blocks everyone.
-                        break;
                     }
                     // Head-of-line blocking: compute the shadow time and
                     // switch to backfill mode.
@@ -344,34 +316,6 @@ mod tests {
         assert_eq!(p.started[0].0, 2, "the short job backfills");
         // FCFS order preserved for the blocked head.
         assert_eq!(s.pending()[0].trace_idx, 1);
-    }
-
-    #[test]
-    fn fcfs_only_policy_blocks_backfillable_job() {
-        // Identical setup to `short_job_backfills_ahead_of_blocked_head`
-        // but with the strict-FCFS ablation: nothing may start.
-        let jobs = vec![job(1, 3, 8, 1000.0), job(2, 4, 8, 1000.0), job(3, 1, 4, 500.0)];
-        let mut cluster = two_node_cluster();
-        let mut s = Scheduler::with_policy(SchedulePolicy::FcfsOnly);
-        assert_eq!(s.policy(), SchedulePolicy::FcfsOnly);
-        s.submit(0, 0.0);
-        let p = s.schedule(0.0, &mut cluster, &jobs, None);
-        s.mark_running(
-            JobId(1),
-            RunningJob {
-                trace_idx: 0,
-                alloc: p.started[0].1.clone(),
-                start_time: 0.0,
-                estimated_end: 1000.0,
-                stretch: 1.0,
-                power_cap_w: None,
-            },
-        );
-        s.submit(1, 1.0);
-        s.submit(2, 2.0);
-        let p = s.schedule(2.0, &mut cluster, &jobs, None);
-        assert!(p.started.is_empty(), "strict FCFS must not backfill");
-        assert_eq!(s.pending_len(), 2);
     }
 
     #[test]

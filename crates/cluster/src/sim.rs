@@ -10,6 +10,7 @@ use crate::resources::{Allocation, ClusterState, NodeId};
 use crate::scheduler::{RunningJob, Scheduler};
 use crate::spec::ClusterSpec;
 use sc_obs::{Obs, Timeline, TimelineSample, Value};
+use sc_stats::hash::hash_unit;
 use sc_telemetry::dataset::{Dataset, MIN_GPU_JOB_RUNTIME_SECS};
 use sc_telemetry::phases::{ActiveVariability, PhaseStats};
 use sc_telemetry::record::{ExitStatus, FailureCause, GpuJobRecord, JobId, SchedulerRecord};
@@ -26,8 +27,6 @@ pub struct SimConfig {
     /// paper). Membership is decided by a deterministic hash so the
     /// subset is "a representative fraction of jobs".
     pub detailed_series_jobs: usize,
-    /// Queue discipline (ablation knob; production is EASY backfill).
-    pub policy: crate::scheduler::SchedulePolicy,
     /// Optional failure-injection model. `None` (the default) matches
     /// the paper's measurement window, where hardware accounted for
     /// under 0.5% of job failures and those are already injected
@@ -68,7 +67,6 @@ impl Default for SimConfig {
         SimConfig {
             cluster: ClusterSpec::supercloud(),
             detailed_series_jobs: 2_149,
-            policy: crate::scheduler::SchedulePolicy::EasyBackfill,
             failures: None,
             checkpoint: None,
             size_bucket_edges: SIZE_BUCKET_EDGES.to_vec(),
@@ -601,7 +599,7 @@ impl<'a, 'p> EventLoop<'a, 'p> {
             obs,
             policy,
             cluster: ClusterState::new(cfg.cluster.clone()),
-            scheduler: Scheduler::with_policy(cfg.policy),
+            scheduler: Scheduler::new(),
             queue,
             progress: vec![JobProgress::default(); jobs.len()],
             stats: SimStats::default(),
@@ -1037,15 +1035,6 @@ fn sample(
 /// exit is user or queue behaviour, not an infrastructure death.
 fn exit_cause(exit: ExitStatus) -> Option<FailureCause> {
     (exit == ExitStatus::NodeFailure).then_some(FailureCause::NodeHardware)
-}
-
-/// Hashes a seed to a unit-interval float, for deterministic per-job
-/// coin flips that are independent of RNG consumption order.
-fn hash_unit(mut x: u64) -> f64 {
-    x = (x ^ (x >> 33)).wrapping_mul(0xff51_afd7_ed55_8ccd);
-    x = (x ^ (x >> 33)).wrapping_mul(0xc4ce_b9fe_1a85_ec53);
-    x ^= x >> 33;
-    (x >> 11) as f64 / (1u64 << 53) as f64
 }
 
 #[cfg(test)]

@@ -9,15 +9,60 @@
 //! profile, push it through [`mod@crate::ingest`], and compare the
 //! recovered headline statistics against the clean ones.
 
-use crate::ingest::{corrupt_and_ingest, IngestReport};
-use crate::pipeline::DatasetReport;
+use crate::figures::fig13::SizeBucket;
+use crate::figures::{Fig10, Fig13, Fig15, Fig3, Fig4, Fig9};
+use crate::ingest::{corrupt_and_ingest, IngestReport, SeriesStudy};
+use crate::pipeline::PipelineError;
+use crate::query::FigureId;
+use crate::userstats::user_stats;
+use crate::view::gpu_views;
 use sc_obs::Obs;
+use sc_stats::StatsError;
 use sc_telemetry::corruption::{CorruptionCounters, DataQualityProfile, FaultClass};
 use sc_telemetry::Dataset;
-
-use crate::figures::fig13::SizeBucket;
-use crate::ingest::SeriesStudy;
 use sc_workload::LifecycleClass;
+
+/// The headline statistics, in row order.
+const METRICS: [&str; 10] = [
+    "GPU run time p25 (min)",
+    "GPU run time median (min)",
+    "GPU run time p75 (min)",
+    "SM util median (%)",
+    "mem util median (%)",
+    "job-avg power median (W)",
+    "job-max power median (W)",
+    "mature job share",
+    "single-GPU job share",
+    "top-5% users' job share",
+];
+
+/// One dataset's headline statistics, in [`METRICS`] order. Only the
+/// six figures they come from are computed: Figs. 3, 4, 9, 10, 13 and
+/// 15.
+fn headlines(dataset: &Dataset) -> Result<[f64; 10], PipelineError> {
+    let views = gpu_views(dataset);
+    let users = user_stats(&views);
+    let at = |id: FigureId| move |source: StatsError| PipelineError { stage: id.name(), source };
+    let fig3 = Fig3::try_compute(dataset).map_err(at(FigureId::Fig3))?;
+    let fig4 = Fig4::try_compute(&views).map_err(at(FigureId::Fig4))?;
+    let fig9 = Fig9::try_compute(&views).map_err(at(FigureId::Fig9))?;
+    let fig10 = Fig10::try_compute(&users).map_err(at(FigureId::Fig10))?;
+    let fig13 = Fig13::try_compute(&views, &users).map_err(at(FigureId::Fig13))?;
+    let fig15 = Fig15::try_compute(&views).map_err(at(FigureId::Fig15))?;
+    let run_time = &fig3.gpu_runtime_min;
+    Ok([
+        run_time.quantile(0.25),
+        run_time.median(),
+        run_time.quantile(0.75),
+        fig4.sm.median(),
+        fig4.mem.median(),
+        fig9.avg_power.median(),
+        fig9.max_power.median(),
+        fig15.share(LifecycleClass::Mature).job_share,
+        fig13.row(SizeBucket::One).job_share,
+        fig10.top5_job_share,
+    ])
+}
 
 /// One headline statistic, clean vs recovered.
 #[derive(Debug, Clone, PartialEq)]
@@ -62,12 +107,12 @@ pub struct DataQualityFig {
 impl DataQualityFig {
     /// The data-quality round trip: corrupts `dataset` with `profile`,
     /// repairs it through the ingest stage (whose repair and quarantine
-    /// events go to `obs`), and compares the recovered figures with the
-    /// clean ones.
+    /// events go to `obs`), and compares the recovered headline
+    /// statistics with the clean ones.
     ///
     /// # Errors
     ///
-    /// Names the figure stage or ingest step that failed.
+    /// Names the ingest step or figure stage that failed.
     pub fn round_trip(
         dataset: &Dataset,
         profile: DataQualityProfile,
@@ -75,69 +120,34 @@ impl DataQualityFig {
         obs: &Obs,
         series: Option<SeriesStudy>,
     ) -> Result<Self, String> {
-        let clean = DatasetReport::try_from_dataset(dataset).map_err(|e| e.to_string())?;
         let (ingested, injected) =
             corrupt_and_ingest(dataset, profile, seed, obs).map_err(|e| e.to_string())?;
-        let recovered =
-            DatasetReport::try_from_dataset(&ingested.dataset).map_err(|e| e.to_string())?;
-        Ok(Self::compute(profile.label(), injected, ingested.report, &clean, &recovered, series))
+        let recovered = &ingested.dataset;
+        Self::compute(profile.label(), injected, ingested.report, dataset, recovered, series)
+            .map_err(|e| e.to_string())
     }
 
-    /// Builds the report from the two pipeline runs and the ledgers.
+    /// Builds the report from the ledgers and the clean and recovered
+    /// datasets, computing only the figures the headline rows read.
+    ///
+    /// # Errors
+    ///
+    /// Names the figure stage that failed on either dataset.
     pub fn compute(
         profile: &str,
         injected: CorruptionCounters,
         report: IngestReport,
-        clean: &DatasetReport,
-        recovered: &DatasetReport,
+        clean: &Dataset,
+        recovered: &Dataset,
         series: Option<SeriesStudy>,
-    ) -> Self {
-        let row = |metric, c: f64, r: f64| DeltaRow { metric, clean: c, recovered: r };
-        let deltas = vec![
-            row(
-                "GPU run time p25 (min)",
-                clean.fig3.gpu_runtime_min.quantile(0.25),
-                recovered.fig3.gpu_runtime_min.quantile(0.25),
-            ),
-            row(
-                "GPU run time median (min)",
-                clean.fig3.gpu_runtime_min.median(),
-                recovered.fig3.gpu_runtime_min.median(),
-            ),
-            row(
-                "GPU run time p75 (min)",
-                clean.fig3.gpu_runtime_min.quantile(0.75),
-                recovered.fig3.gpu_runtime_min.quantile(0.75),
-            ),
-            row("SM util median (%)", clean.fig4.sm.median(), recovered.fig4.sm.median()),
-            row("mem util median (%)", clean.fig4.mem.median(), recovered.fig4.mem.median()),
-            row(
-                "job-avg power median (W)",
-                clean.fig9.avg_power.median(),
-                recovered.fig9.avg_power.median(),
-            ),
-            row(
-                "job-max power median (W)",
-                clean.fig9.max_power.median(),
-                recovered.fig9.max_power.median(),
-            ),
-            row(
-                "mature job share",
-                clean.fig15.share(LifecycleClass::Mature).job_share,
-                recovered.fig15.share(LifecycleClass::Mature).job_share,
-            ),
-            row(
-                "single-GPU job share",
-                clean.fig13.row(SizeBucket::One).job_share,
-                recovered.fig13.row(SizeBucket::One).job_share,
-            ),
-            row(
-                "top-5% users' job share",
-                clean.fig10.top5_job_share,
-                recovered.fig10.top5_job_share,
-            ),
-        ];
-        DataQualityFig { profile: profile.to_string(), injected, report, deltas, series }
+    ) -> Result<Self, PipelineError> {
+        let (clean, recovered) = (headlines(clean)?, headlines(recovered)?);
+        let deltas = METRICS
+            .into_iter()
+            .zip(clean.into_iter().zip(recovered))
+            .map(|(metric, (clean, recovered))| DeltaRow { metric, clean, recovered })
+            .collect();
+        Ok(DataQualityFig { profile: profile.to_string(), injected, report, deltas, series })
     }
 
     /// Whether the ledger balances: every injected fault was detected,
@@ -216,9 +226,8 @@ mod tests {
         let clean = &small_sim().dataset;
         let (out, injected) = corrupt_and_ingest(clean, DataQualityProfile::Lossy, 42, &Obs::off())
             .expect("lossy ingest succeeds");
-        let clean_report = DatasetReport::try_from_dataset(clean).expect("clean pipeline");
-        let recovered = DatasetReport::try_from_dataset(&out.dataset).expect("recovered pipeline");
-        DataQualityFig::compute("lossy", injected, out.report, &clean_report, &recovered, None)
+        DataQualityFig::compute("lossy", injected, out.report, clean, &out.dataset, None)
+            .expect("both pipelines")
     }
 
     #[test]

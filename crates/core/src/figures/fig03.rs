@@ -1,7 +1,9 @@
 //! Fig. 3 — run times and queue waits of GPU vs CPU jobs.
 
+use crate::figures::Figure;
 use crate::paper::fig3 as paper;
 use crate::report::{format_cdf_points, Comparison};
+use crate::svg::{ecdf_chart, Scale};
 use sc_stats::{Ecdf, StatsError};
 use sc_telemetry::dataset::Dataset;
 
@@ -54,9 +56,11 @@ impl Fig3 {
             cpu_wait_secs: Ecdf::new(wait_secs(&cpu))?,
         })
     }
+}
 
+impl Figure for Fig3 {
     /// Paper-vs-measured rows.
-    pub fn comparisons(&self) -> Vec<Comparison> {
+    fn comparisons(&self) -> Vec<Comparison> {
         vec![
             Comparison::new(
                 "median GPU-job run time",
@@ -104,7 +108,7 @@ impl Fig3 {
     }
 
     /// Renders the figure series as text.
-    pub fn render(&self) -> String {
+    fn render(&self) -> String {
         let mut s = String::from("Fig. 3(a) run-time ECDFs (log grid, minutes):\n");
         s.push_str(&format!(
             "  GPU: {}\n",
@@ -118,6 +122,31 @@ impl Fig3 {
         s.push_str(&format!("  GPU: {}\n", format_cdf_points(&self.gpu_wait_pct.curve(20), 20)));
         s.push_str(&format!("  CPU: {}\n", format_cdf_points(&self.cpu_wait_pct.curve(20), 20)));
         s
+    }
+
+    fn svgs(&self) -> Vec<(&'static str, String)> {
+        let runtimes = [("GPU jobs", &self.gpu_runtime_min), ("CPU jobs", &self.cpu_runtime_min)];
+        let waits = [("GPU jobs", &self.gpu_wait_pct), ("CPU jobs", &self.cpu_wait_pct)];
+        vec![
+            (
+                "fig03a_runtimes.svg",
+                ecdf_chart(
+                    "Fig. 3(a) — run-time ECDFs",
+                    "run time (min, log)",
+                    Scale::Log10,
+                    &runtimes,
+                ),
+            ),
+            (
+                "fig03b_waits.svg",
+                ecdf_chart(
+                    "Fig. 3(b) — queue wait as % of service time",
+                    "wait % of service time",
+                    Scale::Linear,
+                    &waits,
+                ),
+            ),
+        ]
     }
 }
 

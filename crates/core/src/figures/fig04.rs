@@ -1,8 +1,10 @@
 //! Fig. 4 — GPU resource-utilization CDFs (SM, memory BW, memory size,
 //! PCIe Tx/Rx).
 
+use crate::figures::Figure;
 use crate::paper::fig4 as paper;
 use crate::report::{format_cdf_points, Comparison};
+use crate::svg::{ecdf_chart, Scale};
 use crate::view::GpuJobView;
 use sc_stats::{Ecdf, StatsError};
 
@@ -38,9 +40,11 @@ impl Fig4 {
             pcie_rx: pick(|v| v.agg.pcie_rx.mean)?,
         })
     }
+}
 
+impl Figure for Fig4 {
     /// Paper-vs-measured rows.
-    pub fn comparisons(&self) -> Vec<Comparison> {
+    fn comparisons(&self) -> Vec<Comparison> {
         vec![
             Comparison::new("median SM utilization", paper::SM_MEDIAN, self.sm.median(), "%"),
             Comparison::new("median memory utilization", paper::MEM_MEDIAN, self.mem.median(), "%"),
@@ -72,7 +76,7 @@ impl Fig4 {
     }
 
     /// Renders the figure series as text.
-    pub fn render(&self) -> String {
+    fn render(&self) -> String {
         let mut s = String::from("Fig. 4(a) utilization ECDFs (%):\n");
         for (name, cdf) in [("SM", &self.sm), ("Memory", &self.mem), ("MemSize", &self.mem_size)] {
             s.push_str(&format!("  {name}: {}\n", format_cdf_points(&cdf.curve(20), 20)));
@@ -82,6 +86,32 @@ impl Fig4 {
             s.push_str(&format!("  {name}: {}\n", format_cdf_points(&cdf.curve(20), 20)));
         }
         s
+    }
+
+    fn svgs(&self) -> Vec<(&'static str, String)> {
+        let utilization =
+            [("SM", &self.sm), ("memory BW", &self.mem), ("memory size", &self.mem_size)];
+        let pcie = [("Tx", &self.pcie_tx), ("Rx", &self.pcie_rx)];
+        vec![
+            (
+                "fig04a_utilization.svg",
+                ecdf_chart(
+                    "Fig. 4(a) — utilization ECDFs",
+                    "job-mean utilization (%)",
+                    Scale::Linear,
+                    &utilization,
+                ),
+            ),
+            (
+                "fig04b_pcie.svg",
+                ecdf_chart(
+                    "Fig. 4(b) — PCIe bandwidth ECDFs",
+                    "job-mean PCIe utilization (%)",
+                    Scale::Linear,
+                    &pcie,
+                ),
+            ),
+        ]
     }
 }
 

@@ -1,8 +1,10 @@
 //! Fig. 5 — SM and memory utilization by submission interface
 //! (map-reduce, batch, interactive, other).
 
+use crate::figures::Figure;
 use crate::paper::interfaces as paper;
 use crate::report::Comparison;
+use crate::svg::box_chart;
 use crate::view::GpuJobView;
 use sc_stats::{BoxStats, StatsError};
 use sc_telemetry::record::SubmissionInterface;
@@ -67,9 +69,11 @@ impl Fig5 {
     pub fn row(&self, interface: SubmissionInterface) -> &InterfaceRow {
         self.rows.iter().find(|r| r.interface == interface).expect("all interfaces present")
     }
+}
 
+impl Figure for Fig5 {
     /// Paper-vs-measured rows (interface mix from Sec. III).
-    pub fn comparisons(&self) -> Vec<Comparison> {
+    fn comparisons(&self) -> Vec<Comparison> {
         vec![
             Comparison::new(
                 "map-reduce job share",
@@ -99,7 +103,7 @@ impl Fig5 {
     }
 
     /// Renders both panels as text box plots.
-    pub fn render(&self) -> String {
+    fn render(&self) -> String {
         let mut s = String::from("Fig. 5(a) SM utilization by interface:\n");
         for r in &self.rows {
             s.push_str(&format!("  {:<12} {}\n", r.interface.to_string(), r.sm.render()));
@@ -109,6 +113,14 @@ impl Fig5 {
             s.push_str(&format!("  {:<12} {}\n", r.interface.to_string(), r.mem.render()));
         }
         s
+    }
+
+    fn svgs(&self) -> Vec<(&'static str, String)> {
+        let boxes: Vec<_> = self.rows.iter().map(|r| (r.interface.to_string(), &r.sm)).collect();
+        vec![(
+            "fig05a_sm_by_interface.svg",
+            box_chart("Fig. 5(a) — SM utilization by job type", "SM utilization (%)", &boxes),
+        )]
     }
 }
 

@@ -1,8 +1,10 @@
 //! Fig. 6 — active/idle phase structure from the 100 ms time-series
 //! subset.
 
+use crate::figures::Figure;
 use crate::paper::fig6 as paper;
 use crate::report::{format_cdf_points, Comparison};
+use crate::svg::{ecdf_chart, Scale};
 use sc_cluster::DetailedJobStats;
 use sc_stats::{Ecdf, StatsError};
 
@@ -39,9 +41,11 @@ impl Fig6 {
             active_cov: Ecdf::new(active_cov)?,
         })
     }
+}
 
+impl Figure for Fig6 {
     /// Paper-vs-measured rows.
-    pub fn comparisons(&self) -> Vec<Comparison> {
+    fn comparisons(&self) -> Vec<Comparison> {
         vec![
             Comparison::new(
                 "median active time share",
@@ -77,7 +81,7 @@ impl Fig6 {
     }
 
     /// Renders both panels as text.
-    pub fn render(&self) -> String {
+    fn render(&self) -> String {
         format!(
             "Fig. 6(a) active time as % of run time:\n  {}\n\
              Fig. 6(b) interval-length CoV ECDFs (%):\n  idle:   {}\n  active: {}\n",
@@ -85,6 +89,26 @@ impl Fig6 {
             format_cdf_points(&self.idle_cov.curve(20), 20),
             format_cdf_points(&self.active_cov.curve(20), 20),
         )
+    }
+
+    fn svgs(&self) -> Vec<(&'static str, String)> {
+        let active = [("jobs", &self.active_pct)];
+        let covs = [("idle intervals", &self.idle_cov), ("active intervals", &self.active_cov)];
+        vec![
+            (
+                "fig06a_active_share.svg",
+                ecdf_chart(
+                    "Fig. 6(a) — time in active phases",
+                    "active time (% of run)",
+                    Scale::Linear,
+                    &active,
+                ),
+            ),
+            (
+                "fig06b_interval_cov.svg",
+                ecdf_chart("Fig. 6(b) — interval-length CoV", "CoV (%)", Scale::Linear, &covs),
+            ),
+        ]
     }
 }
 

@@ -1,8 +1,10 @@
 //! Fig. 7 — within-run utilization variability (a) and per-resource
 //! bottleneck radar (b).
 
+use crate::figures::Figure;
 use crate::paper::fig7 as paper;
 use crate::report::{format_cdf_points, Comparison};
+use crate::svg::bar_chart;
 use crate::view::GpuJobView;
 use sc_cluster::DetailedJobStats;
 use sc_stats::{Ecdf, StatsError};
@@ -70,9 +72,11 @@ impl Fig7 {
             .map(|(_, f)| *f)
             .expect("utilization resource")
     }
+}
 
+impl Figure for Fig7 {
     /// Paper-vs-measured rows.
-    pub fn comparisons(&self) -> Vec<Comparison> {
+    fn comparisons(&self) -> Vec<Comparison> {
         vec![
             Comparison::new(
                 "median SM CoV (active)",
@@ -114,7 +118,7 @@ impl Fig7 {
     }
 
     /// Renders both panels as text.
-    pub fn render(&self) -> String {
+    fn render(&self) -> String {
         let mut s = String::from("Fig. 7(a) active-phase CoV ECDFs (%):\n");
         for (name, cdf) in
             [("SM", &self.sm_cov), ("Memory", &self.mem_cov), ("MemSize", &self.mem_size_cov)]
@@ -126,6 +130,14 @@ impl Fig7 {
             s.push_str(&format!("  {:<8} {:.1}%\n", r.to_string(), f * 100.0));
         }
         s
+    }
+
+    fn svgs(&self) -> Vec<(&'static str, String)> {
+        let bars: Vec<_> = self.bottlenecks.iter().map(|(r, f)| (r.to_string(), *f)).collect();
+        vec![(
+            "fig07b_bottlenecks.svg",
+            bar_chart("Fig. 7(b) — jobs bottlenecked per resource", "fraction of jobs", &bars),
+        )]
     }
 }
 

@@ -1,5 +1,6 @@
 //! Fig. 8 — single- and two-resource bottleneck fractions.
 
+use crate::figures::Figure;
 use crate::paper::fig8 as paper;
 use crate::report::Comparison;
 use crate::view::GpuJobView;
@@ -53,9 +54,11 @@ impl Fig8 {
             .map(|(_, _, f)| *f)
             .unwrap_or(0.0)
     }
+}
 
+impl Figure for Fig8 {
     /// Paper-vs-measured rows.
-    pub fn comparisons(&self) -> Vec<Comparison> {
+    fn comparisons(&self) -> Vec<Comparison> {
         let max_pair = self.pairs.iter().map(|(_, _, f)| *f).fold(0.0, f64::max);
         vec![
             Comparison::new(
@@ -74,7 +77,7 @@ impl Fig8 {
     }
 
     /// Renders both panels as text bars.
-    pub fn render(&self) -> String {
+    fn render(&self) -> String {
         let mut s = String::from("Fig. 8(a) single-resource bottleneck fractions:\n");
         for (r, f) in &self.singles {
             s.push_str(&format!("  {:<8} {:.1}%\n", r.to_string(), f * 100.0));

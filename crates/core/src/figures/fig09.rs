@@ -1,7 +1,9 @@
 //! Fig. 9 — GPU power consumption and power-capping impact.
 
+use crate::figures::Figure;
 use crate::paper::fig9 as paper;
 use crate::report::{format_cdf_points, Comparison};
+use crate::svg::{ecdf_chart, Scale};
 use crate::view::GpuJobView;
 use sc_stats::{Ecdf, StatsError};
 
@@ -55,9 +57,11 @@ impl Fig9 {
             .collect();
         Ok(Fig9 { avg_power, max_power, caps })
     }
+}
 
+impl Figure for Fig9 {
     /// Paper-vs-measured rows.
-    pub fn comparisons(&self) -> Vec<Comparison> {
+    fn comparisons(&self) -> Vec<Comparison> {
         let cap150 = self.caps[0];
         vec![
             Comparison::new(
@@ -88,7 +92,7 @@ impl Fig9 {
     }
 
     /// Renders both panels as text.
-    pub fn render(&self) -> String {
+    fn render(&self) -> String {
         let mut s = format!(
             "Fig. 9(a) power ECDFs (W):\n  avg: {}\n  max: {}\n",
             format_cdf_points(&self.avg_power.curve(20), 20),
@@ -105,6 +109,14 @@ impl Fig9 {
             ));
         }
         s
+    }
+
+    fn svgs(&self) -> Vec<(&'static str, String)> {
+        let power = [("average", &self.avg_power), ("maximum", &self.max_power)];
+        vec![(
+            "fig09a_power.svg",
+            ecdf_chart("Fig. 9(a) — GPU power ECDFs", "power (W)", Scale::Linear, &power),
+        )]
     }
 }
 

@@ -1,6 +1,7 @@
 //! Fig. 10 — per-user average run time and utilization ECDFs, plus the
 //! Sec. IV user-concentration statistics.
 
+use crate::figures::Figure;
 use crate::paper::{concentration, fig10 as paper};
 use crate::report::{format_cdf_points, Comparison};
 use crate::userstats::UserStats;
@@ -46,9 +47,11 @@ impl Fig10 {
             top20_job_share: lorenz.top_share(0.20),
         })
     }
+}
 
+impl Figure for Fig10 {
     /// Paper-vs-measured rows.
-    pub fn comparisons(&self) -> Vec<Comparison> {
+    fn comparisons(&self) -> Vec<Comparison> {
         vec![
             Comparison::new(
                 "median per-user avg run time",
@@ -114,7 +117,7 @@ impl Fig10 {
     }
 
     /// Renders the panels as text.
-    pub fn render(&self) -> String {
+    fn render(&self) -> String {
         format!(
             "Fig. 10 per-user average ECDFs:\n  run time (min, log grid): {}\n  SM (%): {}\n  \
              memory (%): {}\n  memory size (%): {}\nSec. IV concentration: median jobs/user \

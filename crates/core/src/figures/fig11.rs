@@ -1,6 +1,7 @@
 //! Fig. 11 — within-user variability: ECDFs of per-user CoVs of run
 //! time and utilization.
 
+use crate::figures::Figure;
 use crate::paper::fig11 as paper;
 use crate::report::{format_cdf_points, Comparison};
 use crate::userstats::UserStats;
@@ -36,9 +37,11 @@ impl Fig11 {
             cov_mem_size: pick(|s| s.cov_mem_size)?,
         })
     }
+}
 
+impl Figure for Fig11 {
     /// Paper-vs-measured rows.
-    pub fn comparisons(&self) -> Vec<Comparison> {
+    fn comparisons(&self) -> Vec<Comparison> {
         vec![
             Comparison::new(
                 "median per-user run-time CoV",
@@ -80,7 +83,7 @@ impl Fig11 {
     }
 
     /// Renders the panels as text.
-    pub fn render(&self) -> String {
+    fn render(&self) -> String {
         let mut s = String::from("Fig. 11 per-user CoV ECDFs (%):\n");
         for (name, cdf) in [
             ("run time", &self.cov_runtime),

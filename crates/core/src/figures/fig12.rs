@@ -1,6 +1,7 @@
 //! Fig. 12 — Spearman correlation of user activity (job count, GPU
 //! hours) with average behaviour and its variability.
 
+use crate::figures::Figure;
 use crate::report::Comparison;
 use crate::userstats::UserStats;
 use sc_stats::{spearman, SpearmanResult, StatsError};
@@ -107,11 +108,13 @@ impl Fig12 {
     pub fn cell(&self, metric: BehaviorMetric) -> &CorrelationCell {
         self.cells.iter().find(|c| c.metric == metric).expect("all metrics computed")
     }
+}
 
+impl Figure for Fig12 {
     /// Paper-vs-measured rows. The paper reports the qualitative
     /// structure (high positive for averages, below 0.5 for CoVs); we
     /// encode its two headline thresholds.
-    pub fn comparisons(&self) -> Vec<Comparison> {
+    fn comparisons(&self) -> Vec<Comparison> {
         vec![
             Comparison::new(
                 "rho(GPU hours, avg SM) — experts use GPUs better",
@@ -129,7 +132,7 @@ impl Fig12 {
     }
 
     /// Renders the correlation table.
-    pub fn render(&self) -> String {
+    fn render(&self) -> String {
         let mut s =
             String::from("Fig. 12 Spearman correlations (rho, p):\n  metric           vs #jobs        vs GPU hours\n");
         for c in &self.cells {

@@ -1,8 +1,10 @@
 //! Fig. 13 / Sec. V — multi-GPU job sizes, GPU-hour footprint, per-size
 //! queue waits, and the Philly cross-system comparison.
 
+use crate::figures::Figure;
 use crate::paper::fig13 as paper;
 use crate::report::Comparison;
+use crate::svg::bar_chart;
 use crate::userstats::UserStats;
 use crate::view::GpuJobView;
 use sc_stats::{Ecdf, StatsError};
@@ -124,9 +126,11 @@ impl Fig13 {
     pub fn row(&self, bucket: SizeBucket) -> &SizeRow {
         self.rows.iter().find(|r| r.bucket == bucket).expect("all buckets present")
     }
+}
 
+impl Figure for Fig13 {
     /// Paper-vs-measured rows.
-    pub fn comparisons(&self) -> Vec<Comparison> {
+    fn comparisons(&self) -> Vec<Comparison> {
         let above_two =
             self.row(SizeBucket::ThreeToEight).job_share + self.row(SizeBucket::NinePlus).job_share;
         vec![
@@ -171,7 +175,7 @@ impl Fig13 {
     }
 
     /// Renders the panels as text.
-    pub fn render(&self) -> String {
+    fn render(&self) -> String {
         let mut s = String::from(
             "Fig. 13 job sizes:\n  bucket      jobs%   GPU-hours%   median wait (s)\n",
         );
@@ -193,6 +197,12 @@ impl Fig13 {
             self.users_with_9_gpus * 100.0
         ));
         s
+    }
+
+    fn svgs(&self) -> Vec<(&'static str, String)> {
+        let bars: Vec<_> =
+            self.rows.iter().map(|r| (r.bucket.label().to_string(), r.job_share)).collect();
+        vec![("fig13a_sizes.svg", bar_chart("Fig. 13 — job sizes", "fraction of jobs", &bars))]
     }
 }
 

@@ -1,6 +1,7 @@
 //! Fig. 14 — utilization balance across the GPUs of multi-GPU jobs,
 //! with and without idle GPUs.
 
+use crate::figures::Figure;
 use crate::paper::fig14 as paper;
 use crate::report::{format_cdf_points, Comparison};
 use crate::view::GpuJobView;
@@ -95,9 +96,11 @@ impl Fig14 {
             half_idle_fraction: half_idle as f64 / multi.len() as f64,
         })
     }
+}
 
+impl Figure for Fig14 {
     /// Paper-vs-measured rows.
-    pub fn comparisons(&self) -> Vec<Comparison> {
+    fn comparisons(&self) -> Vec<Comparison> {
         vec![
             Comparison::new(
                 "multi-GPU jobs with half+ GPUs idle",
@@ -115,7 +118,7 @@ impl Fig14 {
     }
 
     /// Renders both panels as text.
-    pub fn render(&self) -> String {
+    fn render(&self) -> String {
         format!(
             "Fig. 14(a) cross-GPU CoV, all GPUs (%):\n  SM: {}\n  Memory: {}\n  MemSize: {}\n\
              Fig. 14(b) cross-GPU CoV, idle GPUs removed (%):\n  SM: {}\n  Memory: {}\n  \

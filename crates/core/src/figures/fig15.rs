@@ -1,7 +1,9 @@
 //! Fig. 15 — the development-life-cycle mix by job count and GPU hours.
 
+use crate::figures::Figure;
 use crate::paper::fig15 as paper;
 use crate::report::Comparison;
+use crate::svg::bar_chart;
 use crate::view::GpuJobView;
 use sc_stats::{Ecdf, StatsError};
 use sc_workload::LifecycleClass;
@@ -61,9 +63,11 @@ impl Fig15 {
     pub fn share(&self, class: LifecycleClass) -> &ClassShare {
         self.shares.iter().find(|s| s.class == class).expect("all classes present")
     }
+}
 
+impl Figure for Fig15 {
     /// Paper-vs-measured rows.
-    pub fn comparisons(&self) -> Vec<Comparison> {
+    fn comparisons(&self) -> Vec<Comparison> {
         use LifecycleClass::*;
         let dev_ide_hours = self.share(Development).hours_share + self.share(Ide).hours_share;
         vec![
@@ -131,7 +135,7 @@ impl Fig15 {
     }
 
     /// Renders both panels as text.
-    pub fn render(&self) -> String {
+    fn render(&self) -> String {
         let mut s = String::from(
             "Fig. 15 lifecycle mix:\n  class        jobs%   GPU-hours%   median run (min)\n",
         );
@@ -145,6 +149,19 @@ impl Fig15 {
             ));
         }
         s
+    }
+
+    fn svgs(&self) -> Vec<(&'static str, String)> {
+        let bars: Vec<_> =
+            self.shares.iter().map(|c| (c.class.to_string(), c.hours_share)).collect();
+        vec![(
+            "fig15_lifecycle.svg",
+            bar_chart(
+                "Fig. 15 — GPU-hour share by life-cycle class",
+                "fraction of GPU hours",
+                &bars,
+            ),
+        )]
     }
 }
 

@@ -1,7 +1,9 @@
 //! Fig. 16 — utilization box plots by lifecycle class.
 
+use crate::figures::Figure;
 use crate::paper::fig16 as paper;
 use crate::report::Comparison;
+use crate::svg::box_chart;
 use crate::view::GpuJobView;
 use sc_stats::{BoxStats, StatsError};
 use sc_workload::LifecycleClass;
@@ -63,9 +65,11 @@ impl Fig16 {
     pub fn row(&self, class: LifecycleClass) -> &ClassBoxes {
         self.rows.iter().find(|r| r.class == class).expect("all classes present")
     }
+}
 
+impl Figure for Fig16 {
     /// Paper-vs-measured rows.
-    pub fn comparisons(&self) -> Vec<Comparison> {
+    fn comparisons(&self) -> Vec<Comparison> {
         use LifecycleClass::*;
         vec![
             Comparison::new(
@@ -92,7 +96,7 @@ impl Fig16 {
     }
 
     /// Renders all three panels as text.
-    pub fn render(&self) -> String {
+    fn render(&self) -> String {
         let mut s = String::from("Fig. 16 utilization by lifecycle class:\n");
         for (panel, pick) in [("(a) SM", 0usize), ("(b) memory", 1), ("(c) memory size", 2)] {
             s.push_str(&format!("  {panel}:\n"));
@@ -106,6 +110,18 @@ impl Fig16 {
             }
         }
         s
+    }
+
+    fn svgs(&self) -> Vec<(&'static str, String)> {
+        let boxes: Vec<_> = self.rows.iter().map(|r| (r.class.to_string(), &r.sm)).collect();
+        vec![(
+            "fig16a_sm_by_class.svg",
+            box_chart(
+                "Fig. 16(a) — SM utilization by life-cycle class",
+                "SM utilization (%)",
+                &boxes,
+            ),
+        )]
     }
 }
 

@@ -1,6 +1,7 @@
 //! Fig. 17 — per-user lifecycle structure: stacked job-mix and
 //! GPU-hour-mix distributions.
 
+use crate::figures::Figure;
 use crate::paper::fig17 as paper;
 use crate::report::Comparison;
 use crate::userstats::UserStats;
@@ -46,9 +47,11 @@ impl Fig17 {
             users_nonmature_hours_above_60: nonmature_60,
         })
     }
+}
 
+impl Figure for Fig17 {
     /// Paper-vs-measured rows.
-    pub fn comparisons(&self) -> Vec<Comparison> {
+    fn comparisons(&self) -> Vec<Comparison> {
         vec![
             Comparison::new(
                 "users with <40% mature jobs",
@@ -66,7 +69,7 @@ impl Fig17 {
     }
 
     /// Renders deciles of the stacked distributions as text.
-    pub fn render(&self) -> String {
+    fn render(&self) -> String {
         let decile = |mixes: &[[f64; 4]], q: f64| -> [f64; 4] {
             let idx = ((mixes.len() - 1) as f64 * q) as usize;
             mixes[idx]

@@ -7,8 +7,10 @@
 //! allocated GPU-hour go, and which failure class destroyed the lost
 //! ones — computed from the simulator's goodput ledger.
 
+use crate::figures::Figure;
 use crate::paper::operations as paper;
 use crate::report::Comparison;
+use crate::svg::bar_chart;
 use sc_cluster::SimOutput;
 use sc_stats::StatsError;
 use sc_telemetry::record::{ExitStatus, FailureCause};
@@ -92,10 +94,12 @@ impl GoodputFig {
             jobs_recovered,
         })
     }
+}
 
+impl Figure for GoodputFig {
     /// Paper-vs-measured rows. Only the hardware-death fraction has a
     /// paper value; the rest of the breakdown is the extension.
-    pub fn comparisons(&self) -> Vec<Comparison> {
+    fn comparisons(&self) -> Vec<Comparison> {
         vec![Comparison::new(
             "hardware-failure job fraction",
             paper::HARDWARE_FAILURE_FRACTION,
@@ -105,7 +109,7 @@ impl GoodputFig {
     }
 
     /// Renders the ledger and the attribution table as text.
-    pub fn render(&self) -> String {
+    fn render(&self) -> String {
         let mut s = String::from("Goodput and failure attribution (all attempts):\n");
         s.push_str(&format!(
             "  allocated {:.1} GPU-h = useful {:.1} + lost {:.1} + idle {:.1}  \
@@ -134,6 +138,19 @@ impl GoodputFig {
             ));
         }
         s
+    }
+
+    fn svgs(&self) -> Vec<(&'static str, String)> {
+        let mut bars = vec![
+            ("useful".to_string(), self.useful_gpu_hours),
+            ("lost".to_string(), self.lost_gpu_hours),
+            ("idle".to_string(), self.idle_gpu_hours),
+        ];
+        bars.extend(self.by_cause.iter().map(|r| (format!("lost: {}", r.cause), r.lost_gpu_hours)));
+        vec![(
+            "goodput_ledger.svg",
+            bar_chart("Goodput — where allocated GPU-hours went", "GPU-hours", &bars),
+        )]
     }
 }
 

@@ -1,10 +1,14 @@
 //! One module per figure of the paper's evaluation.
 //!
-//! Every module exposes a `FigXX` struct with a `try_compute`
-//! constructor (pure function of the simulation output, returning a
-//! typed error on a degenerate input), a `render` method printing
-//! the same rows/series the paper plots, and a `comparisons` method
-//! returning paper-vs-measured rows for `EXPERIMENTS.md`.
+//! Every report figure is a struct with a `try_compute` constructor
+//! (a pure function of its inputs, returning a typed error on a
+//! degenerate input) and an implementation of [`Figure`]: `render`
+//! prints the rows and series the paper plots, `comparisons` gives the
+//! paper-vs-measured rows for `EXPERIMENTS.md`, and `svgs` draws the
+//! figure's panels. [`crate::FigureId`] lists the figures and says what
+//! each one reads. The remaining modules hold the extension studies
+//! (classifier, data quality, policy A/B, reliability), each rendered
+//! by its own caller.
 
 pub mod classifier;
 pub mod data_quality;
@@ -28,6 +32,26 @@ pub mod policy_ab;
 pub mod reliability;
 pub mod streaming;
 pub mod timeline;
+
+use crate::report::Comparison;
+
+/// One computed figure of the report.
+pub trait Figure: std::fmt::Debug + Send + Sync {
+    /// Renders the figure's series as text.
+    fn render(&self) -> String;
+
+    /// Paper-vs-measured rows; none for a figure the paper does not
+    /// report.
+    fn comparisons(&self) -> Vec<Comparison> {
+        Vec::new()
+    }
+
+    /// The figure's panels as `(file name, SVG document)` pairs; none
+    /// for a figure drawn only as text.
+    fn svgs(&self) -> Vec<(&'static str, String)> {
+        Vec::new()
+    }
+}
 
 pub use classifier::ClassifierFig;
 pub use data_quality::{DataQualityFig, DeltaRow};

@@ -12,6 +12,7 @@
 //! rounding (1e-9 relative) for Welford means, and the sketch's
 //! configured relative accuracy `alpha` for quantiles.
 
+use crate::figures::Figure;
 use crate::view::gpu_views;
 use sc_cluster::SimOutput;
 use sc_stats::StatsError;
@@ -170,9 +171,11 @@ impl StreamingTelemetryFig {
     pub fn passes(&self) -> bool {
         self.checks.iter().all(StreamCheck::pass)
     }
+}
 
+impl Figure for StreamingTelemetryFig {
     /// Renders the summary and the check table as stable text.
-    pub fn render(&self) -> String {
+    fn render(&self) -> String {
         let mut s =
             String::from("Streaming telemetry (one-pass aggregates vs materialized batch):\n");
         for line in self.summary_text.lines() {

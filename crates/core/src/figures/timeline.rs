@@ -8,6 +8,8 @@
 //! of the system-wide telemetry dashboards the NERSC and Meta
 //! follow-on studies build their reliability analyses on.
 
+use crate::figures::Figure;
+use crate::svg::{line_chart, Scale, Series};
 use sc_cluster::SimOutput;
 use sc_obs::TimelineSample;
 use sc_stats::StatsError;
@@ -86,9 +88,11 @@ impl ClusterTimelineFig {
             ("nodes down", self.samples.iter().map(|s| (days(s), s.nodes_down as f64)).collect()),
         ]
     }
+}
 
+impl Figure for ClusterTimelineFig {
     /// Renders the summary and a coarse table of the series as text.
-    pub fn render(&self) -> String {
+    fn render(&self) -> String {
         let mut s = String::from("ClusterTimeline — cluster state over the run:\n");
         s.push_str(&format!(
             "  {} samples; peak {} jobs running on {} GPUs; mean GPU occupancy {:.1}%\n",
@@ -120,6 +124,21 @@ impl ClusterTimelineFig {
             ));
         }
         s
+    }
+
+    fn svgs(&self) -> Vec<(&'static str, String)> {
+        let curves: Vec<_> =
+            self.curves().into_iter().map(|(name, points)| Series::new(name, points)).collect();
+        vec![(
+            "cluster_timeline.svg",
+            line_chart(
+                "ClusterTimeline — cluster state over the run",
+                "time (days)",
+                "count",
+                Scale::Linear,
+                &curves,
+            ),
+        )]
     }
 }
 

@@ -11,8 +11,13 @@
 //!   quarantine of collection faults (with [`sc_telemetry::corruption`]
 //!   as the matching seeded injector).
 //! - [`figures`]: one module per paper figure, each a pure function of
-//!   the simulated dataset returning the figure's series plus
-//!   paper-vs-measured [`report::Comparison`] rows.
+//!   the simulated dataset returning the figure's series, its
+//!   paper-vs-measured [`report::Comparison`] rows and its SVG panels
+//!   through the [`Figure`] trait.
+//! - [`query::FigureId`]: the one table of figures — each figure's
+//!   token, comparison title, inputs and `compute`. The batch report,
+//!   `analyze_dataset` (the figures a dataset release carries) and the
+//!   query service all iterate it.
 //! - [`pipeline::AnalysisReport`]: the whole evaluation in one call.
 //! - [`paper`]: every number the paper reports, as cited constants.
 //!
@@ -54,15 +59,15 @@ pub mod workflow;
 
 pub use classify::{classify_exit, classify_record};
 pub use figures::{
-    CheckpointSweepFig, ClassifierFig, ClusterTimelineFig, DataQualityFig, GoodputFig,
+    CheckpointSweepFig, ClassifierFig, ClusterTimelineFig, DataQualityFig, Figure, GoodputFig,
     GoodputFrontierFig, GrowthStudyFig, ReliabilitySizeFig, StreamingTelemetryFig,
 };
 pub use ingest::{
     corrupt_and_ingest, ingest, DataQualityError, IngestOutput, IngestReport, Provenance,
     QuarantineAction, QuarantineEntry,
 };
-pub use pipeline::{AnalysisReport, DatasetReport, PipelineError};
-pub use query::{FigureId, PointStat, QueryKey};
+pub use pipeline::{AnalysisReport, PipelineError};
+pub use query::{FigureId, Inputs, PointStat, QueryKey, Reads};
 pub use reliability::{run_reliability_study, GrowthTiming, ReliabilityConfig, ReliabilityReport};
 pub use report::Comparison;
 pub use userstats::{user_stats, UserStats};

@@ -1,7 +1,8 @@
 //! The end-to-end analysis pipeline: one call from a simulation output
 //! to every figure of the paper.
 
-use crate::figures::*;
+use crate::figures::Figure;
+use crate::query::{FigureId, Inputs};
 use crate::report::{markdown_table, Comparison};
 use crate::userstats::{user_stats, UserStats};
 use crate::view::gpu_views;
@@ -15,7 +16,7 @@ use sc_telemetry::dataset::DatasetFunnel;
 /// *which* figure could not be computed instead of unwinding.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PipelineError {
-    /// The pipeline stage ("fig3" … "fig17", "goodput", "timeline").
+    /// The pipeline stage, a [`FigureId::name`] or a point statistic.
     pub stage: &'static str,
     /// The underlying statistics error.
     pub source: StatsError,
@@ -33,54 +34,15 @@ impl std::error::Error for PipelineError {
     }
 }
 
-/// Tags a figure error with its stage.
-fn stage<T>(stage: &'static str, r: Result<T, StatsError>) -> Result<T, PipelineError> {
-    r.map_err(|source| PipelineError { stage, source })
-}
-
 /// Every figure of the paper, computed from one simulation run.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct AnalysisReport {
     /// Table I rows.
     pub table1: Vec<(String, String)>,
     /// Dataset funnel (Sec. II).
     pub funnel: DatasetFunnel,
-    /// Fig. 3 — run times and queue waits.
-    pub fig3: Fig3,
-    /// Fig. 4 — utilization CDFs.
-    pub fig4: Fig4,
-    /// Fig. 5 — utilization by interface.
-    pub fig5: Fig5,
-    /// Fig. 6 — active/idle phases.
-    pub fig6: Fig6,
-    /// Fig. 7 — variability and bottleneck radar.
-    pub fig7: Fig7,
-    /// Fig. 8 — bottleneck combinations.
-    pub fig8: Fig8,
-    /// Fig. 9 — power.
-    pub fig9: Fig9,
-    /// Fig. 10 — per-user averages.
-    pub fig10: Fig10,
-    /// Fig. 11 — per-user variability.
-    pub fig11: Fig11,
-    /// Fig. 12 — activity correlations.
-    pub fig12: Fig12,
-    /// Fig. 13 — multi-GPU sizes.
-    pub fig13: Fig13,
-    /// Fig. 14 — cross-GPU balance.
-    pub fig14: Fig14,
-    /// Fig. 15 — lifecycle mix.
-    pub fig15: Fig15,
-    /// Fig. 16 — utilization by class.
-    pub fig16: Fig16,
-    /// Fig. 17 — per-user lifecycle structure.
-    pub fig17: Fig17,
-    /// Goodput and failure attribution (reliability extension; not a
-    /// paper figure).
-    pub goodput: GoodputFig,
-    /// Cluster state over the run (observability extension; not a
-    /// paper figure).
-    pub timeline: ClusterTimelineFig,
+    /// Every [`FigureId::in_report`] figure, in report order.
+    pub figures: Vec<(FigureId, Box<dyn Figure>)>,
     /// The per-user statistics the user-level figures were computed
     /// from.
     pub users: Vec<UserStats>,
@@ -99,9 +61,10 @@ impl AnalysisReport {
     }
 
     /// Like [`AnalysisReport::try_from_sim`], recording a wall-clock
-    /// span per pipeline stage (view building, user stats, each figure)
-    /// into `log` — the substrate of the Chrome trace export. The
-    /// report itself is identical to `try_from_sim`'s.
+    /// span per pipeline stage (view building, user stats, each figure
+    /// under its [`FigureId::name`]) into `log` — the substrate of the
+    /// Chrome trace export. The report itself is identical to
+    /// `try_from_sim`'s.
     ///
     /// # Errors
     ///
@@ -109,56 +72,25 @@ impl AnalysisReport {
     pub fn try_from_sim_logged(out: &SimOutput, log: &StageLog) -> Result<Self, PipelineError> {
         let views = log.time("gpu_views", || gpu_views(&out.dataset));
         let users = log.time("user_stats", || user_stats(&views));
-        let (views, detailed) = (&views, &out.detailed);
-        // Fields evaluate in order, so the first failing stage in field
-        // order is the one reported.
+        let input = Inputs { dataset: &out.dataset, views: &views, users: &users, sim: Some(out) };
+        // Figures compute in report order, so the first failing stage
+        // in that order is the one reported.
+        let figures = FigureId::ALL
+            .into_iter()
+            .filter(|id| id.in_report())
+            .map(|id| Ok((id, log.time(id.name(), || id.compute(&input))?)))
+            .collect::<Result<_, PipelineError>>()?;
         Ok(AnalysisReport {
             table1: ClusterSpec::supercloud().table1(),
             funnel: out.dataset.funnel(),
-            fig3: stage("fig3", log.time("fig03", || Fig3::try_compute(&out.dataset)))?,
-            fig4: stage("fig4", log.time("fig04", || Fig4::try_compute(views)))?,
-            fig5: stage("fig5", log.time("fig05", || Fig5::try_compute(views)))?,
-            fig6: stage("fig6", log.time("fig06", || Fig6::try_compute(detailed)))?,
-            fig7: stage("fig7", log.time("fig07", || Fig7::try_compute(detailed, views)))?,
-            fig8: stage("fig8", log.time("fig08", || Fig8::try_compute(views)))?,
-            fig9: stage("fig9", log.time("fig09", || Fig9::try_compute(views)))?,
-            fig10: stage("fig10", log.time("fig10", || Fig10::try_compute(&users)))?,
-            fig11: stage("fig11", log.time("fig11", || Fig11::try_compute(&users)))?,
-            fig12: stage("fig12", log.time("fig12", || Fig12::try_compute(&users)))?,
-            fig13: stage("fig13", log.time("fig13", || Fig13::try_compute(views, &users)))?,
-            fig14: stage("fig14", log.time("fig14", || Fig14::try_compute(views)))?,
-            fig15: stage("fig15", log.time("fig15", || Fig15::try_compute(views)))?,
-            fig16: stage("fig16", log.time("fig16", || Fig16::try_compute(views)))?,
-            fig17: stage("fig17", log.time("fig17", || Fig17::try_compute(&users)))?,
-            goodput: stage("goodput", log.time("goodput", || GoodputFig::try_compute(out)))?,
-            timeline: stage(
-                "timeline",
-                log.time("timeline", || ClusterTimelineFig::try_compute(out)),
-            )?,
+            figures,
             users,
         })
     }
 
     /// All paper-vs-measured comparisons, grouped by figure.
     pub fn all_comparisons(&self) -> Vec<(&'static str, Vec<Comparison>)> {
-        vec![
-            ("Fig. 3 — run times and queue waits", self.fig3.comparisons()),
-            ("Fig. 4 — GPU resource utilization", self.fig4.comparisons()),
-            ("Fig. 5 — job-type mix", self.fig5.comparisons()),
-            ("Fig. 6 — active/idle phases", self.fig6.comparisons()),
-            ("Fig. 7 — variability and bottlenecks", self.fig7.comparisons()),
-            ("Fig. 8 — bottleneck combinations", self.fig8.comparisons()),
-            ("Fig. 9 — power and power capping", self.fig9.comparisons()),
-            ("Fig. 10 — per-user averages", self.fig10.comparisons()),
-            ("Fig. 11 — per-user variability", self.fig11.comparisons()),
-            ("Fig. 12 — expert-user correlations", self.fig12.comparisons()),
-            ("Fig. 13 — multi-GPU jobs", self.fig13.comparisons()),
-            ("Fig. 14 — cross-GPU balance", self.fig14.comparisons()),
-            ("Fig. 15 — lifecycle mix", self.fig15.comparisons()),
-            ("Fig. 16 — utilization by class", self.fig16.comparisons()),
-            ("Fig. 17 — per-user lifecycle structure", self.fig17.comparisons()),
-            ("Goodput — failure attribution", self.goodput.comparisons()),
-        ]
+        self.figures.iter().filter_map(|(id, fig)| Some((id.title()?, fig.comparisons()))).collect()
     }
 
     /// Renders every figure's series as plain text (what the repro
@@ -177,26 +109,8 @@ impl AnalysisReport {
             self.funnel.gpu_jobs_filtered_out,
             self.funnel.unique_users
         ));
-        for part in [
-            self.fig3.render(),
-            self.fig4.render(),
-            self.fig5.render(),
-            self.fig6.render(),
-            self.fig7.render(),
-            self.fig8.render(),
-            self.fig9.render(),
-            self.fig10.render(),
-            self.fig11.render(),
-            self.fig12.render(),
-            self.fig13.render(),
-            self.fig14.render(),
-            self.fig15.render(),
-            self.fig16.render(),
-            self.fig17.render(),
-            self.goodput.render(),
-            self.timeline.render(),
-        ] {
-            s.push_str(&part);
+        for (_, fig) in &self.figures {
+            s.push_str(&fig.render());
             s.push('\n');
         }
         s
@@ -270,111 +184,29 @@ hundreds of jobs on a single off-season day and swamp the all-jobs daily \
 mean, so the pre-deadline surge (Sec. II) is computed over GPU submissions \
 only, where the deadline ramp actually shows (≈1.2× vs the 1.1× bar).\n";
 
-/// The figures computable from a joined dataset alone — what a consumer
-/// of the *published* dataset (the paper's dcc.mit.edu release, our
-/// [`sc_telemetry::Dataset::to_json`] export) can regenerate without the
-/// 100 ms time-series subset (Figs. 6–7 need that subset and are
-/// excluded here).
-#[derive(Debug, Clone)]
-pub struct DatasetReport {
-    /// Fig. 3 — run times and queue waits.
-    pub fig3: Fig3,
-    /// Fig. 4 — utilization CDFs.
-    pub fig4: Fig4,
-    /// Fig. 5 — utilization by interface.
-    pub fig5: Fig5,
-    /// Fig. 8 — bottleneck combinations (from max aggregates).
-    pub fig8: Fig8,
-    /// Fig. 9 — power.
-    pub fig9: Fig9,
-    /// Fig. 10 — per-user averages.
-    pub fig10: Fig10,
-    /// Fig. 11 — per-user variability.
-    pub fig11: Fig11,
-    /// Fig. 12 — activity correlations.
-    pub fig12: Fig12,
-    /// Fig. 13 — multi-GPU sizes.
-    pub fig13: Fig13,
-    /// Fig. 14 — cross-GPU balance.
-    pub fig14: Fig14,
-    /// Fig. 15 — lifecycle mix.
-    pub fig15: Fig15,
-    /// Fig. 16 — utilization by class.
-    pub fig16: Fig16,
-    /// Fig. 17 — per-user lifecycle structure.
-    pub fig17: Fig17,
-}
-
-impl DatasetReport {
-    /// Computes every dataset-only figure, returning a typed error when
-    /// a figure's population is missing — the entry point for datasets
-    /// that went through [`mod@crate::ingest`] repair and may be thinner
-    /// than a clean simulation output.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first failing stage as a [`PipelineError`].
-    pub fn try_from_dataset(dataset: &sc_telemetry::Dataset) -> Result<Self, PipelineError> {
-        let views = gpu_views(dataset);
-        let users = user_stats(&views);
-        let (views, users) = (&views, &users);
-        Ok(DatasetReport {
-            fig3: stage("fig3", Fig3::try_compute(dataset))?,
-            fig4: stage("fig4", Fig4::try_compute(views))?,
-            fig5: stage("fig5", Fig5::try_compute(views))?,
-            fig8: stage("fig8", Fig8::try_compute(views))?,
-            fig9: stage("fig9", Fig9::try_compute(views))?,
-            fig10: stage("fig10", Fig10::try_compute(users))?,
-            fig11: stage("fig11", Fig11::try_compute(users))?,
-            fig12: stage("fig12", Fig12::try_compute(users))?,
-            fig13: stage("fig13", Fig13::try_compute(views, users))?,
-            fig14: stage("fig14", Fig14::try_compute(views))?,
-            fig15: stage("fig15", Fig15::try_compute(views))?,
-            fig16: stage("fig16", Fig16::try_compute(views))?,
-            fig17: stage("fig17", Fig17::try_compute(users))?,
-        })
-    }
-
-    /// Renders every figure's series as text.
-    pub fn render_text(&self) -> String {
-        let mut s = String::new();
-        for part in [
-            self.fig3.render(),
-            self.fig4.render(),
-            self.fig5.render(),
-            self.fig8.render(),
-            self.fig9.render(),
-            self.fig10.render(),
-            self.fig11.render(),
-            self.fig12.render(),
-            self.fig13.render(),
-            self.fig14.render(),
-            self.fig15.render(),
-            self.fig16.render(),
-            self.fig17.render(),
-        ] {
-            s.push_str(&part);
-            s.push('\n');
-        }
-        s
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::query::Reads;
     use crate::testsupport::small_sim;
 
     #[test]
     fn dataset_report_roundtrips_through_json() {
-        // The "published dataset" workflow: export the joined dataset,
-        // reload it, and regenerate the dataset-only figures.
-        let json = small_sim().dataset.to_json().expect("serializable");
-        let dataset = sc_telemetry::Dataset::from_json(&json).expect("parseable");
-        let report = DatasetReport::try_from_dataset(&dataset).unwrap();
-        let direct = DatasetReport::try_from_dataset(&small_sim().dataset).unwrap();
-        assert_eq!(report.fig4.sm.median(), direct.fig4.sm.median());
-        assert!(report.render_text().contains("Fig. 15"));
+        // The published-dataset workflow: export the joined dataset,
+        // reload it, and regenerate the figures a release carries.
+        let direct = &small_sim().dataset;
+        let json = direct.to_json().expect("serializable");
+        let reloaded = sc_telemetry::Dataset::from_json(&json).expect("parseable");
+        let render = |dataset| {
+            let views = gpu_views(dataset);
+            let users = user_stats(&views);
+            let input = Inputs { dataset, views: &views, users: &users, sim: None };
+            let release = FigureId::ALL.into_iter().filter(|id| id.reads() == Reads::Records);
+            release.map(|id| id.compute(&input).unwrap().render()).collect::<String>()
+        };
+        let text = render(&reloaded);
+        assert_eq!(text, render(direct));
+        assert!(text.contains("Fig. 15"));
     }
 
     #[test]
@@ -398,7 +230,7 @@ mod tests {
         assert!(!report.users.is_empty());
         let spans = log.spans();
         let names: Vec<&str> = spans.iter().map(|s| s.name.as_str()).collect();
-        for stage in ["gpu_views", "user_stats", "fig03", "fig17", "goodput", "timeline"] {
+        for stage in ["gpu_views", "user_stats", "fig3", "fig17", "goodput", "timeline"] {
             assert!(names.contains(&stage), "missing stage {stage} in {names:?}");
         }
         // Views and user stats run before any figure span opens.

@@ -1,13 +1,16 @@
 //! Query-addressable figure and statistic computation.
 //!
 //! The batch pipeline ([`crate::pipeline::AnalysisReport`]) computes
-//! *everything* in one pass. A serving system needs the opposite
+//! every figure in one pass. A serving system needs the opposite
 //! granularity: one figure, or one scalar, on demand, addressed by a
 //! stable token that can live in a cache key. This module provides the
 //! address space:
 //!
-//! - [`FigureId`] — every figure of the report, each renderable on its
-//!   own from a [`SimOutput`] and its per-user statistics.
+//! - [`FigureId`] — the one table of the report's figures: each
+//!   figure's token, comparison-table title and inputs, and the
+//!   `compute` that builds it. The batch report, its SVG set, the
+//!   dataset release, the query service and the figures bench all
+//!   iterate it.
 //! - [`PointStat`] — headline scalar statistics (medians, utilization
 //!   means, totals), cheap enough to flood-query.
 //! - [`QueryKey`] — the `(scenario, seed, query)` triple that uniquely
@@ -20,9 +23,10 @@
 use crate::figures::*;
 use crate::pipeline::PipelineError;
 use crate::userstats::UserStats;
-use crate::view::gpu_views;
+use crate::view::{gpu_views, GpuJobView};
 use sc_cluster::SimOutput;
-use sc_stats::{mean, percentile};
+use sc_stats::{mean, percentile, StatsError};
+use sc_telemetry::Dataset;
 
 /// Every figure of the report, addressable one at a time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -51,6 +55,33 @@ pub enum FigureId {
     Streaming,
 }
 
+/// What a figure reads, and so where it can be computed.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Reads {
+    /// Only the joined job records, their views and the per-user
+    /// statistics: a dataset release carries all of them.
+    Records,
+    /// The simulation output beyond the records: the 100 ms series
+    /// subset, the goodput ledger, the timeline or the streamed
+    /// telemetry summary.
+    Sim,
+}
+
+/// Everything a figure can read. The caller builds the job views and
+/// the per-user statistics once and shares them across figures.
+#[derive(Debug, Clone, Copy)]
+pub struct Inputs<'a> {
+    /// The joined dataset.
+    pub dataset: &'a Dataset,
+    /// Its GPU-job views, `gpu_views(dataset)`.
+    pub views: &'a [GpuJobView<'a>],
+    /// Per-user statistics over the views, `user_stats(views)`.
+    pub users: &'a [UserStats],
+    /// The simulation the dataset came from; `None` for a dataset
+    /// release, where only the [`Reads::Records`] figures compute.
+    pub sim: Option<&'a SimOutput>,
+}
+
 impl FigureId {
     /// Every figure, in report order.
     pub const ALL: [FigureId; 18] = [
@@ -74,34 +105,100 @@ impl FigureId {
         FigureId::Streaming,
     ];
 
-    /// The stable token naming this figure (`fig3` … `fig17`,
-    /// `goodput`, `timeline`, `streaming`).
-    pub fn name(&self) -> &'static str {
+    /// This figure's row of the table: its token, its comparison-table
+    /// title (`None` when the paper reports no numbers for it) and
+    /// what it reads.
+    fn row(self) -> (&'static str, Option<&'static str>, Reads) {
+        use Reads::{Records, Sim};
         match self {
-            FigureId::Fig3 => "fig3",
-            FigureId::Fig4 => "fig4",
-            FigureId::Fig5 => "fig5",
-            FigureId::Fig6 => "fig6",
-            FigureId::Fig7 => "fig7",
-            FigureId::Fig8 => "fig8",
-            FigureId::Fig9 => "fig9",
-            FigureId::Fig10 => "fig10",
-            FigureId::Fig11 => "fig11",
-            FigureId::Fig12 => "fig12",
-            FigureId::Fig13 => "fig13",
-            FigureId::Fig14 => "fig14",
-            FigureId::Fig15 => "fig15",
-            FigureId::Fig16 => "fig16",
-            FigureId::Fig17 => "fig17",
-            FigureId::Goodput => "goodput",
-            FigureId::Timeline => "timeline",
-            FigureId::Streaming => "streaming",
+            FigureId::Fig3 => ("fig3", Some("Fig. 3 — run times and queue waits"), Records),
+            FigureId::Fig4 => ("fig4", Some("Fig. 4 — GPU resource utilization"), Records),
+            FigureId::Fig5 => ("fig5", Some("Fig. 5 — job-type mix"), Records),
+            FigureId::Fig6 => ("fig6", Some("Fig. 6 — active/idle phases"), Sim),
+            FigureId::Fig7 => ("fig7", Some("Fig. 7 — variability and bottlenecks"), Sim),
+            FigureId::Fig8 => ("fig8", Some("Fig. 8 — bottleneck combinations"), Records),
+            FigureId::Fig9 => ("fig9", Some("Fig. 9 — power and power capping"), Records),
+            FigureId::Fig10 => ("fig10", Some("Fig. 10 — per-user averages"), Records),
+            FigureId::Fig11 => ("fig11", Some("Fig. 11 — per-user variability"), Records),
+            FigureId::Fig12 => ("fig12", Some("Fig. 12 — expert-user correlations"), Records),
+            FigureId::Fig13 => ("fig13", Some("Fig. 13 — multi-GPU jobs"), Records),
+            FigureId::Fig14 => ("fig14", Some("Fig. 14 — cross-GPU balance"), Records),
+            FigureId::Fig15 => ("fig15", Some("Fig. 15 — lifecycle mix"), Records),
+            FigureId::Fig16 => ("fig16", Some("Fig. 16 — utilization by class"), Records),
+            FigureId::Fig17 => ("fig17", Some("Fig. 17 — per-user lifecycle structure"), Records),
+            FigureId::Goodput => ("goodput", Some("Goodput — failure attribution"), Sim),
+            FigureId::Timeline => ("timeline", None, Sim),
+            FigureId::Streaming => ("streaming", None, Sim),
         }
+    }
+
+    /// The stable token naming this figure (`fig3` … `fig17`,
+    /// `goodput`, `timeline`, `streaming`); also its pipeline stage and
+    /// its span name.
+    pub fn name(self) -> &'static str {
+        self.row().0
+    }
+
+    /// The title of this figure's paper-vs-measured table, or `None`
+    /// when it has no such table.
+    pub fn title(self) -> Option<&'static str> {
+        self.row().1
+    }
+
+    /// What this figure reads.
+    pub fn reads(self) -> Reads {
+        self.row().2
+    }
+
+    /// Whether [`crate::AnalysisReport`] carries this figure. The
+    /// streaming cross-check re-derives the streamed telemetry summary
+    /// as a test of the telemetry engine, so the report leaves it to
+    /// callers that ask for it.
+    pub fn in_report(self) -> bool {
+        self != FigureId::Streaming
     }
 
     /// Parses a [`FigureId::name`] token.
     pub fn parse(s: &str) -> Option<FigureId> {
-        FigureId::ALL.iter().copied().find(|id| id.name() == s)
+        FigureId::ALL.into_iter().find(|id| id.name() == s)
+    }
+
+    /// Computes this figure from `input`.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`PipelineError`] tagged with this figure's name when
+    /// the input lacks the population the figure needs; a
+    /// [`Reads::Sim`] figure asked of a dataset release has none.
+    pub fn compute(self, input: &Inputs<'_>) -> Result<Box<dyn Figure>, PipelineError> {
+        fn boxed<F: Figure + 'static>(fig: F) -> Box<dyn Figure> {
+            Box::new(fig)
+        }
+        let Inputs { dataset, views, users, sim } = *input;
+        let sim = sim.ok_or(StatsError::EmptyInput);
+        let fig = match self {
+            FigureId::Fig3 => Fig3::try_compute(dataset).map(boxed),
+            FigureId::Fig4 => Fig4::try_compute(views).map(boxed),
+            FigureId::Fig5 => Fig5::try_compute(views).map(boxed),
+            FigureId::Fig6 => sim.and_then(|out| Fig6::try_compute(&out.detailed)).map(boxed),
+            FigureId::Fig7 => {
+                sim.and_then(|out| Fig7::try_compute(&out.detailed, views)).map(boxed)
+            }
+            FigureId::Fig8 => Fig8::try_compute(views).map(boxed),
+            FigureId::Fig9 => Fig9::try_compute(views).map(boxed),
+            FigureId::Fig10 => Fig10::try_compute(users).map(boxed),
+            FigureId::Fig11 => Fig11::try_compute(users).map(boxed),
+            FigureId::Fig12 => Fig12::try_compute(users).map(boxed),
+            FigureId::Fig13 => Fig13::try_compute(views, users).map(boxed),
+            FigureId::Fig14 => Fig14::try_compute(views).map(boxed),
+            FigureId::Fig15 => Fig15::try_compute(views).map(boxed),
+            FigureId::Fig16 => Fig16::try_compute(views).map(boxed),
+            FigureId::Fig17 => Fig17::try_compute(users).map(boxed),
+            FigureId::Goodput => sim.and_then(GoodputFig::try_compute).map(boxed),
+            FigureId::Timeline => sim.and_then(ClusterTimelineFig::try_compute).map(boxed),
+            FigureId::Streaming => sim.and_then(StreamingTelemetryFig::try_compute).map(boxed),
+        };
+        fig.map_err(|source| PipelineError { stage: self.name(), source })
     }
 
     /// Computes and renders this figure from a simulation output and
@@ -114,33 +211,11 @@ impl FigureId {
     ///
     /// # Errors
     ///
-    /// Returns a [`PipelineError`] tagged with this figure's stage name
-    /// when the output lacks the population the figure needs.
-    pub fn render(&self, out: &SimOutput, users: &[UserStats]) -> Result<String, PipelineError> {
-        let stage = self.name();
-        let err = |source| PipelineError { stage, source };
+    /// As [`FigureId::compute`].
+    pub fn render(self, out: &SimOutput, users: &[UserStats]) -> Result<String, PipelineError> {
         let views = gpu_views(&out.dataset);
-        let rendered = match self {
-            FigureId::Fig3 => Fig3::try_compute(&out.dataset).map_err(err)?.render(),
-            FigureId::Fig4 => Fig4::try_compute(&views).map_err(err)?.render(),
-            FigureId::Fig5 => Fig5::try_compute(&views).map_err(err)?.render(),
-            FigureId::Fig6 => Fig6::try_compute(&out.detailed).map_err(err)?.render(),
-            FigureId::Fig7 => Fig7::try_compute(&out.detailed, &views).map_err(err)?.render(),
-            FigureId::Fig8 => Fig8::try_compute(&views).map_err(err)?.render(),
-            FigureId::Fig9 => Fig9::try_compute(&views).map_err(err)?.render(),
-            FigureId::Fig10 => Fig10::try_compute(users).map_err(err)?.render(),
-            FigureId::Fig11 => Fig11::try_compute(users).map_err(err)?.render(),
-            FigureId::Fig12 => Fig12::try_compute(users).map_err(err)?.render(),
-            FigureId::Fig13 => Fig13::try_compute(&views, users).map_err(err)?.render(),
-            FigureId::Fig14 => Fig14::try_compute(&views).map_err(err)?.render(),
-            FigureId::Fig15 => Fig15::try_compute(&views).map_err(err)?.render(),
-            FigureId::Fig16 => Fig16::try_compute(&views).map_err(err)?.render(),
-            FigureId::Fig17 => Fig17::try_compute(users).map_err(err)?.render(),
-            FigureId::Goodput => GoodputFig::try_compute(out).map_err(err)?.render(),
-            FigureId::Timeline => ClusterTimelineFig::try_compute(out).map_err(err)?.render(),
-            FigureId::Streaming => StreamingTelemetryFig::try_compute(out).map_err(err)?.render(),
-        };
-        Ok(rendered)
+        let input = Inputs { dataset: &out.dataset, views: &views, users, sim: Some(out) };
+        Ok(self.compute(&input)?.render())
     }
 }
 
@@ -315,38 +390,30 @@ mod tests {
     fn standalone_renders_match_the_batch_pipeline() {
         let out = small_sim();
         let report = crate::AnalysisReport::try_from_sim(out).unwrap();
-        // Every figure the report carries; the streaming cross-check is
-        // the one figure it does not.
-        let batch = |id: FigureId| match id {
-            FigureId::Fig3 => Some(report.fig3.render()),
-            FigureId::Fig4 => Some(report.fig4.render()),
-            FigureId::Fig5 => Some(report.fig5.render()),
-            FigureId::Fig6 => Some(report.fig6.render()),
-            FigureId::Fig7 => Some(report.fig7.render()),
-            FigureId::Fig8 => Some(report.fig8.render()),
-            FigureId::Fig9 => Some(report.fig9.render()),
-            FigureId::Fig10 => Some(report.fig10.render()),
-            FigureId::Fig11 => Some(report.fig11.render()),
-            FigureId::Fig12 => Some(report.fig12.render()),
-            FigureId::Fig13 => Some(report.fig13.render()),
-            FigureId::Fig14 => Some(report.fig14.render()),
-            FigureId::Fig15 => Some(report.fig15.render()),
-            FigureId::Fig16 => Some(report.fig16.render()),
-            FigureId::Fig17 => Some(report.fig17.render()),
-            FigureId::Goodput => Some(report.goodput.render()),
-            FigureId::Timeline => Some(report.timeline.render()),
-            FigureId::Streaming => None,
-        };
         let users = user_stats(&gpu_views(&out.dataset));
-        let mut compared = 0;
+        let ids: Vec<FigureId> = report.figures.iter().map(|(id, _)| *id).collect();
+        let in_report: Vec<FigureId> =
+            FigureId::ALL.into_iter().filter(|id| id.in_report()).collect();
+        assert_eq!(ids, in_report);
+        for (id, fig) in &report.figures {
+            let text = id.render(out, &users).unwrap_or_else(|e| panic!("{}: {e}", id.name()));
+            assert_eq!(text, fig.render(), "{}", id.name());
+        }
+    }
+
+    #[test]
+    fn a_dataset_release_computes_exactly_the_records_figures() {
+        let dataset = &small_sim().dataset;
+        let views = gpu_views(dataset);
+        let users = user_stats(&views);
+        let input = Inputs { dataset, views: &views, users: &users, sim: None };
         for id in FigureId::ALL {
-            if let Some(expected) = batch(id) {
-                let text = id.render(out, &users).unwrap_or_else(|e| panic!("{}: {e}", id.name()));
-                assert_eq!(text, expected, "{}", id.name());
-                compared += 1;
+            match (id.reads(), id.compute(&input)) {
+                (Reads::Records, Ok(_)) => {}
+                (Reads::Sim, Err(e)) => assert_eq!(e.stage, id.name()),
+                (reads, r) => panic!("{}: {reads:?} gave {:?}", id.name(), r.err()),
             }
         }
-        assert_eq!(compared, FigureId::ALL.len() - 1);
     }
 
     #[test]

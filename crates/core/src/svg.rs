@@ -1,11 +1,13 @@
 //! Minimal, dependency-free SVG rendering for the paper's figures.
 //!
-//! The text tables of [`crate::AnalysisReport`] are authoritative; this
-//! module draws the same series as standalone SVG files so the
-//! reproduction can be *looked at* next to the paper. Only the chart
-//! types the paper uses are implemented: line charts (ECDFs), bar
-//! charts (bottlenecks, shares), and box plots.
+//! The text tables of [`crate::AnalysisReport`] are authoritative; each
+//! figure draws the same series as standalone SVG files with these
+//! charts ([`crate::figures::Figure::svgs`]), so the reproduction can
+//! be *looked at* next to the paper. Only the chart types the paper
+//! uses are implemented: line charts (ECDFs), bar charts (bottlenecks,
+//! shares), and box plots.
 
+use sc_stats::{BoxStats, Ecdf};
 use std::fmt::Write as _;
 
 /// A line-series color cycle (color-blind-safe, paper-ish).
@@ -206,6 +208,20 @@ pub fn line_chart(
     s
 }
 
+/// Renders ECDFs as a line chart, with the conventions every ECDF
+/// panel shares: 64 points a curve (a log grid floored at 0.05 on a
+/// log axis) and the fraction of jobs on the y axis.
+pub fn ecdf_chart(title: &str, x_label: &str, x_scale: Scale, ecdfs: &[(&str, &Ecdf)]) -> String {
+    let series: Vec<Series> = ecdfs
+        .iter()
+        .map(|&(name, e)| match x_scale {
+            Scale::Linear => Series::new(name, e.curve(64)),
+            Scale::Log10 => Series::new(name, e.log_curve(64, 0.05)),
+        })
+        .collect();
+    line_chart(title, x_label, "fraction of jobs", x_scale, &series)
+}
+
 /// Renders a labeled bar chart.
 ///
 /// # Panics
@@ -243,33 +259,31 @@ pub fn bar_chart(title: &str, y_label: &str, bars: &[(String, f64)]) -> String {
     s
 }
 
-/// A box glyph: `(whisker_low, q1, median, q3, whisker_high)`.
-pub type BoxGlyph = (f64, f64, f64, f64, f64);
-
-/// Renders grouped box plots from `(label, glyph)` rows.
+/// Renders grouped box plots (whiskers, quartiles and median) from
+/// `(label, box)` rows.
 ///
 /// # Panics
 ///
 /// Panics if `boxes` is empty.
-pub fn box_chart(title: &str, y_label: &str, boxes: &[(String, BoxGlyph)]) -> String {
+pub fn box_chart(title: &str, y_label: &str, boxes: &[(String, &BoxStats)]) -> String {
     assert!(!boxes.is_empty(), "box chart needs data");
-    let y_hi = boxes.iter().map(|b| b.1 .4).fold(0.0f64, f64::max).max(1e-9);
+    let y_hi = boxes.iter().map(|b| b.1.whisker_high).fold(0.0f64, f64::max).max(1e-9);
     let py = |y: f64| H - MB - y.max(0.0) / y_hi * (H - MT - MB);
     let mut s = svg_header(title);
     let n = boxes.len() as f64;
     let bw = (W - ML - MR) / n * 0.4;
-    for (i, (label, (wl, q1, med, q3, wh))) in boxes.iter().enumerate() {
+    for (i, (label, b)) in boxes.iter().enumerate() {
         let cx = ML + (i as f64 + 0.5) / n * (W - ML - MR);
         let color = COLORS[i % COLORS.len()];
         let _ = writeln!(
             s,
             r##"<line x1="{cx:.1}" y1="{0:.1}" x2="{cx:.1}" y2="{1:.1}" stroke="{color}"/><rect x="{2:.1}" y="{3:.1}" width="{bw:.1}" height="{4:.1}" fill="none" stroke="{color}" stroke-width="1.6"/><line x1="{2:.1}" y1="{5:.1}" x2="{6:.1}" y2="{5:.1}" stroke="{color}" stroke-width="2.2"/><text x="{cx:.1}" y="{7}" font-size="10" text-anchor="middle">{8}</text>"##,
-            py(*wl),
-            py(*wh),
+            py(b.whisker_low),
+            py(b.whisker_high),
             cx - bw / 2.0,
-            py(*q3),
-            (py(*q1) - py(*q3)).max(0.5),
-            py(*med),
+            py(b.q3),
+            (py(b.q1) - py(b.q3)).max(0.5),
+            py(b.median),
             cx + bw / 2.0,
             H - MB + 14.0,
             esc(label)
@@ -403,7 +417,9 @@ pub fn reliability_svgs(report: &crate::ReliabilityReport) -> Vec<(&'static str,
 }
 
 /// Writes every figure of an [`crate::AnalysisReport`] as SVG files into
-/// `dir` (created if missing). Returns the written paths.
+/// `dir` (created if missing): each figure's
+/// [`svgs`](crate::figures::Figure::svgs), in report order. Returns the
+/// written paths.
 ///
 /// # Errors
 ///
@@ -413,206 +429,14 @@ pub fn write_report_svgs(
     dir: &std::path::Path,
 ) -> std::io::Result<Vec<std::path::PathBuf>> {
     std::fs::create_dir_all(dir)?;
-    let mut written: Vec<std::path::PathBuf> = Vec::new();
-    let mut save = |name: &str, content: String| -> std::io::Result<()> {
-        let path = dir.join(name);
-        std::fs::write(&path, content)?;
-        written.push(path);
-        Ok(())
-    };
-
-    let cdf = |e: &sc_stats::Ecdf, n: usize| e.curve(n);
-    let log_cdf = |e: &sc_stats::Ecdf, n: usize| e.log_curve(n, 0.05);
-
-    save(
-        "fig03a_runtimes.svg",
-        line_chart(
-            "Fig. 3(a) — run-time ECDFs",
-            "run time (min, log)",
-            "fraction of jobs",
-            Scale::Log10,
-            &[
-                Series::new("GPU jobs", log_cdf(&report.fig3.gpu_runtime_min, 64)),
-                Series::new("CPU jobs", log_cdf(&report.fig3.cpu_runtime_min, 64)),
-            ],
-        ),
-    )?;
-    save(
-        "fig03b_waits.svg",
-        line_chart(
-            "Fig. 3(b) — queue wait as % of service time",
-            "wait % of service time",
-            "fraction of jobs",
-            Scale::Linear,
-            &[
-                Series::new("GPU jobs", cdf(&report.fig3.gpu_wait_pct, 64)),
-                Series::new("CPU jobs", cdf(&report.fig3.cpu_wait_pct, 64)),
-            ],
-        ),
-    )?;
-    save(
-        "fig04a_utilization.svg",
-        line_chart(
-            "Fig. 4(a) — utilization ECDFs",
-            "job-mean utilization (%)",
-            "fraction of jobs",
-            Scale::Linear,
-            &[
-                Series::new("SM", cdf(&report.fig4.sm, 64)),
-                Series::new("memory BW", cdf(&report.fig4.mem, 64)),
-                Series::new("memory size", cdf(&report.fig4.mem_size, 64)),
-            ],
-        ),
-    )?;
-    save(
-        "fig04b_pcie.svg",
-        line_chart(
-            "Fig. 4(b) — PCIe bandwidth ECDFs",
-            "job-mean PCIe utilization (%)",
-            "fraction of jobs",
-            Scale::Linear,
-            &[
-                Series::new("Tx", cdf(&report.fig4.pcie_tx, 64)),
-                Series::new("Rx", cdf(&report.fig4.pcie_rx, 64)),
-            ],
-        ),
-    )?;
-    save(
-        "fig05a_sm_by_interface.svg",
-        box_chart(
-            "Fig. 5(a) — SM utilization by job type",
-            "SM utilization (%)",
-            &report
-                .fig5
-                .rows
-                .iter()
-                .map(|r| {
-                    (
-                        r.interface.to_string(),
-                        (r.sm.whisker_low, r.sm.q1, r.sm.median, r.sm.q3, r.sm.whisker_high),
-                    )
-                })
-                .collect::<Vec<_>>(),
-        ),
-    )?;
-    save(
-        "fig06a_active_share.svg",
-        line_chart(
-            "Fig. 6(a) — time in active phases",
-            "active time (% of run)",
-            "fraction of jobs",
-            Scale::Linear,
-            &[Series::new("jobs", cdf(&report.fig6.active_pct, 64))],
-        ),
-    )?;
-    save(
-        "fig06b_interval_cov.svg",
-        line_chart(
-            "Fig. 6(b) — interval-length CoV",
-            "CoV (%)",
-            "fraction of jobs",
-            Scale::Linear,
-            &[
-                Series::new("idle intervals", cdf(&report.fig6.idle_cov, 64)),
-                Series::new("active intervals", cdf(&report.fig6.active_cov, 64)),
-            ],
-        ),
-    )?;
-    save(
-        "fig07b_bottlenecks.svg",
-        bar_chart(
-            "Fig. 7(b) — jobs bottlenecked per resource",
-            "fraction of jobs",
-            &report.fig7.bottlenecks.iter().map(|(r, f)| (r.to_string(), *f)).collect::<Vec<_>>(),
-        ),
-    )?;
-    save(
-        "fig09a_power.svg",
-        line_chart(
-            "Fig. 9(a) — GPU power ECDFs",
-            "power (W)",
-            "fraction of jobs",
-            Scale::Linear,
-            &[
-                Series::new("average", cdf(&report.fig9.avg_power, 64)),
-                Series::new("maximum", cdf(&report.fig9.max_power, 64)),
-            ],
-        ),
-    )?;
-    save(
-        "fig13a_sizes.svg",
-        bar_chart(
-            "Fig. 13 — job sizes",
-            "fraction of jobs",
-            &report
-                .fig13
-                .rows
-                .iter()
-                .map(|r| (r.bucket.label().to_string(), r.job_share))
-                .collect::<Vec<_>>(),
-        ),
-    )?;
-    save(
-        "fig15_lifecycle.svg",
-        bar_chart(
-            "Fig. 15 — GPU-hour share by life-cycle class",
-            "fraction of GPU hours",
-            &report
-                .fig15
-                .shares
-                .iter()
-                .map(|c| (c.class.to_string(), c.hours_share))
-                .collect::<Vec<_>>(),
-        ),
-    )?;
-    save(
-        "fig16a_sm_by_class.svg",
-        box_chart(
-            "Fig. 16(a) — SM utilization by life-cycle class",
-            "SM utilization (%)",
-            &report
-                .fig16
-                .rows
-                .iter()
-                .map(|r| {
-                    (
-                        r.class.to_string(),
-                        (r.sm.whisker_low, r.sm.q1, r.sm.median, r.sm.q3, r.sm.whisker_high),
-                    )
-                })
-                .collect::<Vec<_>>(),
-        ),
-    )?;
-    save(
-        "goodput_ledger.svg",
-        bar_chart("Goodput — where allocated GPU-hours went", "GPU-hours", &{
-            let g = &report.goodput;
-            let mut bars = vec![
-                ("useful".to_string(), g.useful_gpu_hours),
-                ("lost".to_string(), g.lost_gpu_hours),
-                ("idle".to_string(), g.idle_gpu_hours),
-            ];
-            bars.extend(
-                g.by_cause.iter().map(|r| (format!("lost: {}", r.cause), r.lost_gpu_hours)),
-            );
-            bars
-        }),
-    )?;
-    save(
-        "cluster_timeline.svg",
-        line_chart(
-            "ClusterTimeline — cluster state over the run",
-            "time (days)",
-            "count",
-            Scale::Linear,
-            &report
-                .timeline
-                .curves()
-                .into_iter()
-                .map(|(name, points)| Series::new(name, points))
-                .collect::<Vec<_>>(),
-        ),
-    )?;
+    let mut written = Vec::new();
+    for (_, fig) in &report.figures {
+        for (name, svg) in fig.svgs() {
+            let path = dir.join(name);
+            std::fs::write(&path, svg)?;
+            written.push(path);
+        }
+    }
     Ok(written)
 }
 
@@ -667,8 +491,8 @@ mod tests {
 
     #[test]
     fn box_chart_orders_glyphs() {
-        let boxes = vec![("mature".to_string(), (1.0, 10.0, 21.0, 45.0, 90.0))];
-        let svg = box_chart("t", "y", &boxes);
+        let b = BoxStats::from_sample(&[1.0, 10.0, 21.0, 45.0, 90.0]).unwrap();
+        let svg = box_chart("t", "y", &[("mature".to_string(), &b)]);
         is_well_formed(&svg);
         assert!(svg.contains("mature"));
     }

@@ -79,23 +79,9 @@ impl Default for ClassifierConfig {
     }
 }
 
-/// Finalizer of 64-bit MurmurHash3: a cheap, well-mixed `u64 -> u64`
-/// bijection used wherever a deterministic hash stream must not
-/// consume RNG draws.
-pub(crate) fn fmix64(mut x: u64) -> u64 {
-    x ^= x >> 33;
-    x = x.wrapping_mul(0xff51_afd7_ed55_8ccd);
-    x ^= x >> 33;
-    x = x.wrapping_mul(0xc4ce_b9fe_1a85_ec53);
-    x ^= x >> 33;
-    x
-}
-
-/// Maps a seed to a uniform float in `[0, 1)` without consuming any
-/// RNG stream (same construction as `sc-workload`'s attribute hashes).
-pub(crate) fn hash_unit(seed: u64) -> f64 {
-    (fmix64(seed) >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
-}
+/// The seeded hashes behind every draw that must not consume an RNG
+/// stream (forest bootstraps, feature jitter, the train/test split).
+pub(crate) use sc_stats::hash::{fmix64, hash_unit};
 
 #[cfg(test)]
 mod tests {

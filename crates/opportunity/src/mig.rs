@@ -15,6 +15,8 @@
 //! reconfiguration).
 
 use sc_core::GpuJobView;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 /// MIG configuration parameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -83,14 +85,7 @@ pub fn evaluate(views: &[GpuJobView<'_>], cfg: MigConfig) -> MigStudy {
     // First-fit decreasing bin packing on slice demands.
     let mut sorted = demands.clone();
     sorted.sort_unstable_by(|a, b| b.cmp(a));
-    let mut bins: Vec<u32> = Vec::new(); // free slices per open GPU
-    for d in sorted {
-        match bins.iter_mut().find(|free| **free >= d) {
-            Some(free) => *free -= d,
-            None => bins.push(cfg.slices_per_gpu - d),
-        }
-    }
-    let gpus_packed = bins.len().max(1);
+    let gpus_packed = first_fit(&sorted, cfg.slices_per_gpu).len().max(1);
     let mut hist = vec![0usize; cfg.slices_per_gpu as usize];
     for d in &demands {
         hist[(*d - 1) as usize] += 1;
@@ -104,6 +99,37 @@ pub fn evaluate(views: &[GpuJobView<'_>], cfg: MigConfig) -> MigStudy {
         demand_histogram: hist,
         repartition_overhead_fraction: overhead_secs / delivered_secs.max(1e-9),
     }
+}
+
+/// First-fit packing of `demands`, in order, onto GPUs of `slices`
+/// slices each. Returns the free slices left on each opened GPU.
+///
+/// Each demand takes the lowest-indexed GPU with room. The open GPUs
+/// sit in one min-heap of indices per free-slice count, so that GPU is
+/// the smallest heap top among the counts the demand fits, found in
+/// O(slices · log n) instead of a scan of every open GPU. Full GPUs
+/// leave the heaps.
+fn first_fit(demands: &[u32], slices: u32) -> Vec<u32> {
+    let mut free: Vec<u32> = Vec::new();
+    let mut open: Vec<BinaryHeap<Reverse<usize>>> = vec![BinaryHeap::new(); slices as usize + 1];
+    for &d in demands {
+        let fit = (d..=slices).filter_map(|f| open[f as usize].peek().map(|&Reverse(g)| g)).min();
+        let gpu = match fit {
+            Some(gpu) => {
+                open[free[gpu] as usize].pop();
+                gpu
+            }
+            None => {
+                free.push(slices);
+                free.len() - 1
+            }
+        };
+        free[gpu] -= d;
+        if free[gpu] > 0 {
+            open[free[gpu] as usize].push(Reverse(gpu));
+        }
+    }
+    free
 }
 
 /// Renders the study as text.
@@ -142,21 +168,41 @@ mod tests {
         let _ = slice_demand(10.0, 10.0, 0);
     }
 
-    #[test]
-    fn ffd_packs_small_demands_tightly() {
-        // Direct FFD check through the public API is covered by the
-        // integration path; here verify the demand math composes.
-        // 7 one-slice jobs fit one GPU; a 7-slice job needs its own.
-        let demands = [1u32, 1, 1, 1, 1, 1, 1, 7];
+    /// First fit by scanning every open GPU, full ones included: the
+    /// reference [`first_fit`] must reproduce.
+    fn first_fit_reference(demands: &[u32], slices: u32) -> Vec<u32> {
         let mut bins: Vec<u32> = Vec::new();
-        let mut sorted = demands.to_vec();
-        sorted.sort_unstable_by(|a, b| b.cmp(a));
-        for d in sorted {
+        for &d in demands {
             match bins.iter_mut().find(|free| **free >= d) {
                 Some(free) => *free -= d,
-                None => bins.push(7 - d),
+                None => bins.push(slices - d),
             }
         }
-        assert_eq!(bins.len(), 2);
+        bins
+    }
+
+    #[test]
+    fn ffd_packs_small_demands_tightly() {
+        // 7 one-slice jobs fit one GPU; a 7-slice job needs its own.
+        let mut demands = vec![1u32, 1, 1, 1, 1, 1, 1, 7];
+        demands.sort_unstable_by(|a, b| b.cmp(a));
+        assert_eq!(first_fit(&demands, 7), vec![0, 0]);
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn prop_first_fit_matches_the_scan(
+            (slices, raw) in (1u32..9, proptest::collection::vec(0u32..1000, 0..400)),
+            decreasing in proptest::strategy::weighted_bool(0.5),
+        ) {
+            let mut demands: Vec<u32> = raw.iter().map(|r| 1 + r % slices).collect();
+            if decreasing {
+                demands.sort_unstable_by(|a, b| b.cmp(a));
+            }
+            proptest::prop_assert_eq!(
+                first_fit(&demands, slices),
+                first_fit_reference(&demands, slices)
+            );
+        }
     }
 }

@@ -10,7 +10,8 @@
 //! when within-user CoV is ~155%.
 
 use sc_core::GpuJobView;
-use std::collections::HashMap;
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, HashMap};
 
 /// The estimators compared.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -61,6 +62,40 @@ pub struct PredictionStudy {
     pub sm_util: Vec<PredictorScore>,
 }
 
+/// The running median of a stream of positive values: the element at
+/// index `len / 2` of the values seen so far, sorted.
+///
+/// The larger `ceil(len / 2)` values sit in a min-heap whose top is
+/// that element, the rest in a max-heap. Positive floats order like
+/// their bit patterns, so both heaps hold `f64::to_bits`.
+#[derive(Debug, Default)]
+struct RunningMedian {
+    low: BinaryHeap<u64>,
+    high: BinaryHeap<Reverse<u64>>,
+}
+
+impl RunningMedian {
+    fn get(&self) -> Option<f64> {
+        self.high.peek().map(|&Reverse(bits)| f64::from_bits(bits))
+    }
+
+    fn push(&mut self, value: f64) {
+        debug_assert!(value > 0.0, "running median over positive values, got {value}");
+        let bits = value.to_bits();
+        match self.high.peek() {
+            Some(&Reverse(top)) if bits < top => self.low.push(bits),
+            _ => self.high.push(Reverse(bits)),
+        }
+        if self.low.len() > self.high.len() {
+            let moved = self.low.pop().map(Reverse);
+            self.high.extend(moved);
+        } else if self.high.len() > self.low.len() + 1 {
+            let moved = self.high.pop().map(|Reverse(bits)| bits);
+            self.low.extend(moved);
+        }
+    }
+}
+
 fn score<F: Fn(&GpuJobView) -> f64>(
     views: &[GpuJobView<'_>],
     value: F,
@@ -71,7 +106,7 @@ fn score<F: Fn(&GpuJobView) -> f64>(
     order.sort_by_key(|v| v.sched.job_id);
     let mut last: HashMap<_, f64> = HashMap::new();
     let mut sums: HashMap<_, (f64, usize)> = HashMap::new();
-    let mut global: Vec<f64> = Vec::new();
+    let mut global = RunningMedian::default();
     let mut apes: Vec<f64> = Vec::new();
     let mut hits = 0usize;
     let mut n = 0usize;
@@ -80,14 +115,7 @@ fn score<F: Fn(&GpuJobView) -> f64>(
         let prediction = match predictor {
             Predictor::LastValue => last.get(&v.sched.user).copied(),
             Predictor::UserMean => sums.get(&v.sched.user).map(|(s, c)| s / *c as f64),
-            Predictor::GlobalMedian => {
-                // `global` is kept sorted by insertion below.
-                if global.is_empty() {
-                    None
-                } else {
-                    Some(global[global.len() / 2])
-                }
-            }
+            Predictor::GlobalMedian => global.get(),
         };
         if let Some(p) = prediction {
             let ape = (p - truth).abs() / truth;
@@ -101,8 +129,9 @@ fn score<F: Fn(&GpuJobView) -> f64>(
         let e = sums.entry(v.sched.user).or_insert((0.0, 0));
         e.0 += truth;
         e.1 += 1;
-        let pos = global.partition_point(|g| *g < truth);
-        global.insert(pos, truth);
+        if predictor == Predictor::GlobalMedian {
+            global.push(truth);
+        }
     }
     apes.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
     PredictorScore {
@@ -147,6 +176,25 @@ pub fn render(study: &PredictionStudy) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    proptest::proptest! {
+        #[test]
+        fn prop_running_median_matches_the_sorted_insert(
+            raw in proptest::collection::vec(0u32..64, 0..300),
+            scale in 1e-3..1e6f64,
+        ) {
+            // Few distinct values, so runs carry many ties.
+            let mut median = RunningMedian::default();
+            let mut sorted: Vec<f64> = Vec::new();
+            for r in raw {
+                let value = (1 + r % 16) as f64 * scale;
+                median.push(value);
+                let pos = sorted.partition_point(|g| *g < value);
+                sorted.insert(pos, value);
+                proptest::prop_assert_eq!(median.get(), Some(sorted[sorted.len() / 2]));
+            }
+        }
+    }
 
     #[test]
     fn predictor_labels_unique() {

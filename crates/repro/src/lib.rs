@@ -38,9 +38,9 @@ pub mod prelude {
     };
     pub use sc_core::{
         classify_record, corrupt_and_ingest, gpu_views, ingest, run_reliability_study, user_stats,
-        AnalysisReport, ClassifierFig, DataQualityError, DataQualityFig, DatasetReport, GoodputFig,
-        IngestOutput, IngestReport, PipelineError, Provenance, QuarantineAction, ReliabilityConfig,
-        ReliabilityReport,
+        AnalysisReport, ClassifierFig, DataQualityError, DataQualityFig, Figure, FigureId,
+        GoodputFig, IngestOutput, IngestReport, PipelineError, Provenance, QuarantineAction,
+        ReliabilityConfig, ReliabilityReport,
     };
     pub use sc_learn::{ArchetypePredictor, ClassifierConfig};
     pub use sc_obs::{JsonlSink, Obs, RingSink, StageLog, TraceLevel, TraceSink};

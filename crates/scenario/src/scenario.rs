@@ -1132,12 +1132,7 @@ impl Scenario {
     /// equal iff every parameter matches. Used as the serve-layer memo
     /// cache key dimension.
     pub fn hash(&self) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for b in self.to_toml().bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        h
+        sc_stats::hash::fnv1a64(self.to_toml().as_bytes())
     }
 
     /// Deterministic human-readable summary (golden-tested per preset).

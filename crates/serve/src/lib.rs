@@ -20,7 +20,7 @@
 //! - **Deterministic bytes.** Thread budget, cache temperature, and
 //!   request interleaving affect latency only. [`Digest`] folds
 //!   responses in request order so CI can compare whole runs by one
-//!   hex string ([`digest`]).
+//!   hex string.
 //! - **Typed, replayable queries.** Every request is a [`Query`] with a
 //!   canonical token that round-trips through [`Query::parse`]
 //!   ([`query`]).
@@ -40,10 +40,9 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod digest;
 pub mod query;
 pub mod service;
 
-pub use digest::{fnv1a64, Digest};
 pub use query::{Query, RelQuery};
+pub use sc_stats::hash::{fnv1a64, Digest};
 pub use service::{Completed, Pending, Response, ServeConfig, Service};

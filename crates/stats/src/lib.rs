@@ -17,6 +17,8 @@
 //! - [`streaming`]: one-pass mergeable aggregators (Welford
 //!   mean/variance, log-bucket quantile sketch, mergeable histogram)
 //!   backing the streaming telemetry collector.
+//! - [`hash`]: seeded hashes (the MurmurHash3 finalizer for per-job
+//!   draws, FNV-1a for determinism digests) that consume no RNG stream.
 //! - [`dist`]: parametric distributions (lognormal, Pareto, beta, …)
 //!   built on [`rand`]'s uniform source, used by the workload generator.
 //!
@@ -44,6 +46,7 @@ pub mod descriptive;
 pub mod dist;
 pub mod ecdf;
 pub mod error;
+pub mod hash;
 pub mod kstest;
 pub mod lorenz;
 pub mod segment;

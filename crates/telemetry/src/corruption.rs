@@ -22,6 +22,7 @@ use crate::dataset::Dataset;
 use crate::metrics::GpuMetricSample;
 use crate::record::{GpuJobRecord, JobId, SchedulerRecord};
 use crate::sampler::GpuTimeSeries;
+use sc_stats::hash::hash_unit;
 
 /// How dirty the simulated collection pipeline is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -383,15 +384,6 @@ const SALT_WINDOW_LEN: u64 = 0x776c_656e;
 const SALT_TAIL: u64 = 0x7461_696c;
 const SALT_TAIL_AMT: u64 = 0x7466_7263;
 
-/// The same 64-bit finalizer the simulator uses for per-job draws:
-/// deterministic, order-free, thread-count-free.
-fn hash_unit(mut x: u64) -> f64 {
-    x = (x ^ (x >> 33)).wrapping_mul(0xff51_afd7_ed55_8ccd);
-    x = (x ^ (x >> 33)).wrapping_mul(0xc4ce_b9fe_1a85_ec53);
-    x ^= x >> 33;
-    (x >> 11) as f64 / (1u64 << 53) as f64
-}
-
 /// The seeded fault injector.
 #[derive(Debug, Clone, Copy)]
 pub struct Corruptor {
@@ -626,12 +618,12 @@ pub fn has_power_spike(record: &GpuJobRecord) -> bool {
 
 /// Repairs a power aggregate from the job's utilization aggregates via
 /// the linear V100 power model — the imputation the ingest stage uses
-/// for NaN readings and spike clamping.
+/// for NaN readings and spike clamping. The clamp keeps a NaN input NaN
+/// (`min` alone would turn it into the TDP).
 pub fn impute_power(agg: &GpuAggregates) -> crate::aggregate::Aggregate {
-    let model = |sm: f64, mem: f64, msz: f64| {
-        (crate::gpu_power::V100_IDLE_W + 1.3 * sm + 0.7 * mem + 0.3 * msz)
-            .clamp(crate::gpu_power::V100_IDLE_W, crate::gpu_power::V100_TDP_W)
-    };
+    use crate::gpu_power::{v100_power_w, V100_IDLE_W, V100_TDP_W};
+    let model =
+        |sm: f64, mem: f64, msz: f64| v100_power_w(sm, mem, msz).clamp(V100_IDLE_W, V100_TDP_W);
     crate::aggregate::Aggregate {
         min: model(agg.sm_util.min, agg.mem_util.min, agg.mem_size_util.min),
         mean: model(agg.sm_util.mean, agg.mem_util.mean, agg.mem_size_util.mean),

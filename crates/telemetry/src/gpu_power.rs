@@ -1,12 +1,12 @@
 //! Single source of truth for the GPU power constants of Table I /
-//! Fig. 9.
+//! Fig. 9, and for the linear V100 power model built on them.
 //!
-//! The V100 idle floor, board power limit, and DVFS sensitivity used to
-//! be duplicated across the workload power model, the cluster hardware
-//! spec, the opportunity studies, and the figure pipeline; every
-//! consumer now imports them from here. The telemetry crate is the
-//! lowest layer all of those depend on, which is what makes it the
-//! natural home.
+//! The V100 idle floor, board power limit, utilization coefficients and
+//! DVFS sensitivity are read by the workload power model, the ingest
+//! stage's power imputation, the cluster hardware spec, the opportunity
+//! studies, and the figure pipeline; every consumer imports them from
+//! here. The telemetry crate is the lowest layer all of those depend
+//! on, which is what makes it the natural home.
 
 use crate::aggregate::GpuAggregates;
 
@@ -22,6 +22,21 @@ pub const V100_TDP_W: f64 = 300.0;
 /// power near the TDP, so clipping x% of power costs ≈ x/3 % of
 /// performance.
 pub const DVFS_PERF_PER_POWER: f64 = 1.0 / 3.0;
+
+/// The linear V100 board-power model, watts, before any clamp:
+/// `idle + 1.3·SM% + 0.7·MEM% + 0.3·MEMSZ%`.
+///
+/// The paper reports (Fig. 9a) a median *average* job power of 45 W
+/// and a median *maximum* of 87 W against a 300 W TDP. Board power on
+/// Volta is dominated by an idle floor plus activity-linear terms, and
+/// linearity makes a job's mean power an exact function of its mean
+/// utilizations, which the analytic aggregation path exploits. Callers
+/// clamp the result: the workload model to the board limit, the ingest
+/// imputation to `[idle, TDP]`.
+#[inline]
+pub fn v100_power_w(sm: f64, mem: f64, mem_size: f64) -> f64 {
+    V100_IDLE_W + 1.3 * sm + 0.7 * mem + 0.3 * mem_size
+}
 
 /// GPUs in the Supercloud fleet (Table I: 224 nodes × 2).
 pub const SUPERCLOUD_GPUS: u32 = 448;

@@ -121,42 +121,6 @@ impl GpuSampler {
         GpuTimeSeries { period_secs: self.period_secs, per_gpu }
     }
 
-    /// Streams the samples straight into per-GPU aggregates without
-    /// materializing the series — what production does for every job
-    /// outside the 2,149-job time-series subset. For a 20-hour job this
-    /// is 720,000 samples per GPU; the streaming path is the difference
-    /// between a 42 GB dataset and an unusable one.
-    pub fn sample_aggregates<S: MetricSource + ?Sized>(
-        &self,
-        source: &S,
-        duration_secs: f64,
-    ) -> Vec<GpuAggregates> {
-        let n = self.sample_count(duration_secs);
-        (0..source.gpu_count())
-            .map(|g| {
-                let mut agg = GpuAggregates::new();
-                let mut k = 0;
-                while k < n {
-                    let t = k as f64 * self.period_secs;
-                    let sample = source.gpu_state(g, t);
-                    agg.update(&sample);
-                    k += 1;
-                    // Constant-span fast path. The repeated sample is
-                    // still folded through the same update loop, so the
-                    // aggregates are bit-identical to the slow path —
-                    // only the `gpu_state` calls are skipped.
-                    if let Some(end) = source.gpu_constant_until(g, t) {
-                        while k < n && (k as f64) * self.period_secs < end {
-                            agg.update(&sample);
-                            k += 1;
-                        }
-                    }
-                }
-                agg
-            })
-            .collect()
-    }
-
     fn sample_count(&self, duration_secs: f64) -> usize {
         tick_count(duration_secs, self.period_secs)
     }
@@ -228,14 +192,23 @@ mod tests {
 
     #[test]
     fn aggregates_match_series_reduction() {
+        // The constant-span fast path folds the same samples as a poll
+        // at every tick.
         let s = GpuSampler::new();
         let src = source(2, 33.0);
-        let series = s.sample_series(&src, 2.0);
-        let from_series = series.aggregates();
-        let streamed = s.sample_aggregates(&src, 2.0);
-        assert_eq!(from_series, streamed);
-        assert_eq!(streamed[0].sm_util.mean, 33.0);
-        assert_eq!(streamed.len(), 2);
+        let from_series = s.sample_series(&src, 2.0).aggregates();
+        let per_tick: Vec<GpuAggregates> = (0..2)
+            .map(|g| {
+                let mut agg = GpuAggregates::new();
+                for k in 0..s.sample_count(2.0) {
+                    agg.update(&src.gpu_state(g, k as f64 * s.period_secs));
+                }
+                agg
+            })
+            .collect();
+        assert_eq!(from_series, per_tick);
+        assert_eq!(from_series[0].sm_util.mean, 33.0);
+        assert_eq!(from_series.len(), 2);
     }
 
     #[test]

@@ -12,6 +12,7 @@ use crate::user::UserProfile;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use sc_stats::dist::{Beta, Categorical, LogNormal, Sample};
+use sc_stats::hash::hash_unit;
 use sc_telemetry::metrics::GpuResource;
 use sc_telemetry::record::{JobId, SubmissionInterface, UserId};
 
@@ -480,14 +481,6 @@ fn default_max_restarts(interface: SubmissionInterface) -> u32 {
         SubmissionInterface::Interactive => 0,
         _ => DEFAULT_MAX_RESTARTS,
     }
-}
-
-/// Hashes a seed to a unit-interval float (murmur3 finalizer).
-fn hash_unit(mut x: u64) -> f64 {
-    x = (x ^ (x >> 33)).wrapping_mul(0xff51_afd7_ed55_8ccd);
-    x = (x ^ (x >> 33)).wrapping_mul(0xc4ce_b9fe_1a85_ec53);
-    x ^= x >> 33;
-    (x >> 11) as f64 / (1u64 << 53) as f64
 }
 
 /// SplitMix64 finalizer for deriving per-job seeds from ids.

@@ -2,62 +2,31 @@
 //!
 //! The paper reports (Fig. 9a) a median *average* job power of 45 W and a
 //! median *maximum* of 87 W against a 300 W TDP ("most jobs consume less
-//! than half or even a third of the available power on average"). Board
-//! power on Volta is dominated by an idle floor plus activity-linear
-//! terms; we model it as
-//!
-//! `P = idle + c_sm · SM% + c_mem · MEM% + c_msz · MEMSZ%`, clamped to TDP.
-//!
-//! Linearity matters: it makes the job's *mean* power an exact function
-//! of its mean utilizations, which the analytic aggregation path exploits.
+//! than half or even a third of the available power on average"). The
+//! model is [`v100_power_w`] clamped to TDP: an idle floor plus one
+//! linear term each for SM, memory-bandwidth and memory-size
+//! utilization, with the coefficients in [`sc_telemetry::gpu_power`].
 
-use sc_telemetry::gpu_power::{V100_IDLE_W, V100_TDP_W};
+use sc_telemetry::gpu_power::{v100_power_w, V100_IDLE_W, V100_TDP_W};
 
-/// Linear utilization→power model for one GPU.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PowerModel {
-    /// Idle floor in watts (V100 idles in the low tens of watts).
-    pub idle_w: f64,
-    /// Watts per SM-utilization percent.
-    pub sm_w_per_pct: f64,
-    /// Watts per memory-bandwidth-utilization percent.
-    pub mem_w_per_pct: f64,
-    /// Watts per memory-size-utilization percent.
-    pub mem_size_w_per_pct: f64,
-    /// Board power limit (V100: 300 W).
-    pub tdp_w: f64,
-}
-
-impl Default for PowerModel {
-    fn default() -> Self {
-        PowerModel::v100()
-    }
-}
+/// Linear utilization→power model for one V100.
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
+pub struct PowerModel;
 
 impl PowerModel {
     /// The calibrated V100 model.
     pub fn v100() -> Self {
-        PowerModel {
-            idle_w: V100_IDLE_W,
-            sm_w_per_pct: 1.3,
-            mem_w_per_pct: 0.7,
-            mem_size_w_per_pct: 0.3,
-            tdp_w: V100_TDP_W,
-        }
+        PowerModel
     }
 
     /// Instantaneous power for the given utilization percentages.
     pub fn power_w(&self, sm: f64, mem: f64, mem_size: f64) -> f64 {
-        let p = self.idle_w
-            + self.sm_w_per_pct * sm
-            + self.mem_w_per_pct * mem
-            + self.mem_size_w_per_pct * mem_size;
-        p.min(self.tdp_w)
+        v100_power_w(sm, mem, mem_size).min(V100_TDP_W)
     }
 
     /// Power of a fully idle GPU.
     pub fn idle_power_w(&self) -> f64 {
-        self.idle_w
+        V100_IDLE_W
     }
 
     /// Peak model power (at 100% everything), clamped to TDP.
@@ -80,8 +49,8 @@ mod tests {
     #[test]
     fn peak_is_near_but_not_above_tdp() {
         let m = PowerModel::v100();
-        assert!(m.peak_w() <= m.tdp_w);
-        assert!(m.peak_w() > 0.75 * m.tdp_w, "peak {}", m.peak_w());
+        assert!(m.peak_w() <= V100_TDP_W);
+        assert!(m.peak_w() > 0.75 * V100_TDP_W, "peak {}", m.peak_w());
     }
 
     #[test]

@@ -56,7 +56,7 @@ fn main() {
 
     for period in [0.1, 0.5, 1.0, 5.0, 30.0, 120.0] {
         let sampler = GpuSampler::with_period(period);
-        let agg = &sampler.sample_aggregates(&source, 3_600.0)[0];
+        let agg = &sampler.sample_series(&source, 3_600.0).aggregates()[0];
         let samples = agg.sm_util.count;
         // 6 metrics × f32 in the production CSV ≈ 24 bytes per sample.
         let bytes = samples * 24;

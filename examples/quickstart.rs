@@ -45,5 +45,6 @@ fn main() {
 
     // And the full figure pipeline, if you want everything at once:
     let report = AnalysisReport::try_from_sim(&out).expect("every figure population present");
-    println!("\n{}", report.fig15.render());
+    let fig15 = FigureId::Fig15.render(&out, &report.users).expect("Fig. 15 population present");
+    println!("\n{fig15}");
 }

@@ -218,7 +218,7 @@ fn sampled_and_analytic_telemetry_agree_in_distribution() {
         let truth = job.ground_truth().expect("gpu job");
         let run = r.sched.run_time().min(1_800.0); // cap sampling cost
         analytic.push(truth.analytic_aggregates(run)[0].sm_util.mean);
-        sampled.push(sampler.sample_aggregates(&truth, run)[0].sm_util.mean);
+        sampled.push(sampler.sample_series(&truth, run).aggregates()[0].sm_util.mean);
     }
     let ks = sc_repro::stats::ks_two_sample(&analytic, &sampled).expect("valid samples");
     assert!(

@@ -11,27 +11,47 @@
 //! sample period, power imputation ignoring the clamp, dedup keeping
 //! the conflicting copy — fails decisively.
 
+use sc_repro::core::figures::{Fig10, Fig15, Fig3, Fig4, Fig9};
 use sc_repro::prelude::*;
 use std::sync::OnceLock;
 
-static ROUND_TRIP: OnceLock<(DatasetReport, DatasetReport, IngestReport, CorruptionCounters)> =
-    OnceLock::new();
+/// The figures the bands read, computed from one dataset.
+struct Figures {
+    fig3: Fig3,
+    fig4: Fig4,
+    fig9: Fig9,
+    fig10: Fig10,
+    fig15: Fig15,
+}
 
-/// Clean report, recovered report, and the ledgers, computed once.
-fn round_trip() -> &'static (DatasetReport, DatasetReport, IngestReport, CorruptionCounters) {
+impl Figures {
+    fn of(dataset: &Dataset) -> Figures {
+        let views = gpu_views(dataset);
+        Figures {
+            fig3: Fig3::try_compute(dataset).expect("fig3"),
+            fig4: Fig4::try_compute(&views).expect("fig4"),
+            fig9: Fig9::try_compute(&views).expect("fig9"),
+            fig10: Fig10::try_compute(&user_stats(&views)).expect("fig10"),
+            fig15: Fig15::try_compute(&views).expect("fig15"),
+        }
+    }
+}
+
+static ROUND_TRIP: OnceLock<(Figures, Figures, IngestReport, CorruptionCounters)> = OnceLock::new();
+
+/// Clean figures, recovered figures, and the ledgers, computed once.
+fn round_trip() -> &'static (Figures, Figures, IngestReport, CorruptionCounters) {
     ROUND_TRIP.get_or_init(|| {
         let mut spec = WorkloadSpec::supercloud().scaled(0.02);
         spec.users = 64;
         let trace = Trace::generate(&spec, 20_220_701);
         let out = Simulation::new(SimConfig { detailed_series_jobs: 0, ..Default::default() })
             .run(&trace);
-        let clean = DatasetReport::try_from_dataset(&out.dataset).expect("clean pipeline");
+        let clean = Figures::of(&out.dataset);
         let (ingested, injected) =
             corrupt_and_ingest(&out.dataset, DataQualityProfile::Lossy, 42, &Obs::off())
                 .expect("lossy ingest succeeds");
-        let recovered =
-            DatasetReport::try_from_dataset(&ingested.dataset).expect("recovered pipeline");
-        (clean, recovered, ingested.report, injected)
+        (clean, Figures::of(&ingested.dataset), ingested.report, injected)
     })
 }
 

@@ -284,14 +284,13 @@ fn policy_runs_are_deterministic_across_thread_budgets() {
 fn data_quality_round_trip_is_deterministic_across_thread_budgets() {
     let run_dq = || {
         let (_, out) = run(11);
-        let clean = DatasetReport::try_from_dataset(&out.dataset).expect("clean pipeline");
         let (ingested, injected) =
             corrupt_and_ingest(&out.dataset, DataQualityProfile::Lossy, 11, &Obs::off())
                 .expect("lossy ingest succeeds");
-        let recovered =
-            DatasetReport::try_from_dataset(&ingested.dataset).expect("recovered pipeline");
+        let (clean, recovered) = (&out.dataset, &ingested.dataset);
         let fig =
-            DataQualityFig::compute("lossy", injected, ingested.report, &clean, &recovered, None);
+            DataQualityFig::compute("lossy", injected, ingested.report, clean, recovered, None)
+                .expect("both pipelines");
         (ingested.dataset.to_json().expect("serializable"), fig.render(), out.telemetry_summary)
     };
 

@@ -118,36 +118,6 @@ fn cpu_only_expansion_cuts_cpu_waits_without_touching_gpu_jobs() {
     assert!((gpu_exp - gpu_base).abs() < 5.0, "GPU waits moved: {gpu_base} → {gpu_exp}");
 }
 
-#[test]
-fn backfill_ablation_does_not_hurt_waits() {
-    // The ablation the paper's scheduling discussion implies: EASY
-    // backfill must never produce *worse* mean waits than strict FCFS
-    // on the same pressured trace (it starts a superset of jobs at each
-    // pass), and typically produces strictly better ones.
-    let mut spec = WorkloadSpec::supercloud().scaled(0.005);
-    spec.users = 24;
-    let trace = Trace::generate(&spec, 4_242);
-    let mut cluster = ClusterSpec::supercloud();
-    // Pressured, but still able to host the trace's widest job (32
-    // GPUs): anything smaller wedges strict FCFS forever behind an
-    // unplaceable head.
-    cluster.nodes = 16;
-    let run = |policy| {
-        let out = Simulation::new(SimConfig {
-            cluster: cluster.clone(),
-            detailed_series_jobs: 0,
-            policy,
-            ..Default::default()
-        })
-        .run(&trace);
-        let waits: Vec<f64> = out.dataset.records().iter().map(|r| r.sched.queue_wait()).collect();
-        waits.iter().sum::<f64>() / waits.len() as f64
-    };
-    let fcfs = run(sc_cluster::SchedulePolicy::FcfsOnly);
-    let easy = run(sc_cluster::SchedulePolicy::EasyBackfill);
-    assert!(easy <= fcfs * 1.05, "backfill mean wait {easy} vs strict FCFS {fcfs}");
-}
-
 /// A 0.01-scale trace run under an aggressive failure model: node
 /// hardware faults every few simulated minutes fleet-wide, so every
 /// recovery path — absorption, requeue, cap exhaustion — is exercised.
