@@ -374,6 +374,9 @@ impl Simulation {
         let epilogs = sc_par::par_map(&completions, |c| {
             self.synthesize_epilog(&jobs[c.trace_idx], c, detailed_fraction)
         });
+        // A sequential map synthesized on this thread, whose sine tape
+        // the workers' exit would not free.
+        sc_telemetry::stream::free_sine_tape();
         // Scalar stats and the streaming summary fold in input order, so
         // float addition order (and therefore every output byte) is the
         // same at any thread count.

@@ -23,7 +23,7 @@
 use crate::figures::*;
 use crate::pipeline::PipelineError;
 use crate::userstats::UserStats;
-use crate::view::{gpu_views, GpuJobView};
+use crate::view::GpuJobView;
 use sc_cluster::SimOutput;
 use sc_stats::{mean, percentile, StatsError};
 use sc_telemetry::Dataset;
@@ -200,23 +200,6 @@ impl FigureId {
         };
         fig.map_err(|source| PipelineError { stage: self.name(), source })
     }
-
-    /// Computes and renders this figure from a simulation output and
-    /// its per-user statistics, `user_stats(&gpu_views(&out.dataset))`.
-    ///
-    /// The caller computes `users` once per world: Figs. 10–13 and 17
-    /// read them, and every other figure ignores them. The job views
-    /// are built here, which costs one pass that borrows the dataset's
-    /// stored job-level aggregates.
-    ///
-    /// # Errors
-    ///
-    /// As [`FigureId::compute`].
-    pub fn render(self, out: &SimOutput, users: &[UserStats]) -> Result<String, PipelineError> {
-        let views = gpu_views(&out.dataset);
-        let input = Inputs { dataset: &out.dataset, views: &views, users, sim: Some(out) };
-        Ok(self.compute(&input)?.render())
-    }
 }
 
 /// A headline scalar statistic, cheap enough to serve under a
@@ -289,20 +272,20 @@ impl PointStat {
         PointStat::ALL.iter().copied().find(|p| p.name() == s)
     }
 
-    /// Computes this statistic from a simulation output.
+    /// Computes this statistic from `input`'s dataset and job views.
     ///
     /// # Errors
     ///
     /// Returns a [`PipelineError`] (stage = the stat token) when the
-    /// output has no analyzed GPU jobs.
-    pub fn compute(&self, out: &SimOutput) -> Result<f64, PipelineError> {
+    /// input has no analyzed GPU jobs.
+    pub fn compute(&self, input: &Inputs<'_>) -> Result<f64, PipelineError> {
         let stage = self.name();
         let err = |source| PipelineError { stage, source };
-        let views = gpu_views(&out.dataset);
+        let views = input.views;
         let series: Vec<f64> = match self {
             PointStat::JobsAnalyzed => return Ok(views.len() as f64),
             PointStat::UniqueUsers => {
-                return Ok(out.dataset.funnel().unique_users as f64);
+                return Ok(input.dataset.funnel().unique_users as f64);
             }
             PointStat::MaxJobGpus => {
                 return Ok(views.iter().map(|v| v.sched.gpus_requested).max().unwrap_or(0) as f64);
@@ -359,6 +342,7 @@ mod tests {
     use super::*;
     use crate::testsupport::small_sim;
     use crate::userstats::user_stats;
+    use crate::view::gpu_views;
 
     #[test]
     fn figure_tokens_round_trip() {
@@ -376,29 +360,38 @@ mod tests {
         assert_eq!(PointStat::parse("nope"), None);
     }
 
+    /// Runs `f` on the small world's inputs: its job views and user
+    /// statistics, built once.
+    fn with_small_inputs(f: impl FnOnce(&Inputs<'_>)) {
+        let out = small_sim();
+        let views = gpu_views(&out.dataset);
+        let users = user_stats(&views);
+        f(&Inputs { dataset: &out.dataset, views: &views, users: &users, sim: Some(out) });
+    }
+
     #[test]
     fn every_figure_renders_standalone() {
-        let out = small_sim();
-        let users = user_stats(&gpu_views(&out.dataset));
-        for id in FigureId::ALL {
-            let text = id.render(out, &users).unwrap_or_else(|e| panic!("{}: {e}", id.name()));
-            assert!(!text.is_empty(), "{} rendered empty", id.name());
-        }
+        with_small_inputs(|input| {
+            for id in FigureId::ALL {
+                let fig = id.compute(input).unwrap_or_else(|e| panic!("{}: {e}", id.name()));
+                assert!(!fig.render().is_empty(), "{} rendered empty", id.name());
+            }
+        });
     }
 
     #[test]
     fn standalone_renders_match_the_batch_pipeline() {
-        let out = small_sim();
-        let report = crate::AnalysisReport::try_from_sim(out).unwrap();
-        let users = user_stats(&gpu_views(&out.dataset));
+        let report = crate::AnalysisReport::try_from_sim(small_sim()).unwrap();
         let ids: Vec<FigureId> = report.figures.iter().map(|(id, _)| *id).collect();
         let in_report: Vec<FigureId> =
             FigureId::ALL.into_iter().filter(|id| id.in_report()).collect();
         assert_eq!(ids, in_report);
-        for (id, fig) in &report.figures {
-            let text = id.render(out, &users).unwrap_or_else(|e| panic!("{}: {e}", id.name()));
-            assert_eq!(text, fig.render(), "{}", id.name());
-        }
+        with_small_inputs(|input| {
+            for (id, fig) in &report.figures {
+                let alone = id.compute(input).unwrap_or_else(|e| panic!("{}: {e}", id.name()));
+                assert_eq!(alone.render(), fig.render(), "{}", id.name());
+            }
+        });
     }
 
     #[test]
@@ -418,14 +411,15 @@ mod tests {
 
     #[test]
     fn point_stats_compute_and_are_finite() {
-        let out = small_sim();
-        for p in PointStat::ALL {
-            let v = p.compute(out).unwrap_or_else(|e| panic!("{}: {e}", p.name()));
-            assert!(v.is_finite(), "{} not finite", p.name());
-            assert!(v >= 0.0, "{} negative", p.name());
-        }
-        let jobs = PointStat::JobsAnalyzed.compute(out).expect("jobs");
-        assert_eq!(jobs, gpu_views(&out.dataset).len() as f64);
+        with_small_inputs(|input| {
+            for p in PointStat::ALL {
+                let v = p.compute(input).unwrap_or_else(|e| panic!("{}: {e}", p.name()));
+                assert!(v.is_finite(), "{} not finite", p.name());
+                assert!(v >= 0.0, "{} negative", p.name());
+            }
+            let jobs = PointStat::JobsAnalyzed.compute(input).expect("jobs");
+            assert_eq!(jobs, input.views.len() as f64);
+        });
     }
 
     #[test]

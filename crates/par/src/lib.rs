@@ -21,7 +21,7 @@ pub mod cache;
 pub mod executor;
 
 pub use cache::{CacheOutcome, CacheStats, MemoCache};
-pub use executor::Executor;
+pub use executor::{Executor, Workers};
 
 use std::cell::Cell;
 use std::panic;

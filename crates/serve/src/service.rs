@@ -3,14 +3,15 @@
 //! [`Service::build`] pays the simulation cost exactly once, then the
 //! world — trace, configuration, [`SimOutput`] and the per-user
 //! statistics of its dataset — is immutable for the service's lifetime.
-//! The dataset holds every GPU job's job-level aggregates and the user
-//! statistics are computed in `build`, so a point or figure miss
-//! computes only its own statistic. Every response is a pure render of
-//! that frozen state, so a response's bytes depend only on `(scenario,
-//! seed, query)`: cache state, request interleaving, and the executor's
-//! thread budget can change *when* a response is ready, never *what* it
-//! says. That is the whole determinism contract, inherited rather than
-//! re-proved.
+//! The dataset holds every GPU job's job-level aggregates, `build`
+//! computes the user statistics, and the executor's pool builds the
+//! world's job views once and shares them across its workers, so a point
+//! or figure miss on the pool computes only its own statistic. Every
+//! response is a pure render of that frozen state, so a response's bytes
+//! depend only on `(scenario, seed, query)`: cache state, request
+//! interleaving, and the executor's thread budget can change *when* a
+//! response is ready, never *what* it says. That is the whole
+//! determinism contract, inherited rather than re-proved.
 //!
 //! Requests flow through two layers from [`crate::Query`] to bytes:
 //!
@@ -19,6 +20,12 @@
 //!   computation;
 //! - a [`sc_par::Executor`] (work-stealing, fixed thread budget) that
 //!   runs [`Service::submit`] requests; [`Pending::wait`] joins one.
+//!   Its body runs on an owner thread: it builds `gpu_views` over the
+//!   shared `Arc<SimOutput>` once, before `build` returns, and its
+//!   workers — scoped threads of that body — answer every request from
+//!   that one [`Inputs`]. The calling-thread paths,
+//!   [`Service::query_blocking`] and [`Service::query_uncached`], have
+//!   no share of those views and build their own when they compute.
 //!
 //! Failures are served in-band: a query whose computation cannot
 //! proceed (e.g. a figure over an empty population) returns a
@@ -27,10 +34,10 @@
 
 use crate::query::{Query, RelQuery};
 use sc_cluster::{SimConfig, SimOutput, Simulation};
-use sc_core::{gpu_views, user_stats, DataQualityFig, QueryKey, UserStats};
+use sc_core::{gpu_views, user_stats, DataQualityFig, Inputs, QueryKey, UserStats};
 use sc_obs::stagelog::StageSpan;
 use sc_obs::{Obs, StageLog};
-use sc_par::{CacheOutcome, CacheStats, Executor, MemoCache};
+use sc_par::{CacheOutcome, CacheStats, Executor, MemoCache, Workers};
 use sc_policy::PolicyExperiment;
 use sc_scenario::Scenario;
 use sc_workload::Trace;
@@ -131,13 +138,23 @@ pub struct Service {
     scenario: String,
     trace: Trace,
     sim_config: SimConfig,
-    out: SimOutput,
-    /// `user_stats(&gpu_views(&out.dataset))`, for the user figures.
-    users: Vec<UserStats>,
+    /// The frozen world, shared with the executor's body.
+    out: Arc<SimOutput>,
+    /// `user_stats(&gpu_views(&out.dataset))`, for the user figures;
+    /// shared with the executor's body.
+    users: Arc<[UserStats]>,
     cache: MemoCache<QueryKey, String>,
-    exec: Executor,
+    exec: Executor<Request>,
     stage_log: StageLog,
     build_secs: f64,
+}
+
+/// A submitted request, as a pool worker receives it. It holds the
+/// service alive until the response is sent.
+struct Request {
+    svc: Arc<Service>,
+    query: Query,
+    reply: mpsc::SyncSender<(Response, Instant)>,
 }
 
 impl std::fmt::Debug for Service {
@@ -168,9 +185,24 @@ impl Service {
         let scenario = format!("{}#{:016x}:s{}", sc.name, sc.hash(), config.scale);
         spec.users = spec.users.max(config.users_floor);
         let trace = Trace::generate(&spec, config.seed);
-        let out = Simulation::new(sim_config.clone()).run(&trace);
-        let users = user_stats(&gpu_views(&out.dataset));
+        let out = Arc::new(Simulation::new(sim_config.clone()).run(&trace));
+        let users: Arc<[UserStats]> = user_stats(&gpu_views(&out.dataset)).into();
         let threads = if config.threads == 0 { sc_par::current_threads() } else { config.threads };
+        let exec = Executor::with_body(threads, {
+            let (out, users) = (Arc::clone(&out), Arc::clone(&users));
+            move |workers: Workers<Request>| {
+                let views = gpu_views(&out.dataset);
+                let inputs =
+                    Inputs { dataset: &out.dataset, views: &views, users: &users, sim: Some(&out) };
+                workers.run(|Request { svc, query, reply }| {
+                    let response = svc.answer(&query, || svc.compute_traced(&query, &inputs));
+                    // Stamp completion on the worker so `wait` measures
+                    // service latency, not how late the client got
+                    // around to joining.
+                    let _ = reply.send((response, Instant::now()));
+                });
+            }
+        });
         Service {
             scenario,
             trace,
@@ -178,7 +210,7 @@ impl Service {
             out,
             users,
             cache: MemoCache::with_capacity(config.cache_capacity),
-            exec: Executor::new(threads),
+            exec,
             stage_log: StageLog::new(),
             build_secs: t0.elapsed().as_secs_f64(),
             config,
@@ -229,56 +261,71 @@ impl Service {
         self.stage_log.spans()
     }
 
-    /// Answers `q` on the calling thread, through the cache.
+    /// Answers `q` on the calling thread, through the cache. A miss
+    /// builds the job views it reads.
     pub fn query_blocking(&self, q: &Query) -> Response {
-        if !self.config.cache {
-            let body = Arc::new(self.compute_traced(q));
-            return Response { body, outcome: CacheOutcome::Miss };
-        }
-        let (body, outcome) = self.cache.get_or_compute(self.key(q), || self.compute_traced(q));
-        Response { body, outcome }
+        self.answer(q, || self.compute_here(q))
     }
 
     /// Answers `q` without consulting or filling the cache — the
     /// cold-compute baseline the cache's speedup is measured against.
-    /// Does not touch the request counters.
+    /// Builds the job views it reads, and does not touch the request
+    /// counters.
     pub fn query_uncached(&self, q: &Query) -> Arc<String> {
-        Arc::new(self.compute_traced(q))
+        Arc::new(self.compute_here(q))
     }
 
-    /// Enqueues `q` on the executor; join with [`Pending::wait`].
+    /// Enqueues `q` on the executor; join with [`Pending::wait`]. A miss
+    /// reads the pool's shared job views.
     ///
     /// Needs `Arc<Service>` because the worker must hold the service
     /// alive until the response is sent.
     pub fn submit(self: &Arc<Service>, q: Query) -> Pending {
-        let (tx, rx) = mpsc::sync_channel(1);
-        let svc = Arc::clone(self);
+        let (reply, rx) = mpsc::sync_channel(1);
         let submitted = Instant::now();
-        self.exec.spawn(move || {
-            let response = svc.query_blocking(&q);
-            // Stamp completion on the worker so `wait` measures service
-            // latency, not how late the client got around to joining.
-            let _ = tx.send((response, Instant::now()));
-        });
+        self.exec.spawn(Request { svc: Arc::clone(self), query: q, reply });
         Pending { rx, submitted }
     }
 
-    fn compute_traced(&self, q: &Query) -> String {
+    /// Answers `q` through the cache when it is on, computing a miss
+    /// with `compute`.
+    fn answer(&self, q: &Query, compute: impl FnOnce() -> String) -> Response {
+        if !self.config.cache {
+            return Response { body: Arc::new(compute()), outcome: CacheOutcome::Miss };
+        }
+        let (body, outcome) = self.cache.get_or_compute(self.key(q), compute);
+        Response { body, outcome }
+    }
+
+    /// Computes `q` off the pool, from job views built for this call.
+    fn compute_here(&self, q: &Query) -> String {
+        let views = gpu_views(&self.out.dataset);
+        let inputs = Inputs {
+            dataset: &self.out.dataset,
+            views: &views,
+            users: &self.users,
+            sim: Some(&self.out),
+        };
+        self.compute_traced(q, &inputs)
+    }
+
+    fn compute_traced(&self, q: &Query, inputs: &Inputs<'_>) -> String {
         if self.config.tracing {
-            self.stage_log.time(&format!("query:{}", q.token()), || self.compute(q))
+            self.stage_log.time(&format!("query:{}", q.token()), || self.compute(q, inputs))
         } else {
-            self.compute(q)
+            self.compute(q, inputs)
         }
     }
 
-    fn compute(&self, q: &Query) -> String {
+    fn compute(&self, q: &Query, inputs: &Inputs<'_>) -> String {
         match q {
-            Query::Point(p) => match p.compute(&self.out) {
+            Query::Point(p) => match p.compute(inputs) {
                 Ok(v) => format!("{} = {v:.6}\n", p.name()),
                 Err(e) => format!("ERROR point:{}: {e}\n", p.name()),
             },
             Query::Figure(id) => id
-                .render(&self.out, &self.users)
+                .compute(inputs)
+                .map(|fig| fig.render())
                 .unwrap_or_else(|e| format!("ERROR fig:{}: {e}\n", id.name())),
             Query::PolicyAb(spec) => {
                 // The arms re-simulate the frozen trace; the detailed
@@ -363,21 +410,30 @@ mod tests {
     fn figure_query_matches_the_standalone_render() {
         // Every point and figure query against a body computed from
         // freshly built views and user statistics, so the per-world
-        // copies `build` keeps cannot drift from a direct computation.
-        let s = svc();
+        // copies the service keeps cannot drift from a direct
+        // computation. Submitted requests read the pool's views, and
+        // the service is fresh, so every one of them is a pool miss.
+        let s = Arc::new(Service::build(ServeConfig {
+            seed: 20_220_701,
+            threads: 2,
+            ..ServeConfig::default()
+        }));
         let out = s.sim_output();
-        let users = user_stats(&gpu_views(&out.dataset));
+        let views = gpu_views(&out.dataset);
+        let users = user_stats(&views);
+        let input = Inputs { dataset: &out.dataset, views: &views, users: &users, sim: Some(out) };
         let surface: Vec<Query> =
             Query::point_queries().into_iter().chain(Query::figure_queries()).collect();
         assert_eq!(surface.len(), PointStat::ALL.len() + FigureId::ALL.len());
         for q in &surface {
             let direct = match q {
-                Query::Point(p) => p.compute(out).map(|v| format!("{} = {v:.6}\n", p.name())),
-                Query::Figure(id) => id.render(out, &users),
+                Query::Point(p) => p.compute(&input).map(|v| format!("{} = {v:.6}\n", p.name())),
+                Query::Figure(id) => id.compute(&input).map(|fig| fig.render()),
                 other => panic!("not a point or figure query: {}", other.token()),
             }
             .unwrap_or_else(|e| panic!("{}: {e}", q.token()));
-            let served = s.query_blocking(q);
+            let served = s.submit(*q).wait().response;
+            assert_eq!(served.outcome, CacheOutcome::Miss, "{}", q.token());
             assert_eq!(*served.body, direct, "{}", q.token());
             assert!(!served.body.contains("ERROR"), "{}", served.body);
         }

@@ -287,6 +287,16 @@ thread_local! {
     static SINE_TAPE: RefCell<Vec<f64>> = const { RefCell::new(Vec::new()) };
 }
 
+/// Frees the calling thread's sine tape.
+///
+/// A worker's tape goes with its thread. A batch that may have run
+/// [`stream_detail`] on the calling thread, such as a map at a thread
+/// budget of one, calls this when it ends, so that thread does not keep
+/// the largest job's tape for as long as it lives.
+pub fn free_sine_tape() {
+    SINE_TAPE.with(|tape| *tape.borrow_mut() = Vec::new());
+}
+
 /// Runs `produce` against [`DetailSink`]s and reduces the stream it
 /// pushes to the batch pipeline's per-job detail statistics.
 ///

@@ -45,6 +45,10 @@ fn main() {
 
     // And the full figure pipeline, if you want everything at once:
     let report = AnalysisReport::try_from_sim(&out).expect("every figure population present");
-    let fig15 = FigureId::Fig15.render(&out, &report.users).expect("Fig. 15 population present");
-    println!("\n{fig15}");
+    let (_, fig15) = report
+        .figures
+        .iter()
+        .find(|(id, _)| *id == FigureId::Fig15)
+        .expect("Fig. 15 in the report");
+    println!("\n{}", fig15.render());
 }

@@ -461,6 +461,36 @@ fn served_responses_are_deterministic_across_thread_budgets() {
     }
 }
 
+/// The pool answers from job views its body built once and shares
+/// across its workers; the calling thread builds its own. So every
+/// standard query's submitted body must equal its uncached body, with
+/// the cache on and with it off, on a pool of the CI matrix's size
+/// (`SC_PAR_THREADS`). All requests are in flight at once, so the
+/// workers read the shared views concurrently.
+#[test]
+fn submitted_bodies_equal_uncached_bodies() {
+    for cache in [true, false] {
+        let svc = std::sync::Arc::new(Service::build(ServeConfig {
+            scale: 0.01,
+            seed: 13,
+            threads: alt_thread_budget(),
+            users_floor: 32,
+            cache,
+            ..ServeConfig::default()
+        }));
+        let pending: Vec<_> =
+            Query::standard_queries().into_iter().map(|q| (q, svc.submit(q))).collect();
+        for (q, p) in pending {
+            assert_eq!(
+                p.wait().response.body,
+                svc.query_uncached(&q),
+                "pool and calling-thread bytes for {} (cache {cache})",
+                q.token()
+            );
+        }
+    }
+}
+
 /// Single-flight coalescing: concurrent identical requests for an
 /// uncached heavy query must produce exactly one computation — every
 /// other request waits for that flight or hits the filled cache — and
