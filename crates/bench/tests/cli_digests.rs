@@ -5,7 +5,8 @@
 //! FNV-1a digest and byte length. Stderr is left out: it carries
 //! wall-clock timings. The tools round every figure statistic they
 //! print, so one more row pins the report's statistics at full
-//! precision. A change to any figure statistic, its rendering or its
+//! precision. The reliability study's JSON is pinned with its
+//! wall-clock members masked. A change to any figure statistic, its rendering or its
 //! SVG moves a row, and the failure names every row that moved. An
 //! intended change is regenerated with `scripts/update_golden.sh` (or
 //! `SC_REGEN_GOLDEN=1`) and reviewed as a diff of named rows.
@@ -93,6 +94,45 @@ fn dataset_rows(rows: &mut Rows) {
     std::fs::remove_dir_all(&dir).expect("scratch removed");
 }
 
+/// The `--reliability-json` members that carry wall-clock readings.
+const WALL_CLOCK_MEMBERS: [&str; 4] =
+    ["study_secs", "growth_min_jobs_per_sec", "event_loop_secs", "jobs_per_sec"];
+
+/// `json` with the value of every member named in `keys` replaced by
+/// `_`, wherever the member appears.
+fn mask_members(json: &str, keys: &[&str]) -> String {
+    let mut out = json.to_string();
+    for key in keys {
+        let name = format!("\"{key}\": ");
+        let mut from = 0;
+        while let Some(at) = out[from..].find(&name) {
+            let start = from + at + name.len();
+            let end = out[start..].find([',', ' ', '\n', '}']).map_or(out.len(), |e| start + e);
+            out.replace_range(start..end, "_");
+            from = start + 1;
+        }
+    }
+    out
+}
+
+/// The reliability study with fleet growth under a stressed fleet: its
+/// stdout and its `--reliability-json`, less the wall-clock members.
+fn reliability_rows(rows: &mut Rows) {
+    for threads in ["1", "2"] {
+        let dir = scratch(&format!("reliability_t{threads}"));
+        let json = dir.join("r.json");
+        let mut args = vec!["--scale", "0.02", "--seed", "42", "--threads", threads];
+        args.extend(["--reliability", "--growth", "2,32", "--mtbf", "0.2"]);
+        let command = format!("repro_figures {} --reliability-json D/r.json", args.join(" "));
+        args.extend(["--reliability-json", json.to_str().expect("UTF-8 path")]);
+        rows.push(&command, "stdout", &stdout_of(env!("CARGO_BIN_EXE_repro_figures"), &args));
+        let text = std::fs::read_to_string(&json).expect("reliability JSON written");
+        let masked = mask_members(&text, &WALL_CLOCK_MEMBERS);
+        rows.push(&command, "r.json less wall-clock members", masked.as_bytes());
+        std::fs::remove_dir_all(&dir).expect("scratch removed");
+    }
+}
+
 /// The measured side of every paper-vs-measured row, printed with
 /// `{:?}` (the shortest text that reads back to the same `f64`), for
 /// the world `export_dataset --scale 0.02 --seed 42` simulates.
@@ -115,6 +155,7 @@ fn cli_output_matches_committed_digests() {
     let mut rows = Rows(Vec::new());
     repro_rows(&mut rows, &[]);
     repro_rows(&mut rows, &["--data-quality", "lossy", "--failure-profile", "stress"]);
+    reliability_rows(&mut rows);
     dataset_rows(&mut rows);
     statistic_rows(&mut rows);
     let rendered = format!("{HEADER}{}\n", rows.0.join("\n"));
