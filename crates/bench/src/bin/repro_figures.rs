@@ -91,7 +91,7 @@ const USAGE: &str = "usage: repro_figures [--scenario NAME|FILE] [--cross-system
   --seed N             master RNG seed (supercloud: 42)
   --out FILE           also write the Markdown paper-vs-measured report
   --svg-dir DIR        write the SVG figure set into DIR
-  --threads N          cap the worker pool (default: all cores)
+  --threads N          cap the worker pool, 1 to 1024 (default: all cores)
   --bench-json FILE    write per-stage timings as JSON
   --failure-profile P  inject faults from taxonomy profile P, keeping the
                        scenario's MTBF factor (supercloud: off)
@@ -200,7 +200,12 @@ fn parse_args() -> Args {
             "--seed" => seed = Some(integer("--seed", &value("--seed"))),
             "--out" => out = Some(value("--out")),
             "--svg-dir" => svg_dir = Some(value("--svg-dir")),
-            "--threads" => threads = Some(integer("--threads", &value("--threads"))),
+            "--threads" => {
+                threads = Some(
+                    sc_par::parse_thread_budget(&value("--threads"))
+                        .unwrap_or_else(|e| usage_error(&format!("--threads {e}"))),
+                );
+            }
             "--bench-json" => bench_json = Some(value("--bench-json")),
             "--failure-profile" => {
                 let name = value("--failure-profile");

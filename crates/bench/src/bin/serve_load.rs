@@ -52,8 +52,8 @@ const USAGE: &str = "usage: serve_load [--scenario NAME|FILE] [--scale F] [--see
   --scale F      scale the simulated workload by F (default 0.02)
   --seed N       master RNG seed for the world and the query streams
                  (default 42)
-  --threads N    executor worker threads (default: SC_PAR_THREADS or
-                 all cores)
+  --threads N    executor worker threads, 1 to 1024 (default:
+                 SC_PAR_THREADS or all cores)
   --requests N   requests per flood mix (default 200; the cold what-if
                  mix always runs its 6 queries once each)
   --cache-capacity N
@@ -109,13 +109,10 @@ fn parse_args() -> Args {
                     value("--seed").parse().unwrap_or_else(|_| usage_error("--seed needs a u64"));
             }
             "--threads" => {
-                let n: usize = value("--threads")
-                    .parse()
-                    .unwrap_or_else(|_| usage_error("--threads needs a count"));
-                if n == 0 {
-                    usage_error("--threads must be at least 1");
-                }
-                args.threads = Some(n);
+                args.threads = Some(
+                    sc_par::parse_thread_budget(&value("--threads"))
+                        .unwrap_or_else(|e| usage_error(&format!("--threads {e}"))),
+                );
             }
             "--requests" => {
                 let n: usize = value("--requests")
@@ -319,7 +316,7 @@ fn main() {
     // --threads wins; SC_PAR_THREADS is the fallback so the binary
     // composes with the CI determinism matrix without extra flags.
     let requested = args.threads.or_else(|| {
-        std::env::var("SC_PAR_THREADS").ok().and_then(|v| v.parse().ok()).filter(|&n| n > 0)
+        std::env::var("SC_PAR_THREADS").ok().and_then(|v| sc_par::parse_thread_budget(&v).ok())
     });
     if let Some(n) = requested {
         sc_par::set_max_threads(n);

@@ -63,6 +63,35 @@ fn power_cap_below_idle_draw_is_a_usage_error() {
     );
 }
 
+/// A thread budget outside `1..=MAX_THREAD_BUDGET`, or not a whole
+/// number, is a usage error in both tools. It is caught while the
+/// command line is read: stderr holds only the message and the usage
+/// text, without the first line a run prints, so no worker started.
+#[test]
+fn thread_budget_outside_its_range_is_a_usage_error() {
+    let over = (sc_par::MAX_THREAD_BUDGET + 1).to_string();
+    for (bin, name) in [
+        (env!("CARGO_BIN_EXE_repro_figures"), "repro_figures"),
+        (env!("CARGO_BIN_EXE_serve_load"), "serve_load"),
+    ] {
+        for bad in ["0", over.as_str(), "four"] {
+            let run = Command::new(bin)
+                .args(["--scale", "0.01", "--threads", bad])
+                .output()
+                .expect("binary runs");
+            let stderr = String::from_utf8_lossy(&run.stderr);
+            assert_eq!(run.status.code(), Some(2), "{name} --threads {bad}: {stderr}");
+            let message = format!(
+                "{name}: --threads takes a whole number from 1 to {}, got \"{bad}\"\nusage: {name} ",
+                sc_par::MAX_THREAD_BUDGET
+            );
+            assert!(stderr.starts_with(&message), "{name} --threads {bad}: {stderr}");
+            assert!(!stderr.contains("generating") && !stderr.contains("building"), "{stderr}");
+            assert!(run.stdout.is_empty(), "{name} --threads {bad} printed to stdout");
+        }
+    }
+}
+
 #[test]
 fn mtbf_alone_rescales_the_supercloud_taxonomy() {
     assert_eq!(injection_line(&["--mtbf", "0.5"]), "3 classes, checkpoint interval 8752s");

@@ -17,7 +17,8 @@
 //!   failures per 1k GPU-days, restart overhead by size class.
 //! - [`sim`]: the driver that replays a [`sc_workload::Trace`] and
 //!   produces the joined analysis [`sc_telemetry::Dataset`], with
-//!   retry/requeue recovery, checkpoint resume, and a goodput ledger.
+//!   retry/requeue recovery, checkpoint resume, and a goodput ledger;
+//!   [`Simulation::replay`] runs its event loop alone.
 //!
 //! # Example
 //!
@@ -51,7 +52,7 @@ pub use reliability::{ReliabilityStats, SizeClassStats, SIZE_BUCKET_EDGES};
 pub use resources::{Allocation, ClusterState, NodeAlloc, NodeId, NodeState};
 pub use scheduler::{QueuedJob, RunningJob, SchedulePass, Scheduler};
 pub use sim::{
-    CheckpointPolicy, DetailedJobStats, GoodputAccounting, JobFate, SimConfig, SimOutput, SimStats,
-    Simulation,
+    CheckpointPolicy, DetailedJobStats, GoodputAccounting, JobFate, Replay, SimConfig, SimOutput,
+    SimStats, Simulation,
 };
 pub use spec::{ClusterSpec, GpuSpec, NodeSpec, SlowTierSpec};

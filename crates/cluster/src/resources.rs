@@ -342,7 +342,7 @@ fn gpu_share(job: &JobSpec, take: u32) -> (u32, f64) {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::spec::SlowTierSpec;
     use sc_telemetry::record::{JobId, SubmissionInterface, UserId};
@@ -559,11 +559,12 @@ mod tests {
         }
     }
 
-    /// splitmix64, the seeded stream behind the random cluster states.
-    struct Mix(u64);
+    /// splitmix64, the seeded stream behind the random cluster states
+    /// (and the scheduler's random allocate/finish sequences).
+    pub(crate) struct Mix(pub(crate) u64);
 
     impl Mix {
-        fn below(&mut self, n: u64) -> u64 {
+        pub(crate) fn below(&mut self, n: u64) -> u64 {
             self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
             let mut z = self.0;
             z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);

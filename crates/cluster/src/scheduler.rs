@@ -8,7 +8,7 @@
 //! actual run times — so the scheduler cannot cheat.
 
 use crate::policy::Policy;
-use crate::resources::{Allocation, ClusterState};
+use crate::resources::{Allocation, ClusterState, NodeId};
 use sc_telemetry::record::JobId;
 use sc_workload::JobSpec;
 use std::collections::HashMap;
@@ -60,6 +60,17 @@ pub struct SchedulePass {
 pub struct Scheduler {
     pending: Vec<QueuedJob>,
     running: HashMap<JobId, RunningJob>,
+    /// Per node index, the running jobs holding resources there, sorted
+    /// by id, each with whether it holds a GPU on that node — the
+    /// victims of a fault, without a scan of the running set.
+    residents: Vec<Vec<Resident>>,
+}
+
+/// A running job's presence on one node.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct Resident {
+    job_id: JobId,
+    holds_gpu: bool,
 }
 
 impl Scheduler {
@@ -73,8 +84,24 @@ impl Scheduler {
         self.pending.push(QueuedJob { trace_idx, submit_time });
     }
 
-    /// Registers a started job.
+    /// Registers a started job, replacing its bookkeeping if it was
+    /// already running.
     pub fn mark_running(&mut self, job_id: JobId, running: RunningJob) {
+        if let Some(replaced) = self.running.remove(&job_id) {
+            self.leave_nodes(job_id, &replaced.alloc);
+        }
+        for part in &running.alloc.parts {
+            let node = part.node.0 as usize;
+            if self.residents.len() <= node {
+                self.residents.resize_with(node + 1, Vec::new);
+            }
+            let list = &mut self.residents[node];
+            let holds_gpu = part.gpus > 0;
+            match list.binary_search_by_key(&job_id, |r| r.job_id) {
+                Ok(at) => list[at].holds_gpu |= holds_gpu,
+                Err(at) => list.insert(at, Resident { job_id, holds_gpu }),
+            }
+        }
         self.running.insert(job_id, running);
     }
 
@@ -84,7 +111,20 @@ impl Scheduler {
     ///
     /// Panics if the job is not running (an event-ordering bug).
     pub fn finish(&mut self, job_id: JobId) -> RunningJob {
-        self.running.remove(&job_id).expect("finished job must be running")
+        let running = self.running.remove(&job_id).expect("finished job must be running");
+        self.leave_nodes(job_id, &running.alloc);
+        running
+    }
+
+    /// Takes `job_id` off the resident list of every node in `alloc`.
+    fn leave_nodes(&mut self, job_id: JobId, alloc: &Allocation) {
+        for part in &alloc.parts {
+            if let Some(list) = self.residents.get_mut(part.node.0 as usize) {
+                if let Ok(at) = list.binary_search_by_key(&job_id, |r| r.job_id) {
+                    list.remove(at);
+                }
+            }
+        }
     }
 
     /// Whether `job_id` has a running attempt.
@@ -178,9 +218,26 @@ impl Scheduler {
         &self.pending
     }
 
-    /// Running jobs holding resources on `node` — the blast radius of a
-    /// node failure.
-    pub fn running_on_node(&self, node: crate::resources::NodeId) -> Vec<JobId> {
+    /// Running jobs holding resources on `node`, sorted by id — the
+    /// blast radius of a node failure.
+    pub fn running_on_node(&self, node: NodeId) -> Vec<JobId> {
+        self.residents_of(node).map(|r| r.job_id).collect()
+    }
+
+    /// Running jobs holding at least one GPU on `node`, sorted by id —
+    /// the candidate victims of a single-GPU Xid fault there.
+    pub fn gpu_residents_on_node(&self, node: NodeId) -> Vec<JobId> {
+        self.residents_of(node).filter(|r| r.holds_gpu).map(|r| r.job_id).collect()
+    }
+
+    fn residents_of(&self, node: NodeId) -> impl Iterator<Item = &Resident> {
+        self.residents.get(node.0 as usize).into_iter().flatten()
+    }
+
+    /// [`Scheduler::running_on_node`] by a scan of the running set: the
+    /// reference the per-node lists are checked against.
+    #[cfg(test)]
+    fn running_on_node_by_scan(&self, node: NodeId) -> Vec<JobId> {
         let mut ids: Vec<JobId> = self
             .running
             .iter()
@@ -191,9 +248,10 @@ impl Scheduler {
         ids
     }
 
-    /// Running jobs holding at least one GPU on `node` — the candidate
-    /// victims of a single-GPU Xid fault there.
-    pub fn gpu_residents_on_node(&self, node: crate::resources::NodeId) -> Vec<JobId> {
+    /// [`Scheduler::gpu_residents_on_node`] by a scan of the running
+    /// set.
+    #[cfg(test)]
+    fn gpu_residents_on_node_by_scan(&self, node: NodeId) -> Vec<JobId> {
         let mut ids: Vec<JobId> = self
             .running
             .iter()
@@ -208,6 +266,8 @@ impl Scheduler {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::resources::tests::Mix;
+    use crate::resources::NodeAlloc;
     use crate::spec::ClusterSpec;
     use sc_telemetry::record::{SubmissionInterface, UserId};
     use sc_workload::PlannedOutcome;
@@ -379,6 +439,69 @@ mod tests {
         assert_eq!(s.running_len(), 0);
         assert!(!s.is_running(JobId(1)));
         assert_eq!(cluster.gpus_in_use(), 0);
+    }
+
+    /// A running job on 1–3 random nodes of `nodes`, each slice with 0–2
+    /// GPUs; a node may repeat, as two slices of one allocation.
+    fn random_running(rng: &mut Mix, nodes: u64) -> RunningJob {
+        let parts = (0..1 + rng.below(3))
+            .map(|_| NodeAlloc {
+                node: NodeId(rng.below(nodes) as u32),
+                gpus: rng.below(3) as u32,
+                cpus: 1,
+                mem_gib: 1.0,
+            })
+            .collect();
+        RunningJob {
+            trace_idx: 0,
+            alloc: Allocation { parts },
+            start_time: 0.0,
+            estimated_end: 1.0,
+            stretch: 1.0,
+            power_cap_w: None,
+        }
+    }
+
+    #[test]
+    fn resident_lists_match_the_running_set_scan() {
+        let mut rng = Mix(16);
+        let (mut checked, mut gpu_victims, mut cpu_only) = (0usize, 0usize, 0usize);
+        for _ in 0..200 {
+            let nodes = 1 + rng.below(12);
+            let mut s = Scheduler::new();
+            let mut live: Vec<JobId> = Vec::new();
+            for step in 0..60 {
+                // Start a job (sometimes re-marking a running one), or
+                // finish a random running one.
+                if live.is_empty() || rng.below(3) > 0 {
+                    let id = if !live.is_empty() && rng.below(10) == 0 {
+                        live[rng.below(live.len() as u64) as usize]
+                    } else {
+                        JobId(1_000 * step + rng.below(1_000))
+                    };
+                    if !live.contains(&id) {
+                        live.push(id);
+                    }
+                    s.mark_running(id, random_running(&mut rng, nodes));
+                } else {
+                    let id = live.swap_remove(rng.below(live.len() as u64) as usize);
+                    s.finish(id);
+                }
+                // One node past the fleet has no residents either way.
+                for n in 0..=nodes as u32 {
+                    let node = NodeId(n);
+                    let all = s.running_on_node(node);
+                    let gpu = s.gpu_residents_on_node(node);
+                    assert_eq!(all, s.running_on_node_by_scan(node), "node {n}");
+                    assert_eq!(gpu, s.gpu_residents_on_node_by_scan(node), "node {n}");
+                    checked += 1;
+                    gpu_victims += gpu.len();
+                    cpu_only += all.len() - gpu.len();
+                }
+            }
+        }
+        // Not vacuous: GPU holders and CPU-only residents both occur.
+        assert!(checked > 10_000 && gpu_victims > checked && cpu_only > checked / 10);
     }
 
     #[test]

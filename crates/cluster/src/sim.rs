@@ -1,6 +1,17 @@
 //! The simulation driver: replays a generated trace through the
 //! scheduler and the telemetry pipeline, producing the joined dataset
 //! the characterization consumes.
+//!
+//! A run has two stages. The event-loop stage ([`Simulation::replay`])
+//! schedules every job, injects the failures and settles the ledgers,
+//! returning a [`Replay`]: the scheduler records in completion order,
+//! [`SimStats`], the goodput and reliability ledgers, the fates and the
+//! timeline. The telemetry stage turns a replay into a [`SimOutput`]:
+//! it regenerates each job's ground truth, synthesizes its GPU
+//! aggregates (and the detailed subset's phase statistics) in parallel,
+//! and joins the [`Dataset`]. [`Simulation::run_observed`] is the one
+//! stage followed by the other, so a reader that needs only the ledgers
+//! calls [`Simulation::replay`] and skips the telemetry.
 
 use crate::event::{Event, EventQueue, Popped};
 use crate::failure::{FailureModel, FailureStream, ScheduledFailure};
@@ -11,7 +22,7 @@ use crate::scheduler::{RunningJob, Scheduler};
 use crate::spec::ClusterSpec;
 use sc_obs::{Obs, Timeline, TimelineSample, Value};
 use sc_stats::hash::hash_unit;
-use sc_telemetry::dataset::{Dataset, MIN_GPU_JOB_RUNTIME_SECS};
+use sc_telemetry::dataset::{is_analyzed, Dataset};
 use sc_telemetry::phases::{ActiveVariability, PhaseStats};
 use sc_telemetry::record::{ExitStatus, FailureCause, GpuJobRecord, JobId, SchedulerRecord};
 use sc_telemetry::sampler::GPU_SAMPLE_PERIOD_SECS;
@@ -227,6 +238,33 @@ pub struct SimOutput {
     pub reliability: ReliabilityStats,
 }
 
+/// What the event-loop stage produces: the scheduler records and every
+/// ledger, without telemetry. The telemetry stage reads a replay and
+/// changes none of it, so each ledger equals its namesake in the
+/// [`SimOutput`] that [`Simulation::run_observed`] builds, and the
+/// records are that output's dataset records before the 30 s GPU-job
+/// filter, whatever the detailed subset's size.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Replay {
+    /// One scheduler record per job, in completion order, before the
+    /// dataset's 30 s GPU-job filter.
+    pub records: Vec<SchedulerRecord>,
+    /// Simulation health counters, `gpu_hours` and `hardware_failures`
+    /// included.
+    pub stats: SimStats,
+    /// Per-job fates in completion order (every job exactly once).
+    pub fates: Vec<JobFate>,
+    /// The goodput ledger over all attempts.
+    pub goodput: GoodputAccounting,
+    /// Cluster state time-series sampled from the event loop.
+    pub timeline: Timeline,
+    /// Per-job-size reliability accounting.
+    pub reliability: ReliabilityStats,
+    /// What each record's telemetry epilog needs beyond the record, in
+    /// record order.
+    completions: Vec<Completion>,
+}
+
 /// Wall-clock timings of one simulation run, split by stage.
 ///
 /// Kept separate from [`SimStats`] on purpose: stats are part of the
@@ -241,14 +279,12 @@ pub struct SimTimings {
     pub telemetry_secs: f64,
 }
 
-/// A job termination recorded by the event loop; the telemetry epilog
-/// for it runs later, in the parallel batch. Order in the completion
-/// list is event order, which fixes the output record order.
+/// A job termination recorded by the event loop, beside its scheduler
+/// record: what the telemetry epilog for it, which runs later in the
+/// parallel batch, needs beyond the record.
+#[derive(Debug, Clone, Copy, PartialEq)]
 struct Completion {
     trace_idx: usize,
-    start_time: f64,
-    end_time: f64,
-    exit: ExitStatus,
     /// Power cap the final attempt ran under, if a policy imposed one.
     cap_w: Option<f64>,
 }
@@ -276,7 +312,6 @@ struct JobProgress {
 /// of the job spec and its realized `[start, end)` window, so the batch
 /// can run on any number of threads without changing a byte.
 struct JobEpilog {
-    sched: SchedulerRecord,
     gpu: Option<GpuJobRecord>,
     detailed: Option<DetailedJobStats>,
 }
@@ -317,19 +352,8 @@ impl Simulation {
 
     /// Like [`Simulation::run_timed`], emitting trace records into
     /// `obs` as the event loop runs, with an optional closed-loop
-    /// [`Policy`] riding inside it.
-    ///
-    /// Every record is keyed to sim time and emitted from the
-    /// single-threaded event loop, so for a given trace the record
-    /// stream is byte-identical at any `sc_par` thread budget. With
-    /// [`Obs::off`] each instrumentation site costs one enum compare
-    /// and the output equals `run_timed`'s exactly.
-    ///
-    /// The policy sees every admission, scheduler tick, and release;
-    /// may override placement; and its dispatch directives (stretch,
-    /// per-job power cap) change the simulated outcomes. Each decision
-    /// is recorded as an `sc-obs` event (`cap_throttle`,
-    /// `coshare_place`, `tier_route`) and counted in [`SimStats`].
+    /// [`Policy`] riding inside it: [`Simulation::replay`], then the
+    /// telemetry batch over its result.
     pub fn run_observed(
         &self,
         trace: &Trace,
@@ -337,6 +361,35 @@ impl Simulation {
         policy: Option<&mut (dyn Policy + '_)>,
     ) -> (SimOutput, SimTimings) {
         let wall = std::time::Instant::now();
+        let replay = self.replay(trace, obs, policy);
+        let event_loop_secs = wall.elapsed().as_secs_f64();
+        let batch_t0 = std::time::Instant::now();
+        let out = self.synthesize(trace, replay);
+        let telemetry_secs = batch_t0.elapsed().as_secs_f64();
+        (out, SimTimings { event_loop_secs, telemetry_secs })
+    }
+
+    /// The event-loop stage: replays `trace` to completion and returns
+    /// the scheduler records and the ledgers, without the telemetry
+    /// batch. `obs` and `policy` act as in [`Simulation::run_observed`].
+    ///
+    /// Every trace record is keyed to sim time and emitted from the
+    /// single-threaded event loop, so for a given trace the record
+    /// stream is byte-identical at any `sc_par` thread budget. Tracing
+    /// changes no result, and with [`Obs::off`] each instrumentation
+    /// site costs one enum compare.
+    ///
+    /// The policy sees every admission, scheduler tick, and release;
+    /// may override placement; and its dispatch directives (stretch,
+    /// per-job power cap) change the simulated outcomes. Each decision
+    /// is recorded as an `sc-obs` event (`cap_throttle`,
+    /// `coshare_place`, `tier_route`) and counted in [`SimStats`].
+    pub fn replay(
+        &self,
+        trace: &Trace,
+        obs: &Obs<'_>,
+        policy: Option<&mut (dyn Policy + '_)>,
+    ) -> Replay {
         let mut replay = EventLoop::new(self, trace, *obs, policy);
         while let Some((now, popped)) = replay.queue.pop() {
             replay.stats.events += 1;
@@ -354,15 +407,18 @@ impl Simulation {
             }
         }
         replay.close();
-        let EventLoop { completions, fates, mut stats, goodput, timeline, reliability, .. } =
-            replay;
-        let event_loop_secs = wall.elapsed().as_secs_f64();
+        let EventLoop {
+            records, completions, fates, stats, goodput, timeline, reliability, ..
+        } = replay;
+        Replay { records, stats, fates, goodput, timeline, reliability, completions }
+    }
 
-        // Telemetry synthesis, decoupled from the event loop. Each
-        // epilog is a pure function of (job spec, start, end, exit), so
-        // `par_map` synthesizes them on any thread budget and returns
-        // them in completion order.
-        let batch_t0 = std::time::Instant::now();
+    /// The telemetry stage: synthesizes each replayed job's telemetry
+    /// and joins the dataset. Each epilog is a pure function of (job
+    /// spec, record, power cap), so `par_map` synthesizes them on any
+    /// thread budget and returns them in completion order.
+    fn synthesize(&self, trace: &Trace, replay: Replay) -> SimOutput {
+        let Replay { records, stats, fates, goodput, timeline, reliability, completions } = replay;
         let jobs = trace.jobs();
         // The detailed subset is drawn from the *analyzed* GPU jobs
         // (post 30 s filter), so discount the short-job slice.
@@ -371,49 +427,40 @@ impl Simulation {
             .max(1.0);
         let detailed_fraction =
             (self.config.detailed_series_jobs as f64 / expected_analyzed).min(1.0);
-        let epilogs = sc_par::par_map(&completions, |c| {
-            self.synthesize_epilog(&jobs[c.trace_idx], c, detailed_fraction)
+        let inputs: Vec<(&SchedulerRecord, &Completion)> =
+            records.iter().zip(&completions).collect();
+        let epilogs = sc_par::par_map(&inputs, |&(sched, c)| {
+            self.synthesize_epilog(&jobs[c.trace_idx], sched, c.cap_w, detailed_fraction)
         });
         // A sequential map synthesized on this thread, whose sine tape
         // the workers' exit would not free.
         sc_telemetry::stream::free_sine_tape();
-        // Scalar stats and the streaming summary fold in input order, so
-        // float addition order (and therefore every output byte) is the
-        // same at any thread count.
-        let mut sched_records: Vec<SchedulerRecord> = Vec::with_capacity(jobs.len());
+        // The streaming summary folds in input order, so float addition
+        // order (and therefore every output byte) is the same at any
+        // thread count.
         let mut gpu_records: Vec<GpuJobRecord> = Vec::new();
         let mut detailed: Vec<DetailedJobStats> = Vec::new();
         let mut telemetry_summary = TelemetryStreamSummary::new();
-        for epilog in epilogs {
-            stats.gpu_hours += epilog.sched.gpu_hours();
-            if epilog.sched.exit == ExitStatus::NodeFailure {
-                stats.hardware_failures += 1;
-            }
+        for (sched, epilog) in records.iter().zip(epilogs) {
             if let Some(gpu) = &epilog.gpu {
-                telemetry_summary.record_gpu_job(epilog.sched.run_time(), &gpu.per_gpu);
+                telemetry_summary.record_gpu_job(sched.run_time(), &gpu.per_gpu);
             }
             if let Some(d) = &epilog.detailed {
                 telemetry_summary.record_detail(&d.phases);
             }
-            sched_records.push(epilog.sched);
             gpu_records.extend(epilog.gpu);
             detailed.extend(epilog.detailed);
         }
-        let telemetry_secs = batch_t0.elapsed().as_secs_f64();
-
-        (
-            SimOutput {
-                dataset: Dataset::join(sched_records, gpu_records),
-                detailed,
-                stats,
-                fates,
-                goodput,
-                timeline,
-                telemetry_summary,
-                reliability,
-            },
-            SimTimings { event_loop_secs, telemetry_secs },
-        )
+        SimOutput {
+            dataset: Dataset::join(records, gpu_records),
+            detailed,
+            stats,
+            fates,
+            goodput,
+            timeline,
+            telemetry_summary,
+            reliability,
+        }
     }
 
     /// Wall-clock seconds of an `elapsed`-second attempt that a
@@ -479,37 +526,26 @@ impl Simulation {
         (start + run.max(1.0), exit)
     }
 
-    /// The epilog of one finished job: scheduler record, analytic
-    /// telemetry aggregates, and — for the detailed subset — the 100 ms
-    /// sampled series reduced to phase statistics. Pure with respect to
-    /// its inputs (the ground truth regenerates from the job's seed),
-    /// which is what lets the batch run in parallel.
+    /// The epilog of one finished job: analytic telemetry aggregates,
+    /// and — for the detailed subset — the 100 ms sampled series reduced
+    /// to phase statistics. `cap_w` is the power cap its final attempt
+    /// ran under. Pure with respect to its inputs (the ground truth
+    /// regenerates from the job's seed), which is what lets the batch
+    /// run in parallel.
     fn synthesize_epilog(
         &self,
         job: &JobSpec,
-        c: &Completion,
+        sched: &SchedulerRecord,
+        cap_w: Option<f64>,
         detailed_fraction: f64,
     ) -> JobEpilog {
-        let sched = SchedulerRecord {
-            job_id: job.job_id,
-            user: job.user,
-            interface: job.interface,
-            gpus_requested: job.gpus,
-            cpus_requested: job.cpus,
-            mem_requested_gib: job.mem_gib,
-            submit_time: job.arrival,
-            start_time: c.start_time,
-            end_time: c.end_time,
-            time_limit: job.time_limit,
-            exit: c.exit,
-        };
         let run_time = sched.run_time();
         let mut gpu = None;
         let mut detailed = None;
-        if job.is_gpu_job() && run_time >= MIN_GPU_JOB_RUNTIME_SECS {
+        if sched.is_gpu_job() && is_analyzed(sched) {
             if let Some(truth) = job.ground_truth() {
                 let mut per_gpu = truth.analytic_aggregates(run_time);
-                if let Some(cap) = c.cap_w {
+                if let Some(cap) = cap_w {
                     // A capped board reports capped power: the cap
                     // clamps what telemetry sees (utilizations are
                     // untouched — capping slows the clock, it does not
@@ -524,7 +560,7 @@ impl Simulation {
                 }
             }
         }
-        JobEpilog { sched, gpu, detailed }
+        JobEpilog { gpu, detailed }
     }
 }
 
@@ -563,7 +599,9 @@ struct EventLoop<'a, 'p> {
     timeline: Timeline,
     /// Failure-requeued jobs waiting out their backoff.
     requeue_backlog: u64,
-    /// Job terminations in event order, for the telemetry batch.
+    /// Scheduler records of the retired jobs, in event order.
+    records: Vec<SchedulerRecord>,
+    /// What the telemetry batch needs of each record beyond it.
     completions: Vec<Completion>,
     fates: Vec<JobFate>,
 }
@@ -614,6 +652,7 @@ impl<'a, 'p> EventLoop<'a, 'p> {
             // it and the cost is one float compare per event.
             timeline: Timeline::new((trace.spec().duration_secs() / 512.0).max(1.0)),
             requeue_backlog: 0,
+            records: Vec::with_capacity(jobs.len()),
             completions: Vec::with_capacity(jobs.len()),
             fates: Vec::with_capacity(jobs.len()),
         }
@@ -661,14 +700,7 @@ impl<'a, 'p> EventLoop<'a, 'p> {
             return false;
         }
         let running = self.end_attempt(now, job, exit_cause(exit));
-        let c = Completion {
-            trace_idx: idx,
-            start_time: running.start_time,
-            end_time: now,
-            exit,
-            cap_w: running.power_cap_w,
-        };
-        self.retire(now, c, exit_cause(exit));
+        self.retire(now, &running, now, exit, exit_cause(exit));
         self.obs.end(now, "attempt", || {
             vec![("job", job.0.into()), ("attempt", attempt.into()), ("exit", exit.label().into())]
         });
@@ -904,34 +936,56 @@ impl<'a, 'p> EventLoop<'a, 'p> {
             });
             self.queue.push(now + backoff, Event::Submit(idx));
         } else {
-            let c = Completion {
-                trace_idx: idx,
-                start_time: running.start_time,
-                end_time: now.max(running.start_time + 1.0),
-                exit: ExitStatus::NodeFailure,
-                cap_w: running.power_cap_w,
-            };
-            self.retire(now, c, Some(cause));
+            let end_time = now.max(running.start_time + 1.0);
+            self.retire(now, &running, end_time, ExitStatus::NodeFailure, Some(cause));
         }
     }
 
-    /// Records a job's last attempt: the completion its telemetry
-    /// epilog is built from, and its fate. `cause` is the failure cause
-    /// of that attempt, if any; without one the fate keeps the job's
-    /// last injected cause.
-    fn retire(&mut self, now: f64, c: Completion, cause: Option<FailureCause>) {
-        let job = self.jobs[c.trace_idx].job_id;
-        let prog = self.progress[c.trace_idx];
-        self.obs
-            .event(now, "finish", || vec![("job", job.0.into()), ("exit", c.exit.label().into())]);
+    /// Records a job's last attempt, `running`, ended at `end_time`
+    /// with `exit`: its scheduler record (folded into `gpu_hours` and
+    /// `hardware_failures`), what its telemetry epilog needs, and its
+    /// fate. `cause` is the failure cause of that attempt, if any;
+    /// without one the fate keeps the job's last injected cause.
+    fn retire(
+        &mut self,
+        now: f64,
+        running: &RunningJob,
+        end_time: f64,
+        exit: ExitStatus,
+        cause: Option<FailureCause>,
+    ) {
+        let idx = running.trace_idx;
+        let job = &self.jobs[idx];
+        let prog = self.progress[idx];
+        self.obs.event(now, "finish", || {
+            vec![("job", job.job_id.0.into()), ("exit", exit.label().into())]
+        });
         self.fates.push(JobFate {
-            job_id: job,
+            job_id: job.job_id,
             attempts: prog.attempts,
             injected_failures: prog.injected_failures,
-            exit: c.exit,
+            exit,
             last_cause: cause.or(prog.last_cause),
         });
-        self.completions.push(c);
+        let record = SchedulerRecord {
+            job_id: job.job_id,
+            user: job.user,
+            interface: job.interface,
+            gpus_requested: job.gpus,
+            cpus_requested: job.cpus,
+            mem_requested_gib: job.mem_gib,
+            submit_time: job.arrival,
+            start_time: running.start_time,
+            end_time,
+            time_limit: job.time_limit,
+            exit,
+        };
+        self.stats.gpu_hours += record.gpu_hours();
+        if exit == ExitStatus::NodeFailure {
+            self.stats.hardware_failures += 1;
+        }
+        self.records.push(record);
+        self.completions.push(Completion { trace_idx: idx, cap_w: running.power_cap_w });
     }
 
     /// Posts one finished attempt to the goodput ledger and the

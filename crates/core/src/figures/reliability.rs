@@ -8,12 +8,12 @@
 //! jobs grow, and a checkpoint-interval sweep against the Young/Daly
 //! analytic optimum.
 //!
-//! The per-run figure ([`ReliabilitySizeFig`]) computes from one
-//! [`SimOutput`]; the frontier, sweep, and growth figures are built by
-//! the [`crate::reliability`] study driver, which runs the event loop
-//! once per grid point and hands the assembled rows here.
+//! The per-run figure ([`ReliabilitySizeFig`]) computes from one run's
+//! [`ReliabilityStats`]; the frontier, sweep, and growth figures are
+//! built by the [`crate::reliability`] study driver, which runs the
+//! event loop once per grid point and hands the assembled rows here.
 
-use sc_cluster::SimOutput;
+use sc_cluster::ReliabilityStats;
 use sc_stats::StatsError;
 
 /// Reliability metrics for one job-size class.
@@ -48,10 +48,10 @@ pub struct ReliabilitySizeFig {
 }
 
 impl ReliabilitySizeFig {
-    /// Computes the figure from a simulation output. Total: a run with
-    /// no jobs yields zero counts and `None` ratios in every row.
-    pub fn compute(out: &SimOutput) -> Self {
-        let rel = &out.reliability;
+    /// Computes the figure from one run's reliability ledger. Total: a
+    /// run with no jobs yields zero counts and `None` ratios in every
+    /// row.
+    pub fn compute(rel: &ReliabilityStats) -> Self {
         let rows = rel
             .buckets
             .iter()
@@ -370,7 +370,7 @@ mod tests {
     #[test]
     fn size_fig_computes_on_failure_free_runs() {
         let out = small_sim();
-        let fig = ReliabilitySizeFig::compute(out);
+        let fig = ReliabilitySizeFig::compute(&out.reliability);
         assert!(!fig.rows.is_empty());
         let text = fig.render();
         assert!(text.contains("Reliability vs job size"));
@@ -381,11 +381,9 @@ mod tests {
 
     #[test]
     fn size_fig_is_total_on_a_run_without_jobs() {
-        let mut out = small_sim().clone();
-        out.fates.clear();
-        out.reliability = Default::default();
-        let fig = ReliabilitySizeFig::compute(&out);
-        assert_eq!(fig.rows.len(), out.reliability.buckets.len());
+        let rel = ReliabilityStats::default();
+        let fig = ReliabilitySizeFig::compute(&rel);
+        assert_eq!(fig.rows.len(), rel.buckets.len());
         for r in &fig.rows {
             assert_eq!((r.jobs, r.attempts, r.failures), (0, 0, 0), "{}", r.label);
             assert_eq!(r.failures_per_1k_gpu_days, 0.0);
@@ -404,7 +402,7 @@ mod tests {
             ..Default::default()
         })
         .run(&trace);
-        let fig = ReliabilitySizeFig::compute(&out);
+        let fig = ReliabilitySizeFig::compute(&out.reliability);
         assert!(fig.rows.iter().any(|r| r.failures > 0), "stress run must fail jobs");
         assert!(fig.render().contains("per-1k-gpu-days"));
     }

@@ -4,14 +4,18 @@
 //! family needs: one baseline run for the per-size table, one run per
 //! MTBF setting for the goodput frontier, one run per checkpoint
 //! interval for the Young/Daly sweep, and one run per fleet scale for
-//! the cluster-growth study. Every run replays the *same* trace with
-//! `detailed_series_jobs: 0`, so the study stays inside the streaming
-//! engine's O(aggregate state) memory envelope at any fleet size.
+//! the cluster-growth study. Every run replays the *same* trace.
+//!
+//! An arm reads only what the event loop produces: the goodput and
+//! reliability ledgers, [`sc_cluster::SimStats`] and the scheduler
+//! records' queue waits. So each arm runs [`Simulation::replay`], the
+//! event-loop stage alone, and never builds a ground truth, a GPU
+//! telemetry record or a dataset; its memory is O(jobs) records plus
+//! the ledgers at any fleet size.
 //!
 //! A study's arms are independent replays, so each function replays
 //! them in parallel through [`sc_par::par_map_coarse`], one arm per
-//! worker, and gets the results back in input order. An arm's own
-//! telemetry batch then runs on its worker.
+//! worker, and gets the results back in input order.
 //!
 //! Everything a figure renders is deterministic (pure function of
 //! trace + config), so it is byte-identical at any thread budget;
@@ -22,7 +26,10 @@ use crate::figures::reliability::{
     CheckpointSweepFig, FrontierRow, GoodputFrontierFig, GrowthRow, GrowthStudyFig,
     ReliabilitySizeFig, SweepClassVerdict, SweepRow,
 };
-use sc_cluster::{CheckpointPolicy, FailureModel, SimConfig, SimOutput, Simulation};
+use sc_cluster::{CheckpointPolicy, FailureModel, ReliabilityStats, Replay, SimConfig, Simulation};
+use sc_obs::Obs;
+use sc_telemetry::dataset::is_analyzed;
+use sc_telemetry::record::SchedulerRecord;
 use sc_workload::Trace;
 
 /// Knobs of the reliability study; `Default` matches the
@@ -66,7 +73,8 @@ pub struct GrowthTiming {
     pub jobs: usize,
     /// Event-loop wall-clock, seconds.
     pub event_loop_secs: f64,
-    /// Telemetry-stage wall-clock, seconds.
+    /// Telemetry-stage wall-clock, seconds: always 0 for a study arm,
+    /// which runs the event loop alone ([`Simulation::replay`]).
     pub telemetry_secs: f64,
 }
 
@@ -120,14 +128,19 @@ pub fn young_daly_secs(write_secs: f64, mtti_secs: f64) -> f64 {
 }
 
 /// The study's base configuration: the caller's config with failures
-/// set, checkpointing as given, and the detailed subset disabled (the
-/// study only reads aggregate ledgers).
+/// set and checkpointing as given. Its detailed subset does not matter:
+/// only the telemetry stage reads it, and no arm runs that stage.
 fn study_config(
     base: &SimConfig,
     model: &FailureModel,
     checkpoint: Option<CheckpointPolicy>,
 ) -> SimConfig {
-    SimConfig { detailed_series_jobs: 0, failures: Some(model.clone()), checkpoint, ..base.clone() }
+    SimConfig { failures: Some(model.clone()), checkpoint, ..base.clone() }
+}
+
+/// One study arm: the event-loop stage of `cfg` over `trace`.
+fn replay(cfg: SimConfig, trace: &Trace) -> Replay {
+    Simulation::new(cfg).replay(trace, &Obs::off(), None)
 }
 
 /// Representative GPU count per size class: the class's upper edge
@@ -149,13 +162,13 @@ fn nodes_for_gpus(base: &SimConfig, gpus: u32) -> u32 {
 }
 
 /// Per-class goodput fractions of one run, in bucket order.
-fn class_goodput(out: &SimOutput) -> Vec<Option<f64>> {
-    out.reliability.buckets.iter().map(|b| b.goodput_fraction()).collect()
+fn class_goodput(rel: &ReliabilityStats) -> Vec<Option<f64>> {
+    rel.buckets.iter().map(|b| b.goodput_fraction()).collect()
 }
 
 /// The size-class labels of the study's buckets, in bucket order.
 fn class_labels(base: &SimConfig) -> Vec<String> {
-    let rel = sc_cluster::ReliabilityStats::new(&base.size_bucket_edges);
+    let rel = ReliabilityStats::new(&base.size_bucket_edges);
     (0..rel.buckets.len()).map(|i| rel.label(i)).collect()
 }
 
@@ -166,8 +179,7 @@ pub fn reliability_size_fig(
     base: &SimConfig,
     model: &FailureModel,
 ) -> ReliabilitySizeFig {
-    let out = Simulation::new(study_config(base, model, None)).run(trace);
-    ReliabilitySizeFig::compute(&out)
+    ReliabilitySizeFig::compute(&replay(study_config(base, model, None), trace).reliability)
 }
 
 /// The goodput frontier: one run per MTBF scale factor, in parallel.
@@ -178,12 +190,11 @@ pub fn goodput_frontier(
     factors: &[f64],
 ) -> GoodputFrontierFig {
     let rows = sc_par::par_map_coarse(factors, |&f| {
-        let scaled = model.scaled_mtbf(f);
-        let out = Simulation::new(study_config(base, &scaled, None)).run(trace);
+        let arm = replay(study_config(base, &model.scaled_mtbf(f), None), trace);
         FrontierRow {
             mtbf_factor: f,
-            goodput_by_class: class_goodput(&out),
-            overall: out.goodput.goodput_fraction(),
+            goodput_by_class: class_goodput(&arm.reliability),
+            overall: arm.goodput.goodput_fraction(),
         }
     });
     let gpus = class_gpus(&base.size_bucket_edges);
@@ -223,13 +234,13 @@ pub fn checkpoint_sweep(
     let intervals: Vec<f64> = (0..points).map(|i| lo * step.powi(i as i32)).collect();
     let rows = sc_par::par_map_coarse(&intervals, |&interval| {
         let cp = CheckpointPolicy { interval_secs: interval, write_secs: cfg.write_secs };
-        let out = Simulation::new(study_config(base, model, Some(cp))).run(trace);
+        let arm = replay(study_config(base, model, Some(cp)), trace);
         SweepRow {
             interval_secs: interval,
-            overall_goodput: out.goodput.goodput_fraction(),
-            goodput_by_class: class_goodput(&out),
-            lost_gpu_hours: out.goodput.lost_gpu_secs / 3600.0,
-            write_gpu_hours: out.goodput.checkpoint_write_gpu_secs / 3600.0,
+            overall_goodput: arm.goodput.goodput_fraction(),
+            goodput_by_class: class_goodput(&arm.reliability),
+            lost_gpu_hours: arm.goodput.lost_gpu_secs / 3600.0,
+            write_gpu_hours: arm.goodput.checkpoint_write_gpu_secs / 3600.0,
         }
     });
     let labels = class_labels(base);
@@ -262,6 +273,9 @@ pub fn checkpoint_sweep(
 /// wall-clock timings for the bench JSON. Replays that overlap each
 /// time only their own work, so the timings can sum to more than the
 /// call's wall time.
+///
+/// The queue waits are those of the analyzed population
+/// ([`is_analyzed`]), the records a full run's dataset would keep.
 pub fn growth_study(
     trace: &Trace,
     base: &SimConfig,
@@ -272,9 +286,15 @@ pub fn growth_study(
         let mut cfg = study_config(base, model, None);
         cfg.cluster.nodes = ((cfg.cluster.nodes as f64) * k).round().max(1.0) as u32;
         cfg.cluster.cpu_only_nodes = ((cfg.cluster.cpu_only_nodes as f64) * k).round() as u32;
-        let (out, t) = Simulation::new(cfg.clone()).run_timed(trace);
-        let mut waits: Vec<f64> =
-            out.dataset.records().iter().map(|r| r.sched.queue_wait()).collect();
+        let wall = std::time::Instant::now();
+        let arm = replay(cfg.clone(), trace);
+        let event_loop_secs = wall.elapsed().as_secs_f64();
+        let mut waits: Vec<f64> = arm
+            .records
+            .iter()
+            .filter(|r| is_analyzed(r))
+            .map(SchedulerRecord::queue_wait)
+            .collect();
         waits.sort_by(|a, b| a.partial_cmp(b).expect("finite waits"));
         let median = if waits.is_empty() { 0.0 } else { waits[waits.len() / 2] };
         let mean =
@@ -285,15 +305,15 @@ pub fn growth_study(
             gpus: cfg.cluster.total_gpus(),
             median_wait_secs: median,
             mean_wait_secs: mean,
-            goodput_fraction: out.goodput.goodput_fraction(),
-            makespan_days: out.stats.makespan_secs / 86_400.0,
-            events: out.stats.events,
+            goodput_fraction: arm.goodput.goodput_fraction(),
+            makespan_days: arm.stats.makespan_secs / 86_400.0,
+            events: arm.stats.events,
         };
         let timing = GrowthTiming {
             factor: k,
             jobs: trace.jobs().len(),
-            event_loop_secs: t.event_loop_secs,
-            telemetry_secs: t.telemetry_secs,
+            event_loop_secs,
+            telemetry_secs: 0.0,
         };
         (row, timing)
     });

@@ -44,6 +44,26 @@ pub fn set_max_threads(n: usize) {
     MAX_THREADS.store(n, Ordering::Relaxed);
 }
 
+/// The largest thread budget [`parse_thread_budget`] accepts. It
+/// bounds what one command-line value can ask the operating system
+/// for: a map starts one thread per item up to the budget, and a
+/// full-scale telemetry batch has tens of thousands of items.
+pub const MAX_THREAD_BUDGET: usize = 1_024;
+
+/// Parses a thread budget given as text, such as a `--threads` value:
+/// a whole number from 1 to [`MAX_THREAD_BUDGET`].
+///
+/// # Errors
+///
+/// A message naming the accepted range and the value given, for the
+/// caller's usage error.
+pub fn parse_thread_budget(s: &str) -> Result<usize, String> {
+    match s.parse::<usize>() {
+        Ok(n) if (1..=MAX_THREAD_BUDGET).contains(&n) => Ok(n),
+        _ => Err(format!("takes a whole number from 1 to {MAX_THREAD_BUDGET}, got {s:?}")),
+    }
+}
+
 /// The current thread budget: the value of the last
 /// [`set_max_threads`] call, or the machine's available parallelism if
 /// never configured.
@@ -173,6 +193,17 @@ mod tests {
 
     /// Serializes tests that mutate the process-wide thread budget.
     static BUDGET_LOCK: Mutex<()> = Mutex::new(());
+
+    #[test]
+    fn thread_budget_parses_only_its_range() {
+        assert_eq!(parse_thread_budget("1"), Ok(1));
+        assert_eq!(parse_thread_budget("8"), Ok(8));
+        assert_eq!(parse_thread_budget("1024"), Ok(MAX_THREAD_BUDGET));
+        for bad in ["0", "1025", "-1", "two", "2.5", "", " 4", "99999999999999999999999"] {
+            let err = parse_thread_budget(bad).expect_err(bad);
+            assert!(err.contains("from 1 to 1024"), "{bad}: {err}");
+        }
+    }
 
     #[test]
     fn par_map_preserves_order() {

@@ -14,6 +14,13 @@ use std::collections::HashMap;
 /// Minimum run time for a GPU job to enter the analysis, in seconds.
 pub const MIN_GPU_JOB_RUNTIME_SECS: f64 = 30.0;
 
+/// Whether a job belongs to the analyzed population: every CPU job,
+/// and every GPU job that ran at least [`MIN_GPU_JOB_RUNTIME_SECS`].
+/// [`Dataset::join`] keeps exactly these records.
+pub fn is_analyzed(sched: &SchedulerRecord) -> bool {
+    !sched.is_gpu_job() || sched.run_time() >= MIN_GPU_JOB_RUNTIME_SECS
+}
+
 /// Counts at each stage of the dataset-construction funnel.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct DatasetFunnel {
@@ -81,7 +88,7 @@ impl Dataset {
                 continue;
             }
             funnel.gpu_jobs_unfiltered += 1;
-            if s.run_time() < MIN_GPU_JOB_RUNTIME_SECS {
+            if !is_analyzed(&s) {
                 funnel.gpu_jobs_filtered_out += 1;
                 gpu_by_id.remove(&s.job_id);
                 continue;

@@ -780,6 +780,82 @@ fn failure_injection_is_deterministic_across_thread_budgets() {
     );
 }
 
+/// The failure-injected worlds the event-loop stage is checked on: the
+/// supercloud and stress taxonomies, with checkpointing off and on, a
+/// slow tier, and a power-cap policy arm.
+fn replay_worlds() -> Vec<(&'static str, SimConfig, Option<PolicySpec>)> {
+    let checkpoint = Some(CheckpointPolicy { interval_secs: 1_800.0, write_secs: 30.0 });
+    let supercloud = FailureModel::supercloud(42).scaled_mtbf(0.05);
+    let stress = FailureModel::profile("stress", 42)
+        .flatten()
+        .expect("stress injects failures")
+        .scaled_mtbf(0.5);
+    let mut tiered = ClusterSpec::supercloud();
+    tiered.slow_tier = Some(sc_repro::cluster::SlowTierSpec { nodes: 32, speed: 0.5 });
+    let world = |failures: &FailureModel, checkpoint, cluster| SimConfig {
+        cluster,
+        failures: Some(failures.clone()),
+        checkpoint,
+        ..Default::default()
+    };
+    let flat = ClusterSpec::supercloud;
+    let power_cap = Some(PolicySpec::PowerCap { cap_w: 150.0 });
+    vec![
+        ("supercloud, no checkpoints", world(&supercloud, None, flat()), None),
+        ("stress, checkpoints", world(&stress, checkpoint, flat()), None),
+        ("supercloud, slow tier, checkpoints", world(&supercloud, checkpoint, tiered), None),
+        ("stress, power cap 150 W", world(&stress, None, flat()), power_cap),
+    ]
+}
+
+/// The event-loop stage against the full run, and the sixth metamorphic
+/// identity: the detailed subset changes nothing the reliability arms
+/// read. On each world, `Simulation::replay` with the detailed subset
+/// off equals the replay with the paper's 2,149-job subset. Both equal
+/// the ledgers and scheduler records inside the full run's `SimOutput`
+/// at thread budgets 1, 2 and 8, on a run whose subset is not empty.
+/// The growth study's queue waits, taken from the replay's records by
+/// the analyzed-population rule, equal those of the full run's dataset.
+#[test]
+fn replay_equals_the_full_run_whatever_the_detailed_subset() {
+    use sc_repro::telemetry::dataset::is_analyzed;
+    let mut spec = WorkloadSpec::supercloud().scaled(0.003);
+    spec.users = 32;
+    let trace = Trace::generate(&spec, 42);
+    let saved = sc_repro::par::current_threads();
+    for (world, cfg, policy) in replay_worlds() {
+        let sim = |detailed_series_jobs| {
+            Simulation::new(SimConfig { detailed_series_jobs, ..cfg.clone() })
+        };
+        let arm = || policy.and_then(|p| p.build(&cfg.cluster));
+        let replay = sim(0).replay(&trace, &Obs::off(), arm().as_deref_mut());
+        assert!(replay.stats.injected_failures > 0, "{world}: no failure fired");
+        assert!(replay.stats.requeues > 0, "{world}: no job was requeued");
+        let detailed = sim(2_149).replay(&trace, &Obs::off(), arm().as_deref_mut());
+        assert_eq!(replay, detailed, "{world}: the detailed subset changed the replay");
+        let waits: Vec<f64> =
+            replay.records.iter().filter(|r| is_analyzed(r)).map(|r| r.queue_wait()).collect();
+        for budget in [1, 2, 8] {
+            sc_repro::par::set_max_threads(budget);
+            let (out, _) = sim(2_149).run_observed(&trace, &Obs::off(), arm().as_deref_mut());
+            assert!(!out.detailed.is_empty(), "{world}: the detailed subset is empty");
+            assert_eq!(replay.stats, out.stats, "{world} at {budget} threads: stats");
+            assert_eq!(replay.fates, out.fates, "{world} at {budget} threads: fates");
+            assert_eq!(replay.goodput, out.goodput, "{world} at {budget} threads: goodput");
+            assert_eq!(replay.timeline, out.timeline, "{world} at {budget} threads: timeline");
+            assert_eq!(replay.reliability, out.reliability, "{world} at {budget} threads");
+            let analyzed: Vec<_> = replay.records.iter().filter(|r| is_analyzed(r)).collect();
+            let joined: Vec<_> = out.dataset.records().iter().map(|r| &r.sched).collect();
+            assert_eq!(analyzed, joined, "{world} at {budget} threads: scheduler records");
+            assert_eq!(out.dataset.funnel().total_jobs, replay.records.len(), "{world}");
+            let joined_waits: Vec<f64> =
+                out.dataset.records().iter().map(|r| r.sched.queue_wait()).collect();
+            assert_eq!(waits, joined_waits, "{world} at {budget} threads: queue waits");
+        }
+    }
+    sc_repro::par::set_max_threads(saved);
+}
+
 const GOLDEN_WORK_COUNTERS: &str =
     concat!(env!("CARGO_MANIFEST_DIR"), "/../../tests/golden/work_counters_scale002_seed42.txt");
 

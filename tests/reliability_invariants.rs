@@ -140,10 +140,10 @@ fn reliability_render_is_reproducible() {
 }
 
 /// Metamorphic identity: a growth factor of 1.0 is a plain replay of
-/// the study's configuration — failures on, no checkpointing, detailed
-/// subset off — whatever arm the study replays beside it. The base
-/// config carries a checkpoint policy and the default detailed subset,
-/// so the study must clear both.
+/// the study's configuration — failures on, no checkpointing — whatever
+/// arm the study replays beside it. The base config carries a
+/// checkpoint policy, which the study must clear, and the default
+/// detailed subset, which no study arm reads.
 #[test]
 fn growth_factor_one_equals_a_plain_replay() {
     let trace = Trace::generate(&WorkloadSpec::supercloud().scaled(0.004), 42);
