@@ -9,11 +9,11 @@
 
 use sc_cluster::Simulation;
 use sc_scenario::Scenario;
-use sc_workload::Trace;
+use sc_workload::{Trace, WorkloadSpec};
 
 const USAGE: &str = "usage: export_dataset [--scale F] [--seed N] [--out dataset.json] [--csv FILE]
 
-  --scale F   scale the workload by F (default 0.05)
+  --scale F   scale the workload by F, above 0 and at most 100 (default 0.05)
   --seed N    master RNG seed (default 42)
   --out FILE  JSON output path (default dataset.json)
   --csv FILE  also write the flat CSV form";
@@ -42,12 +42,11 @@ fn main() {
         };
         match flag.as_str() {
             "--scale" => {
-                scale = value("--scale")
+                let factor = value("--scale")
                     .parse()
                     .unwrap_or_else(|_| usage_error("--scale needs a number"));
-                if !(scale > 0.0 && scale.is_finite()) {
-                    usage_error("--scale must be a positive finite factor");
-                }
+                scale = WorkloadSpec::check_scale(factor)
+                    .unwrap_or_else(|e| usage_error(&format!("--scale {e}")));
             }
             "--seed" => {
                 seed = value("--seed")
@@ -71,10 +70,7 @@ fn main() {
             .unwrap_or_else(|e| fail(&format!("cannot write CSV {path}: {e}")));
         eprintln!("wrote {path}");
     }
-    let json = result
-        .dataset
-        .to_json()
-        .unwrap_or_else(|e| fail(&format!("cannot serialize dataset: {e}")));
+    let json = result.dataset.to_json();
     std::fs::write(&out, &json)
         .unwrap_or_else(|e| fail(&format!("cannot write dataset {out}: {e}")));
     eprintln!(

@@ -44,7 +44,7 @@ use sc_policy::{ExperimentResult, PolicyExperiment, PolicyParseError, PolicySpec
 use sc_scenario::{CrossSystemFig, Scenario};
 use sc_telemetry::gpu_power::{SUPERCLOUD_GPUS, V100_IDLE_W, V100_TDP_W};
 use sc_telemetry::DataQualityProfile;
-use sc_workload::Trace;
+use sc_workload::{Trace, WorkloadSpec};
 use std::path::Path;
 use std::time::Instant;
 
@@ -86,8 +86,9 @@ const USAGE: &str = "usage: repro_figures [--scenario NAME|FILE] [--cross-system
                        run's scale and seed and print the side-by-side
                        comparison (plus cross_system.svg with --svg-dir
                        and a methodology section in --out)
-  --scale F            scale the scenario's workload by F (supercloud:
-                       the 125-day / 74,820-job trace at 1.0)
+  --scale F            scale the scenario's workload by F, above 0 and
+                       at most 100 (supercloud: the 125-day / 74,820-job
+                       trace at 1.0)
   --seed N             master RNG seed (supercloud: 42)
   --out FILE           also write the Markdown paper-vs-measured report
   --svg-dir DIR        write the SVG figure set into DIR
@@ -196,7 +197,14 @@ fn parse_args() -> Args {
                     })
                     .collect();
             }
-            "--scale" => scale = Some(factor("--scale", &value("--scale"))),
+            "--scale" => {
+                let factor = value("--scale")
+                    .parse()
+                    .unwrap_or_else(|_| usage_error("--scale needs a number"));
+                let checked = WorkloadSpec::check_scale(factor)
+                    .unwrap_or_else(|e| usage_error(&format!("--scale {e}")));
+                scale = Some(checked);
+            }
             "--seed" => seed = Some(integer("--seed", &value("--seed"))),
             "--out" => out = Some(value("--out")),
             "--svg-dir" => svg_dir = Some(value("--svg-dir")),

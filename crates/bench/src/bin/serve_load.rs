@@ -25,6 +25,7 @@ use sc_bench::peak_rss_bytes;
 use sc_obs::json;
 use sc_serve::{Digest, Pending, Query, ServeConfig, Service};
 use sc_stats::percentile;
+use sc_workload::WorkloadSpec;
 use std::collections::VecDeque;
 use std::sync::Arc;
 use std::time::Instant;
@@ -49,7 +50,8 @@ const USAGE: &str = "usage: serve_load [--scenario NAME|FILE] [--scale F] [--see
                  cache-key dimension and the report's scenario label,
                  so digests from different scenario files never
                  compare equal.
-  --scale F      scale the simulated workload by F (default 0.02)
+  --scale F      scale the simulated workload by F, above 0 and at
+                 most 100 (default 0.02)
   --seed N       master RNG seed for the world and the query streams
                  (default 42)
   --threads N    executor worker threads, 1 to 1024 (default:
@@ -97,12 +99,11 @@ fn parse_args() -> Args {
                     .unwrap_or_else(|e| usage_error(&format!("--scenario {spec}: {e}")));
             }
             "--scale" => {
-                args.scale = value("--scale")
+                let factor = value("--scale")
                     .parse()
                     .unwrap_or_else(|_| usage_error("--scale needs a number"));
-                if !(args.scale > 0.0 && args.scale.is_finite()) {
-                    usage_error("--scale must be a positive finite factor");
-                }
+                args.scale = WorkloadSpec::check_scale(factor)
+                    .unwrap_or_else(|e| usage_error(&format!("--scale {e}")));
             }
             "--seed" => {
                 args.seed =

@@ -1,12 +1,23 @@
 //! `analyze_dataset` on outside input: a well-formed dataset that lacks
 //! a population some figure needs must exit 1 with the failing stage
-//! named, and a dataset the loader rejects must exit 1 saying why;
-//! neither may panic.
+//! named, and a dataset the loader rejects must exit 1 saying why and
+//! where; neither may panic or abort.
 
 use sc_cluster::{SimConfig, Simulation};
 use sc_telemetry::Dataset;
 use sc_workload::{Trace, WorkloadSpec};
 use std::process::Command;
+
+/// Runs `analyze_dataset` on a file holding `json`, giving its exit
+/// code and stderr.
+fn analyze(name: &str, json: &str) -> (Option<i32>, String) {
+    let path =
+        std::env::temp_dir().join(format!("analyze_dataset_{name}_{}.json", std::process::id()));
+    std::fs::write(&path, json).unwrap();
+    let run = Command::new(env!("CARGO_BIN_EXE_analyze_dataset")).arg(&path).output().unwrap();
+    std::fs::remove_file(&path).unwrap();
+    (run.status.code(), String::from_utf8_lossy(&run.stderr).into_owned())
+}
 
 #[test]
 fn gpu_only_dataset_exits_1_naming_the_stage() {
@@ -19,14 +30,8 @@ fn gpu_only_dataset_exits_1_naming_the_stage() {
     let dataset = Dataset::join(sched, gpu);
     assert!(dataset.funnel().gpu_jobs > 0 && dataset.cpu_jobs().next().is_none());
 
-    let path =
-        std::env::temp_dir().join(format!("analyze_dataset_gpu_only_{}.json", std::process::id()));
-    std::fs::write(&path, dataset.to_json().unwrap()).unwrap();
-    let run = Command::new(env!("CARGO_BIN_EXE_analyze_dataset")).arg(&path).output().unwrap();
-    std::fs::remove_file(&path).unwrap();
-
-    let stderr = String::from_utf8_lossy(&run.stderr);
-    assert_eq!(run.status.code(), Some(1), "stderr: {stderr}");
+    let (code, stderr) = analyze("gpu_only", &dataset.to_json());
+    assert_eq!(code, Some(1), "stderr: {stderr}");
     assert!(stderr.contains("pipeline stage fig3"), "stderr: {stderr}");
 }
 
@@ -43,14 +48,29 @@ fn gpu_record_without_per_gpu_aggregates_exits_1() {
       "funnel": {"total_jobs": 1, "cpu_jobs": 0, "gpu_jobs_unfiltered": 1,
                  "gpu_jobs_filtered_out": 0, "gpu_jobs": 1,
                  "gpu_jobs_missing_telemetry": 0, "unique_users": 1}}"#;
-    let path = std::env::temp_dir()
-        .join(format!("analyze_dataset_empty_per_gpu_{}.json", std::process::id()));
-    std::fs::write(&path, json).unwrap();
-    let run = Command::new(env!("CARGO_BIN_EXE_analyze_dataset")).arg(&path).output().unwrap();
-    std::fs::remove_file(&path).unwrap();
-
-    let stderr = String::from_utf8_lossy(&run.stderr);
-    assert_eq!(run.status.code(), Some(1), "stderr: {stderr}");
+    let (code, stderr) = analyze("empty_per_gpu", json);
+    assert_eq!(code, Some(1), "stderr: {stderr}");
     assert!(stderr.contains("invalid dataset JSON"), "stderr: {stderr}");
-    assert!(stderr.contains("job-7"), "stderr: {stderr}");
+    assert!(stderr.contains("GPU record of job-7 has no per-GPU aggregates at byte "), "{stderr}");
+}
+
+#[test]
+fn deeply_nested_input_exits_1_with_an_offset() {
+    let deep = "[".repeat(50_000);
+    for (name, json) in [
+        ("nested_top", deep.clone()),
+        ("nested_records", format!("{{\"records\":{deep}")),
+        ("nested_unknown", format!("{{\"zzz\":{deep}")),
+    ] {
+        let (code, stderr) = analyze(name, &json);
+        assert_eq!(code, Some(1), "{name}: {stderr}");
+        assert!(stderr.starts_with("analyze_dataset: invalid dataset JSON: "), "{name}: {stderr}");
+        assert!(
+            stderr
+                .trim_end()
+                .rsplit_once(" at byte ")
+                .is_some_and(|(_, n)| n.parse::<usize>().is_ok()),
+            "{name}: {stderr}"
+        );
+    }
 }

@@ -9,7 +9,7 @@
 //! bench gates consume, and look for every section of the `--out`
 //! report.
 
-use serde::de::Value;
+use sc_obs::json::{Error, Reader, Token};
 use std::path::Path;
 use std::process::Command;
 
@@ -92,6 +92,39 @@ fn thread_budget_outside_its_range_is_a_usage_error() {
     }
 }
 
+/// A scale factor that is not positive, not finite or above
+/// `WorkloadSpec::MAX_SCALE` is a usage error in every tool that takes
+/// `--scale`, caught before a trace is generated. The ceiling itself is
+/// tested through `WorkloadSpec::check_scale` alone: a run there would
+/// build 7.5 million jobs.
+#[test]
+fn scale_outside_its_range_is_a_usage_error() {
+    let max = sc_workload::WorkloadSpec::MAX_SCALE;
+    let above = format!("{:?}", f64::from_bits(max.to_bits() + 1));
+    let out = scratch("scale_rejected.json");
+    // export_dataset has no thread budget.
+    for (bin, name, threads) in [
+        (env!("CARGO_BIN_EXE_repro_figures"), "repro_figures", &["--threads", "1"][..]),
+        (env!("CARGO_BIN_EXE_export_dataset"), "export_dataset", &[]),
+        (env!("CARGO_BIN_EXE_serve_load"), "serve_load", &["--threads", "1"]),
+    ] {
+        for bad in [above.as_str(), "0", "-1", "NaN", "inf", "1e308"] {
+            let run = Command::new(bin)
+                .args(threads)
+                .args(["--scale", bad, "--out", &out])
+                .output()
+                .expect("binary runs");
+            let stderr = String::from_utf8_lossy(&run.stderr);
+            assert_eq!(run.status.code(), Some(2), "{name} --scale {bad}: {stderr}");
+            let message = format!("{name}: --scale must be a positive factor of at most 100, got ");
+            assert!(stderr.starts_with(&message), "{name} --scale {bad}: {stderr}");
+            assert!(stderr.contains(&format!("\nusage: {name} ")), "{stderr}");
+            assert!(run.stdout.is_empty(), "{name} --scale {bad} printed to stdout");
+            assert!(!Path::new(&out).exists(), "{name} --scale {bad} wrote {out}");
+        }
+    }
+}
+
 #[test]
 fn mtbf_alone_rescales_the_supercloud_taxonomy() {
     assert_eq!(injection_line(&["--mtbf", "0.5"]), "3 classes, checkpoint interval 8752s");
@@ -112,22 +145,60 @@ fn failure_profile_keeps_the_scenario_mtbf_factor() {
     );
 }
 
-/// A parsed JSON document: the artifacts are read back through the
-/// workspace's JSON parser, not by string matching.
-struct Json(Value);
-
-impl<'de> serde::Deserialize<'de> for Json {
-    fn deserialize<D: serde::Deserializer<'de>>(d: D) -> Result<Self, D::Error> {
-        d.value().map(Json)
-    }
+/// A parsed JSON value: the artifacts are read back through the
+/// workspace's JSON reader, not by string matching.
+enum Value {
+    /// An object's members, in document order.
+    Map(Vec<(String, Value)>),
+    Seq(Vec<Value>),
+    Str(String),
+    /// A number.
+    Num,
+    /// `true`, `false` or `null`.
+    Literal,
 }
 
 /// Parses the JSON file at `path`.
 fn parse(path: &Path) -> Value {
     let text = std::fs::read_to_string(path).expect("artifact written");
-    let Json(value) = serde_json::from_str(&text)
-        .unwrap_or_else(|e| panic!("{} is not JSON ({e}):\n{text}", path.display()));
-    value
+    document(&text).unwrap_or_else(|e| panic!("{} is not JSON ({e}):\n{text}", path.display()))
+}
+
+/// The value of the JSON document `text`.
+fn document(text: &str) -> Result<Value, Error> {
+    let mut r = Reader::new(text);
+    let first = r.next()?.expect("a document holds a value");
+    let value = build(&mut r, first)?;
+    // The reader refuses anything but whitespace after the value.
+    assert_eq!(r.next()?, None);
+    Ok(value)
+}
+
+/// The value that the token `first` begins, read on from `r`.
+fn build<'a>(r: &mut Reader<'a>, first: Token<'a>) -> Result<Value, Error> {
+    Ok(match first {
+        Token::ObjectStart => {
+            let mut members = Vec::new();
+            // Inside an object the reader yields keys, then the end.
+            while let Some(Token::Key(key)) = r.next()? {
+                let value = r.next()?.expect("a member has a value");
+                members.push((key.into_owned(), build(r, value)?));
+            }
+            Value::Map(members)
+        }
+        Token::ArrayStart => {
+            let mut items = Vec::new();
+            loop {
+                match r.next()?.expect("an array ends") {
+                    Token::ArrayEnd => break Value::Seq(items),
+                    item => items.push(build(r, item)?),
+                }
+            }
+        }
+        Token::Str(s) => Value::Str(s.into_owned()),
+        Token::Number(_) => Value::Num,
+        _ => Value::Literal,
+    })
 }
 
 /// The member `key` of an object.
@@ -194,7 +265,7 @@ fn every_artifact_parses_and_the_report_has_every_section() {
     let keys = "accuracy centroid_accuracy train_jobs test_jobs goodput_delta_pp";
     assert_keys(&classifier, keys);
     // The oracle arm ran, so the delta the classifier gate bands is set.
-    assert!(matches!(member(&classifier, "goodput_delta_pp"), Value::Float(_)));
+    assert!(matches!(member(&classifier, "goodput_delta_pp"), Value::Num));
 
     let reliability = parse(Path::new(&reliability));
     let keys = "sweep_worst_ratio frontier_monotone_violation growth_min_jobs_per_sec \

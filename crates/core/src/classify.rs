@@ -80,14 +80,7 @@ mod tests {
     fn classification_is_total() {
         // Every (exit, interface) combination maps to some class without
         // panicking.
-        let exits = [
-            ExitStatus::Completed,
-            ExitStatus::Cancelled,
-            ExitStatus::Failed,
-            ExitStatus::Timeout,
-            ExitStatus::NodeFailure,
-        ];
-        for e in exits {
+        for e in ExitStatus::ALL {
             for i in SubmissionInterface::ALL {
                 let _ = classify_exit(e, i);
             }

@@ -195,7 +195,7 @@ mod tests {
         // The published-dataset workflow: export the joined dataset,
         // reload it, and regenerate the figures a release carries.
         let direct = &small_sim().dataset;
-        let json = direct.to_json().expect("serializable");
+        let json = direct.to_json();
         let reloaded = sc_telemetry::Dataset::from_json(&json).expect("parseable");
         let render = |dataset| {
             let views = gpu_views(dataset);

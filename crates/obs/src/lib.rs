@@ -21,8 +21,11 @@
 //!
 //! - [`record`]: trace levels, field values, and the canonical JSONL
 //!   encoding.
-//! - [`json`]: the JSON string and number encoding every hand-written
-//!   JSON artifact shares (non-finite numbers become `null`).
+//! - [`json`]: the workspace's one JSON codec: the string and number
+//!   encoding every JSON artifact shares (non-finite numbers become
+//!   `null`), and [`json::Reader`], a pull reader that yields tokens,
+//!   keeps its open containers on the heap instead of recursing, and
+//!   names the byte offset of every error.
 //! - [`sink`]: the [`TraceSink`] trait and the [`NullSink`] /
 //!   [`RingSink`] / [`JsonlSink`] implementations, plus the cheap
 //!   [`Obs`] handle instrumented code carries.
@@ -36,6 +39,9 @@
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
+// Library code reports failures as values, not panics; tests are exempt
+// (unwrap there is an assertion).
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod chrome;
 pub mod json;

@@ -2,7 +2,7 @@
 
 use std::collections::VecDeque;
 use std::io::{self, BufWriter, Write};
-use std::sync::Mutex;
+use std::sync::{Mutex, PoisonError};
 
 use crate::record::{RecordKind, TraceLevel, TraceRecord, Value};
 
@@ -46,6 +46,8 @@ impl TraceSink for NullSink {
 pub struct RingSink {
     level: TraceLevel,
     capacity: usize,
+    /// Each lock holder pushes or pops whole records, so the state is
+    /// whole even if a holder panicked: a poisoned lock is taken as is.
     state: Mutex<RingState>,
 }
 
@@ -63,12 +65,12 @@ impl RingSink {
 
     /// Snapshot of the retained records, oldest first.
     pub fn records(&self) -> Vec<TraceRecord> {
-        self.state.lock().unwrap().records.iter().cloned().collect()
+        self.state.lock().unwrap_or_else(PoisonError::into_inner).records.iter().cloned().collect()
     }
 
     /// How many records were evicted to stay within capacity.
     pub fn dropped(&self) -> u64 {
-        self.state.lock().unwrap().dropped
+        self.state.lock().unwrap_or_else(PoisonError::into_inner).dropped
     }
 }
 
@@ -78,7 +80,7 @@ impl TraceSink for RingSink {
     }
 
     fn record(&self, rec: TraceRecord) {
-        let mut state = self.state.lock().unwrap();
+        let mut state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
         if state.records.len() == self.capacity {
             state.records.pop_front();
             state.dropped += 1;
@@ -95,6 +97,8 @@ impl TraceSink for RingSink {
 #[derive(Debug)]
 pub struct JsonlSink<W: Write + Send> {
     level: TraceLevel,
+    /// A poisoned lock is taken as is: a holder that panicked left at
+    /// worst a partial line, which the buffered bytes show.
     writer: Mutex<BufWriter<W>>,
 }
 
@@ -108,7 +112,7 @@ impl<W: Write + Send> JsonlSink<W> {
     pub fn into_inner(self) -> io::Result<W> {
         self.writer
             .into_inner()
-            .expect("jsonl sink lock poisoned")
+            .unwrap_or_else(PoisonError::into_inner)
             .into_inner()
             .map_err(|e| e.into_error())
     }
@@ -120,7 +124,7 @@ impl<W: Write + Send> TraceSink for JsonlSink<W> {
     }
 
     fn record(&self, rec: TraceRecord) {
-        let mut writer = self.writer.lock().unwrap();
+        let mut writer = self.writer.lock().unwrap_or_else(PoisonError::into_inner);
         // I/O errors surface on flush; dropping lines silently would
         // break the byte-identical contract without a diagnosis trail.
         let _ = writer.write_all(rec.to_json_line().as_bytes());
@@ -128,7 +132,7 @@ impl<W: Write + Send> TraceSink for JsonlSink<W> {
     }
 
     fn flush(&self) -> io::Result<()> {
-        self.writer.lock().unwrap().flush()
+        self.writer.lock().unwrap_or_else(PoisonError::into_inner).flush()
     }
 }
 

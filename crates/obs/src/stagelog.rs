@@ -6,7 +6,7 @@
 //! contract — two runs of the same seed produce different durations —
 //! and feed only the Chrome trace exporter, never the JSONL trace.
 
-use std::sync::Mutex;
+use std::sync::{Mutex, PoisonError};
 use std::time::Instant;
 
 /// One completed wall-clock span, relative to the log's origin.
@@ -25,6 +25,8 @@ pub struct StageSpan {
 #[derive(Debug)]
 pub struct StageLog {
     t0: Instant,
+    /// Holders push or copy whole spans, so a poisoned lock is taken
+    /// as is.
     spans: Mutex<Vec<StageSpan>>,
 }
 
@@ -57,13 +59,17 @@ impl StageLog {
 
     /// Records an already-measured span.
     pub fn push(&self, name: &str, start_secs: f64, dur_secs: f64) {
-        self.spans.lock().unwrap().push(StageSpan { name: name.to_string(), start_secs, dur_secs });
+        self.spans.lock().unwrap_or_else(PoisonError::into_inner).push(StageSpan {
+            name: name.to_string(),
+            start_secs,
+            dur_secs,
+        });
     }
 
     /// Completed spans sorted by start time then name, so export order
     /// does not depend on which worker thread finished first.
     pub fn spans(&self) -> Vec<StageSpan> {
-        let mut spans = self.spans.lock().unwrap().clone();
+        let mut spans = self.spans.lock().unwrap_or_else(PoisonError::into_inner).clone();
         spans.sort_by(|a, b| {
             a.start_secs.total_cmp(&b.start_secs).then_with(|| a.name.cmp(&b.name))
         });

@@ -414,12 +414,8 @@ impl Scenario {
         let seed = r.u64_opt("seed")?.map(|(v, _)| v).unwrap_or(42);
         let scale = match r.f64_opt("scale")? {
             None => 1.0,
-            Some((v, line)) => {
-                check(line, "[scenario] scale", v > 0.0 && v.is_finite(), || {
-                    format!("{v} must be a positive finite factor")
-                })?;
-                v
-            }
+            Some((v, line)) => WorkloadSpec::check_scale(v)
+                .map_err(|e| ScenarioError::new(line, "[scenario] scale", ErrorKind::Range(e)))?,
         };
 
         let cluster = Self::parse_cluster(&doc)?;
@@ -1312,6 +1308,12 @@ mod tests {
         let err = Scenario::parse("[scenario]\nname = \"x\"\nscale = -1.0\n").unwrap_err();
         assert!(matches!(err.kind, ErrorKind::Range(_)), "{err}");
         assert_eq!(err.line, 3);
+        let err = Scenario::parse("[scenario]\nname = \"x\"\nscale = 100.5\n").unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "line 3: [scenario] scale: out of range: must be a positive factor of at most 100, \
+             got 100.5"
+        );
 
         let err = Scenario::parse("[scenario]\nname = \"x\"\n[workload]\ngpu_job_fraction = 1.5\n")
             .unwrap_err();

@@ -6,50 +6,23 @@
 //! subset. [`Aggregate`] is the online accumulator the epilog would run.
 
 use crate::metrics::{GpuMetricSample, GpuResource};
-use serde::{Deserialize, Serialize};
 
 /// Online min/mean/max accumulator over a scalar stream.
 ///
-/// The empty accumulator's `±inf` sentinels are encoded as `null` in
-/// JSON (JSON has no infinities) and restored on deserialization, so
-/// datasets round-trip even when they contain unmonitored entries.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+/// JSON has no infinities, so the dataset release writes the empty
+/// accumulator's `±inf` sentinels as `null` and reads them back (see
+/// [`crate::release`]): datasets round-trip even when they contain
+/// unmonitored entries.
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Aggregate {
     /// Minimum observed value; `+inf` before any update.
-    #[serde(with = "serde_inf::pos")]
     pub min: f64,
     /// Running mean.
     pub mean: f64,
     /// Maximum observed value; `-inf` before any update.
-    #[serde(with = "serde_inf::neg")]
     pub max: f64,
     /// Number of samples folded in.
     pub count: u64,
-}
-
-/// Serde adapters mapping non-finite sentinels to JSON `null`.
-mod serde_inf {
-    macro_rules! inf_mod {
-        ($name:ident, $sentinel:expr) => {
-            pub mod $name {
-                use serde::{Deserialize, Deserializer, Serializer};
-
-                pub fn serialize<S: Serializer>(v: &f64, s: S) -> Result<S::Ok, S::Error> {
-                    if v.is_finite() {
-                        s.serialize_some(v)
-                    } else {
-                        s.serialize_none()
-                    }
-                }
-
-                pub fn deserialize<'de, D: Deserializer<'de>>(d: D) -> Result<f64, D::Error> {
-                    Ok(Option::<f64>::deserialize(d)?.unwrap_or($sentinel))
-                }
-            }
-        };
-    }
-    inf_mod!(pos, f64::INFINITY);
-    inf_mod!(neg, f64::NEG_INFINITY);
 }
 
 impl Default for Aggregate {
@@ -89,7 +62,7 @@ impl Aggregate {
 }
 
 /// Min/mean/max aggregates for every GPU metric of one GPU over one job.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct GpuAggregates {
     /// SM utilization aggregate (%).
     pub sm_util: Aggregate,
@@ -187,7 +160,8 @@ impl GpuAggregates {
                 min += a.min / n;
                 mean += a.mean / n;
                 max += a.max / n;
-                count += a.count;
+                // A loaded dataset's counts are outside input.
+                count = count.saturating_add(a.count);
             }
             Aggregate { min, mean, max, count }
         };

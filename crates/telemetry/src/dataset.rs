@@ -8,7 +8,8 @@
 
 use crate::aggregate::GpuAggregates;
 use crate::record::{GpuJobRecord, JobRecord, SchedulerRecord, UserId};
-use serde::{Deserialize, Serialize};
+use crate::release;
+use sc_obs::json;
 use std::collections::HashMap;
 
 /// Minimum run time for a GPU job to enter the analysis, in seconds.
@@ -22,7 +23,7 @@ pub fn is_analyzed(sched: &SchedulerRecord) -> bool {
 }
 
 /// Counts at each stage of the dataset-construction funnel.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct DatasetFunnel {
     /// All jobs in the scheduler log (74,820 in the paper).
     pub total_jobs: usize,
@@ -49,18 +50,10 @@ pub struct DatasetFunnel {
 /// stored averages always describe its records.
 #[derive(Debug, Clone, Default)]
 pub struct Dataset {
-    tables: Tables,
-    /// [`GpuJobRecord::job_level`] of each GPU record, in record order.
-    job_level: Vec<GpuAggregates>,
-}
-
-/// What a dataset serializes: the JSON release format holds the
-/// records and the funnel, and the job-level aggregates are derived
-/// again on load.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
-struct Tables {
     records: Vec<JobRecord>,
     funnel: DatasetFunnel,
+    /// [`GpuJobRecord::job_level`] of each GPU record, in record order.
+    job_level: Vec<GpuAggregates>,
 }
 
 impl Dataset {
@@ -103,34 +96,30 @@ impl Dataset {
         users.sort();
         users.dedup();
         funnel.unique_users = users.len();
-        Dataset::from_tables(Tables { records, funnel })
+        Dataset::from_parts(records, funnel)
     }
 
     /// Averages every GPU record's per-GPU aggregates into its stored
     /// job-level aggregates.
-    fn from_tables(tables: Tables) -> Dataset {
-        let job_level = tables
-            .records
-            .iter()
-            .filter_map(|r| r.gpu.as_ref())
-            .map(GpuJobRecord::job_level)
-            .collect();
-        Dataset { tables, job_level }
+    pub(crate) fn from_parts(records: Vec<JobRecord>, funnel: DatasetFunnel) -> Dataset {
+        let job_level =
+            records.iter().filter_map(|r| r.gpu.as_ref()).map(GpuJobRecord::job_level).collect();
+        Dataset { records, funnel, job_level }
     }
 
     /// All retained records (CPU and GPU jobs).
     pub fn records(&self) -> &[JobRecord] {
-        &self.tables.records
+        &self.records
     }
 
     /// The funnel counts.
     pub fn funnel(&self) -> DatasetFunnel {
-        self.tables.funnel
+        self.funnel
     }
 
     /// GPU jobs with telemetry — the population of every GPU figure.
     pub fn gpu_jobs(&self) -> impl Iterator<Item = &JobRecord> {
-        self.tables.records.iter().filter(|r| r.gpu.is_some())
+        self.records.iter().filter(|r| r.gpu.is_some())
     }
 
     /// [`Dataset::gpu_jobs`], each paired with its job-level aggregates
@@ -142,7 +131,7 @@ impl Dataset {
 
     /// CPU-only jobs (Fig. 3 comparison population).
     pub fn cpu_jobs(&self) -> impl Iterator<Item = &JobRecord> {
-        self.tables.records.iter().filter(|r| !r.sched.is_gpu_job())
+        self.records.iter().filter(|r| !r.sched.is_gpu_job())
     }
 
     /// Groups GPU jobs by user, preserving record references.
@@ -154,35 +143,25 @@ impl Dataset {
         map
     }
 
-    /// Serializes the dataset to JSON — the anonymized release format
-    /// (the paper published its dataset at dcc.mit.edu; this is the
-    /// equivalent artifact for the synthetic reproduction).
-    ///
-    /// # Errors
-    ///
-    /// Propagates serialization errors (practically unreachable for
-    /// this schema).
-    pub fn to_json(&self) -> serde_json::Result<String> {
-        serde_json::to_string(&self.tables)
+    /// The dataset in the JSON release format (see [`crate::release`]):
+    /// the records and the funnel. The paper published its dataset at
+    /// dcc.mit.edu; this is the equivalent artifact for the synthetic
+    /// reproduction.
+    pub fn to_json(&self) -> String {
+        release::write(&self.records, &self.funnel)
     }
 
-    /// Deserializes a dataset previously written by [`Dataset::to_json`].
+    /// Loads a dataset written by [`Dataset::to_json`], deriving the
+    /// job-level aggregates again.
     ///
     /// # Errors
     ///
-    /// Returns a parse error for malformed input, and an error naming
-    /// the job when a GPU record has no per-GPU aggregates to average.
-    pub fn from_json(json: &str) -> serde_json::Result<Dataset> {
-        let tables: Tables = serde_json::from_str(json)?;
-        let empty =
-            tables.records.iter().filter_map(|r| r.gpu.as_ref()).find(|g| g.per_gpu.is_empty());
-        if let Some(g) = empty {
-            return Err(serde::de::Error::custom(format_args!(
-                "GPU record of {} has no per-GPU aggregates",
-                g.job_id
-            )));
-        }
-        Ok(Dataset::from_tables(tables))
+    /// A [`json::Error`] naming the byte offset of the first problem:
+    /// malformed JSON, a missing, repeated or mistyped member, or a GPU
+    /// record with no per-GPU aggregates to average.
+    pub fn from_json(json: &str) -> Result<Dataset, json::Error> {
+        let (records, funnel) = release::read(json)?;
+        Ok(Dataset::from_parts(records, funnel))
     }
 
     /// Serializes the dataset as a flat CSV table, one row per job with
@@ -198,7 +177,7 @@ impl Dataset {
              power_min,power_mean,power_max\n",
         );
         let mut job_level = self.job_level.iter();
-        for r in &self.tables.records {
+        for r in &self.records {
             let j = &r.sched;
             s.push_str(&format!(
                 "{},{},{},{},{},{:.1},{:.1},{:.1},{:.1},{:.0},{}",
@@ -367,7 +346,7 @@ mod tests {
         ];
         let gpu_recs = vec![gpu_rec(1, 1), sampled_gpu_rec(3, 3), sampled_gpu_rec(4, 2)];
         let ds = Dataset::join(sched_recs, gpu_recs);
-        let json = ds.to_json().expect("serializable");
+        let json = ds.to_json();
         let back = Dataset::from_json(&json).expect("parseable");
         assert_eq!(back.funnel(), ds.funnel());
         assert_eq!(back.records().len(), ds.records().len());
@@ -382,7 +361,7 @@ mod tests {
         for ((_, a), (_, b)) in back.gpu_jobs_with_job_level().zip(ds.gpu_jobs_with_job_level()) {
             assert_eq!(bits(a), bits(b));
         }
-        assert_eq!(back.to_json().expect("serializable"), json);
+        assert_eq!(back.to_json(), json);
         assert!(Dataset::from_json("not json").is_err());
     }
 

@@ -20,6 +20,8 @@
 //! - [`record`]: the per-job record schema joining Slurm-side and
 //!   GPU-side information.
 //! - [`dataset`]: the joined dataset with the paper's 30-second filter.
+//! - [`release`]: the dataset's JSON release format, written and read
+//!   on [`sc_obs::json`].
 //! - [`phases`]: active/idle phase analysis over sampled series.
 //! - [`stream`]: streaming ingestion — the [`stream::Util3Sink`]
 //!   producer/consumer contract, a detail reduction that replays the
@@ -31,8 +33,9 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 // Library code must surface degenerate inputs as typed errors, not
-// panics; tests are exempt (unwrap there is an assertion).
-#![cfg_attr(not(test), warn(clippy::unwrap_used))]
+// panics; tests are exempt (unwrap there is an assertion). A true
+// invariant keeps its `expect` under a local `allow` giving the reason.
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod aggregate;
 pub mod corruption;
@@ -41,6 +44,7 @@ pub mod gpu_power;
 pub mod metrics;
 pub mod phases;
 pub mod record;
+pub mod release;
 pub mod sampler;
 pub mod source;
 pub mod stream;

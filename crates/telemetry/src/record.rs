@@ -2,10 +2,9 @@
 //! telemetry aggregates, and the joined record the analysis consumes.
 
 use crate::aggregate::GpuAggregates;
-use serde::{Deserialize, Serialize};
 
 /// Cluster-wide unique job identifier (Slurm job id).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct JobId(pub u64);
 
 impl std::fmt::Display for JobId {
@@ -15,7 +14,7 @@ impl std::fmt::Display for JobId {
 }
 
 /// Anonymized user identifier.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct UserId(pub u32);
 
 impl std::fmt::Display for UserId {
@@ -28,7 +27,7 @@ impl std::fmt::Display for UserId {
 /// batch, and interactive jobs as they are submitted using their
 /// individual interfaces. Other jobs (mostly deep learning jobs …) are
 /// submitted via the general Slurm interface" (Sec. III).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SubmissionInterface {
     /// Map-reduce interface (1% of jobs).
     MapReduce,
@@ -68,7 +67,7 @@ impl std::fmt::Display for SubmissionInterface {
 
 /// How the job ended. Sec. VI classifies the algorithm-development
 /// life-cycle from exactly these outcomes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ExitStatus {
     /// Exit code zero — the paper's *mature* jobs.
     Completed,
@@ -85,6 +84,15 @@ pub enum ExitStatus {
 }
 
 impl ExitStatus {
+    /// Every status.
+    pub const ALL: [ExitStatus; 5] = [
+        ExitStatus::Completed,
+        ExitStatus::Cancelled,
+        ExitStatus::Failed,
+        ExitStatus::Timeout,
+        ExitStatus::NodeFailure,
+    ];
+
     /// Display label.
     pub fn label(&self) -> &'static str {
         match self {
@@ -154,7 +162,7 @@ impl std::fmt::Display for FailureCause {
 
 /// Scheduler-side facts about one job, as recorded in the Slurm
 /// accounting log.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SchedulerRecord {
     /// Job identifier.
     pub job_id: JobId,
@@ -220,7 +228,7 @@ impl SchedulerRecord {
 
 /// GPU-side telemetry summary for one job: one aggregate set per GPU,
 /// as produced by the epilog from the `nvidia-smi` series.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GpuJobRecord {
     /// Job identifier (the join key).
     pub job_id: JobId,
@@ -243,7 +251,7 @@ impl GpuJobRecord {
 
 /// A fully joined job record: scheduler facts plus (for GPU jobs) the
 /// telemetry summary.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct JobRecord {
     /// Scheduler-side facts.
     pub sched: SchedulerRecord,

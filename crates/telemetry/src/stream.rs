@@ -422,6 +422,11 @@ impl Default for TelemetryStreamSummary {
 
 impl TelemetryStreamSummary {
     /// An empty summary.
+    #[allow(
+        clippy::expect_used,
+        reason = "the sketch's alpha and the histogram's bounds are constants that both \
+                  constructors accept, as the summary's unit tests show"
+    )]
     pub fn new() -> Self {
         TelemetryStreamSummary {
             gpu_jobs: 0,

@@ -419,7 +419,9 @@ impl WorkloadSpec {
     ///
     /// # Panics
     ///
-    /// Panics unless `factor` is positive and finite.
+    /// Panics unless `factor` is positive and finite. A factor from
+    /// outside the program goes through [`WorkloadSpec::check_scale`]
+    /// first.
     pub fn scaled(mut self, factor: f64) -> Self {
         assert!(factor > 0.0 && factor.is_finite(), "factor must be positive and finite");
         self.total_jobs = ((self.total_jobs as f64 * factor).round() as usize).max(50);
@@ -428,6 +430,30 @@ impl WorkloadSpec {
             self.duration_days *= factor;
         }
         self
+    }
+
+    /// The largest factor [`WorkloadSpec::check_scale`] accepts: 100
+    /// times a preset, 7.5 million jobs for Supercloud. The largest
+    /// documented run, `--scale 13.366` (1M jobs), sits well inside it.
+    /// Without a ceiling, a factor such as `1e308` saturates
+    /// [`WorkloadSpec::scaled`]'s `users` and `total_jobs` at
+    /// `usize::MAX`, and trace generation would try to build them.
+    pub const MAX_SCALE: f64 = 100.0;
+
+    /// Checks a scale factor given from outside, such as a `--scale`
+    /// flag or a scenario's `scale` key: positive, finite, and at most
+    /// [`WorkloadSpec::MAX_SCALE`].
+    ///
+    /// # Errors
+    ///
+    /// A message naming the accepted range and the factor given, for
+    /// the caller's usage or line error.
+    pub fn check_scale(factor: f64) -> Result<f64, String> {
+        if factor > 0.0 && factor <= Self::MAX_SCALE {
+            Ok(factor)
+        } else {
+            Err(format!("must be a positive factor of at most {}, got {factor:?}", Self::MAX_SCALE))
+        }
     }
 
     /// The class spec for a lifecycle class.
@@ -525,6 +551,22 @@ mod tests {
     #[should_panic(expected = "factor must be positive and finite")]
     fn scaled_rejects_bad_factor() {
         let _ = WorkloadSpec::supercloud().scaled(0.0);
+    }
+
+    #[test]
+    fn check_scale_accepts_positive_factors_up_to_the_ceiling() {
+        for ok in [1e-9, 0.02, 1.0, 13.366, WorkloadSpec::MAX_SCALE] {
+            assert_eq!(WorkloadSpec::check_scale(ok), Ok(ok));
+        }
+        let above = f64::from_bits(WorkloadSpec::MAX_SCALE.to_bits() + 1);
+        for bad in [0.0, -0.0, -1.0, above, 1e308, f64::INFINITY, f64::NAN] {
+            let err = WorkloadSpec::check_scale(bad).unwrap_err();
+            assert_eq!(
+                err,
+                format!("must be a positive factor of at most 100, got {bad:?}"),
+                "{bad}"
+            );
+        }
     }
 
     #[test]

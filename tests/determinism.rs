@@ -76,12 +76,12 @@ fn thread_budget_never_changes_output() {
 
     sc_repro::par::set_max_threads(1);
     let (_, a) = run(5);
-    let json_a = a.dataset.to_json().expect("serializable");
+    let json_a = a.dataset.to_json();
     let text_a = AnalysisReport::try_from_sim(&a).unwrap().render_text();
 
     sc_repro::par::set_max_threads(alt_thread_budget());
     let (_, b) = run(5);
-    let json_b = b.dataset.to_json().expect("serializable");
+    let json_b = b.dataset.to_json();
     let text_b = AnalysisReport::try_from_sim(&b).unwrap().render_text();
 
     sc_repro::par::set_max_threads(saved);
@@ -256,7 +256,7 @@ fn policy_runs_are_deterministic_across_thread_budgets() {
                     s,
                 );
                 let r = exp.run(&trace).unwrap();
-                (r.policy.dataset.to_json().expect("serializable"), r.fig.render())
+                (r.policy.dataset.to_json(), r.fig.render())
             })
             .collect()
     };
@@ -291,7 +291,7 @@ fn data_quality_round_trip_is_deterministic_across_thread_budgets() {
         let fig =
             DataQualityFig::compute("lossy", injected, ingested.report, clean, recovered, None)
                 .expect("both pipelines");
-        (ingested.dataset.to_json().expect("serializable"), fig.render(), out.telemetry_summary)
+        (ingested.dataset.to_json(), fig.render(), out.telemetry_summary)
     };
 
     let saved = sc_repro::par::current_threads();
@@ -592,8 +592,8 @@ fn coshare_predicted_policy_is_deterministic_across_thread_budgets() {
         let oracle_fig = r.oracle_fig.as_ref().expect("oracle delta figure");
         let eval = r.classifier_eval.as_ref().expect("predicted arm trains a classifier");
         (
-            r.policy.dataset.to_json().expect("serializable"),
-            oracle.dataset.to_json().expect("serializable"),
+            r.policy.dataset.to_json(),
+            oracle.dataset.to_json(),
             r.fig.render(),
             oracle_fig.render(),
             eval.to_fig().render(),
@@ -764,8 +764,8 @@ fn failure_injection_is_deterministic_across_thread_budgets() {
     assert_eq!(a.fates, b.fates, "attempt/requeue decisions must not depend on threads");
     assert_eq!(a.goodput, b.goodput, "the goodput ledger must not depend on threads");
     assert_eq!(
-        a.dataset.to_json().expect("serializable"),
-        b.dataset.to_json().expect("serializable"),
+        a.dataset.to_json(),
+        b.dataset.to_json(),
         "Dataset JSON must not depend on the thread budget"
     );
     assert_eq!(

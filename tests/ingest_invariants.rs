@@ -10,6 +10,7 @@
 
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
+use sc_obs::json;
 use sc_repro::prelude::*;
 use std::sync::OnceLock;
 
@@ -152,10 +153,7 @@ fn round_trip_is_seed_stable() {
     let (b, ib) = corrupt_and_ingest(clean, DataQualityProfile::Hostile, 99, &Obs::off())
         .expect("ingest succeeds");
     assert_eq!(format!("{ia:?}"), format!("{ib:?}"));
-    assert_eq!(
-        a.dataset.to_json().expect("serializable"),
-        b.dataset.to_json().expect("serializable")
-    );
+    assert_eq!(a.dataset.to_json(), b.dataset.to_json());
     assert_eq!(a.report.render(), b.report.render());
 }
 
@@ -168,19 +166,19 @@ fn exported() -> &'static str {
         let trace = Trace::generate(&WorkloadSpec::supercloud().scaled(0.005), 20_261_018);
         let out = Simulation::new(SimConfig { detailed_series_jobs: 0, ..Default::default() })
             .run(&trace);
-        out.dataset.to_json().expect("serializable")
+        out.dataset.to_json()
     })
 }
 
 /// Loads `json` the way `analyze_dataset` does, giving the dataset or
-/// the error message. A panic anywhere fails the test; an error must
-/// say what is wrong, and a dataset must give one view per GPU job,
-/// since every GPU record has GPUs to average.
-fn load(json: &str) -> Result<Result<Dataset, String>, TestCaseError> {
-    let loaded = Dataset::from_json(json).map_err(|e| e.to_string());
+/// the error. A panic anywhere fails the test; an error must say what
+/// is wrong at an offset inside the input, and a dataset must give one
+/// view per GPU job, since every GPU record has GPUs to average.
+fn load(json: &str) -> Result<Result<Dataset, json::Error>, TestCaseError> {
+    let loaded = Dataset::from_json(json);
     match &loaded {
         Ok(ds) => prop_assert_eq!(gpu_views(ds).len(), ds.gpu_jobs().count()),
-        Err(msg) => prop_assert!(!msg.is_empty(), "empty diagnostic"),
+        Err(e) => prop_assert!(!e.message().is_empty() && e.offset() <= json.len(), "{e}"),
     }
     Ok(loaded)
 }
@@ -205,7 +203,8 @@ fn exported_dataset_loads_with_one_view_per_gpu_job() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Cutting the export off at any byte never panics the loader.
+    /// Cutting the export off at any byte never panics the loader, and
+    /// the error names an offset no later than the cut.
     #[test]
     fn truncated_dataset_json_never_panics(cut in 0usize..1 << 22) {
         let json = exported();
@@ -213,7 +212,10 @@ proptest! {
         while !json.is_char_boundary(end) {
             end -= 1;
         }
-        let _ = load(&json[..end])?;
+        if end < json.len() {
+            let err = load(&json[..end])?.err();
+            prop_assert!(err.is_some(), "a cut at byte {end} still loads");
+        }
     }
 
     /// Deleting, duplicating or overwriting short byte ranges never
@@ -274,8 +276,8 @@ proptest! {
                 let id_at = head.rfind("\"job_id\":").expect("a job id") + "\"job_id\":".len();
                 let id = &head[id_at..id_at + head[id_at..].find(',').expect("id ends")];
                 let want = format!("job-{id} has no per-GPU aggregates");
-                let msg = loaded.err();
-                prop_assert!(msg.as_ref().is_some_and(|m| m.contains(&want)), "{msg:?}");
+                let err = loaded.err();
+                prop_assert!(err.as_ref().is_some_and(|e| e.message().contains(&want)), "{err:?}");
             }
         }
     }

@@ -213,7 +213,7 @@ fn run_flag_default(scale: f64, seed: u64) -> (String, String) {
     let detailed = ((2_149.0 * scale).round() as usize).max(50);
     let out = Simulation::new(SimConfig { detailed_series_jobs: detailed, ..Default::default() })
         .run(&trace);
-    let json = out.dataset.to_json().expect("serializable");
+    let json = out.dataset.to_json();
     let text = AnalysisReport::try_from_sim(&out).unwrap().render_text();
     (json, text)
 }
@@ -225,7 +225,7 @@ fn run_scenario_file(scale: f64) -> (String, String) {
     let spec = sc.scaled_spec(scale);
     let trace = Trace::generate(&spec, sc.seed);
     let out = Simulation::new(sc.sim_config(scale, sc.seed)).run(&trace);
-    let json = out.dataset.to_json().expect("serializable");
+    let json = out.dataset.to_json();
     let text = AnalysisReport::try_from_sim(&out).unwrap().render_text();
     (json, text)
 }
