@@ -2,11 +2,11 @@
 //! series folded into per-GPU aggregates, at a short (1 h) and a long
 //! (20 h) job duration.
 //!
-//! Run `cargo bench -p sc-bench --bench sampler`. The 20-hour case is
-//! the one that dominates the full reproduction (720,000 ticks per GPU
-//! at the 100 ms production period); the constant-span fast path in
-//! `GpuSampler` is what keeps it tractable, and these benches are where
-//! a regression to per-tick sampling would show first.
+//! Run `cargo bench -p sc-bench --bench sampler`. `GpuSampler` is the
+//! naive reference that the streaming producers are checked against: it
+//! polls the ground truth at every tick, 720,000 ticks per GPU for the
+//! 20-hour case at the 100 ms production period. These benches time that
+//! reference, not the streamed telemetry stage of a full run.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use sc_bench::bench_trace;
@@ -17,8 +17,7 @@ use std::hint::black_box;
 const HOUR_SECS: f64 = 3_600.0;
 
 /// Ground truth of the first multi-GPU job in the bench trace — a real
-/// phase/spike structure rather than a synthetic constant source, so
-/// both the fast path and the per-tick path get exercised.
+/// phase/spike structure rather than a synthetic constant source.
 fn bench_truth() -> JobGroundTruth {
     let trace = bench_trace();
     trace

@@ -145,9 +145,9 @@ fn parse_args() -> Args {
 /// `storm_speedup`, which divides their medians.
 const SPEEDUP_REPS: usize = 15;
 
-/// Submissions kept in flight at once. Deep enough to exercise
-/// coalescing and stealing, shallow enough that latency still reflects
-/// service time rather than pure queueing.
+/// Submissions kept in flight at once. Deep enough to keep every worker
+/// busy and to exercise coalescing, shallow enough that latency still
+/// reflects service time rather than pure queueing.
 const WINDOW: usize = 32;
 
 /// One mix's measurements.

@@ -74,3 +74,33 @@ fn deeply_nested_input_exits_1_with_an_offset() {
         );
     }
 }
+
+#[test]
+fn a_funnel_that_disagrees_with_its_records_exits_1() {
+    let path = std::env::temp_dir().join(format!("export_funnel_{}.json", std::process::id()));
+    let export = Command::new(env!("CARGO_BIN_EXE_export_dataset"))
+        .args(["--scale", "0.02", "--seed", "42", "--out"])
+        .arg(&path)
+        .output()
+        .unwrap();
+    assert!(export.status.success(), "{}", String::from_utf8_lossy(&export.stderr));
+    let json = std::fs::read_to_string(&path).unwrap();
+    std::fs::remove_file(&path).unwrap();
+
+    // The funnel closes the release; set two of its members.
+    let at = json.rfind("\"funnel\":").unwrap() + "\"funnel\":".len();
+    let mut funnel = json[at..].to_string();
+    for (member, value) in [("gpu_jobs", "999999"), ("unique_users", "0")] {
+        let key = format!("\"{member}\":");
+        let start = funnel.find(&key).unwrap() + key.len();
+        let end = start + funnel[start..].find([',', '}']).unwrap();
+        funnel.replace_range(start..end, value);
+    }
+    let (code, stderr) = analyze("funnel", &format!("{}{funnel}", &json[..at]));
+    assert_eq!(code, Some(1), "stderr: {stderr}");
+    assert!(
+        stderr.contains("invalid dataset JSON: funnel `gpu_jobs` is 999999, but the records hold "),
+        "stderr: {stderr}"
+    );
+    assert!(stderr.trim_end().ends_with(&format!(" at byte {at}")), "stderr: {stderr}");
+}

@@ -1,11 +1,13 @@
-//! Sharded memoization cache with single-flight computation and
-//! bounded second-chance eviction.
+//! Memoization cache with single-flight computation and bounded
+//! second-chance eviction.
 //!
 //! [`MemoCache`] backs the query service: results are cached under a
 //! hashable key, and concurrent requests for the *same* key coalesce
 //! onto one computation — the first caller computes while the rest
 //! block on the in-flight slot and receive the shared result. Values
-//! are returned as `Arc<V>`, so a hit never clones the payload.
+//! are returned as `Arc<V>`, so a hit never clones the payload. One
+//! lock guards the whole cache; it is held only to look up, land or
+//! evict a key, never while a value is computed.
 //!
 //! Because cached values are pure functions of their key (the service
 //! layer enforces that), coalescing, caching, and eviction can never
@@ -15,23 +17,19 @@
 //! # Eviction
 //!
 //! [`MemoCache::with_capacity`] bounds the number of landed entries
-//! with the classic *second-chance* (clock) policy, per shard: each
+//! exactly, with the classic *second-chance* (clock) policy: each
 //! landed key sits in a circular ring with a reference bit that a hit
-//! sets; when a shard is full, a clock hand sweeps the ring, clearing
+//! sets; when the cache is full, a clock hand sweeps the ring, clearing
 //! set bits (the second chance) and evicting the first key whose bit
-//! is already clear. The sweep is a pure function of the shard's
-//! request history — no clocks, no randomness — so a single-threaded
-//! request sequence always evicts the same keys. In-flight
-//! computations are never evicted; only landed values are.
-//!
-//! [`MemoCache::new`] keeps the historical unbounded behavior
-//! (capacity 0 = never evict).
+//! is already clear. The sweep is a pure function of the cache's
+//! request history — no clocks, no randomness, no hashing — so a
+//! single-threaded request sequence always evicts the same keys.
+//! In-flight computations are never evicted; only landed values are.
+//! A capacity of 0 means unbounded (never evict).
 
-use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::hash::Hash;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 
 /// How a [`MemoCache::get_or_compute`] call was served.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -98,7 +96,8 @@ enum FlightState<V> {
     Poisoned,
 }
 
-/// One in-flight computation that waiters block on.
+/// One in-flight computation that waiters block on. Its state changes
+/// by single assignments, so a poisoned guard is recovered.
 struct Flight<V> {
     state: Mutex<FlightState<V>>,
     cv: Condvar,
@@ -111,7 +110,7 @@ impl<V> Flight<V> {
 
     /// Publishes the result (or the poison marker) and wakes waiters.
     fn finish(&self, value: Option<Arc<V>>) {
-        let mut state = self.state.lock().expect("flight lock poisoned");
+        let mut state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
         *state = match value {
             Some(v) => FlightState::Done(v),
             None => FlightState::Poisoned,
@@ -122,13 +121,14 @@ impl<V> Flight<V> {
     /// Blocks until the flight lands; `None` means it was poisoned and
     /// the caller must retry.
     fn wait(&self) -> Option<Arc<V>> {
-        let mut state = self.state.lock().expect("flight lock poisoned");
-        loop {
-            match &*state {
-                FlightState::Pending => state = self.cv.wait(state).expect("flight lock poisoned"),
-                FlightState::Done(v) => return Some(v.clone()),
-                FlightState::Poisoned => return None,
-            }
+        let state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
+        let state = self
+            .cv
+            .wait_while(state, |state| matches!(state, FlightState::Pending))
+            .unwrap_or_else(PoisonError::into_inner);
+        match &*state {
+            FlightState::Done(v) => Some(v.clone()),
+            FlightState::Pending | FlightState::Poisoned => None,
         }
     }
 }
@@ -140,32 +140,29 @@ enum Entry<V> {
     Ready(Arc<V>, usize),
 }
 
-/// One independently locked shard: the key map plus the clock ring
-/// over its landed keys.
+/// Everything the cache's one lock guards: the key map, the clock ring
+/// over its landed keys, and the traffic counters.
 ///
 /// Invariant: `ring[slot]` is a `Ready` key whose entry stores `slot`
 /// back, for every slot; in-flight keys live only in `map`.
-struct Shard<K, V> {
+struct Table<K, V> {
     map: HashMap<K, Entry<V>>,
-    /// Landed keys, in landing order until the shard fills, then
+    /// Landed keys, in landing order until the cache fills, then
     /// overwritten in place by the clock sweep.
     ring: Vec<K>,
     /// Reference bits: set on hit, cleared by the sweeping hand.
     refbit: Vec<bool>,
     /// The clock hand: next slot the sweep examines.
     hand: usize,
+    stats: CacheStats,
 }
 
-impl<K: Hash + Eq + Clone, V> Shard<K, V> {
-    fn new() -> Shard<K, V> {
-        Shard { map: HashMap::new(), ring: Vec::new(), refbit: Vec::new(), hand: 0 }
-    }
-
+impl<K: Hash + Eq + Clone, V> Table<K, V> {
     /// Lands `value` under `key`, evicting one landed entry by the
-    /// clock sweep if the shard is at `cap` (0 = unbounded). Returns
-    /// how many entries were evicted (0 or 1).
-    fn insert_ready(&mut self, key: K, value: Arc<V>, cap: usize) -> u64 {
-        let (slot, evicted) = if cap > 0 && self.ring.len() >= cap {
+    /// clock sweep if the ring already holds `cap` keys (0 =
+    /// unbounded).
+    fn insert_ready(&mut self, key: K, value: Arc<V>, cap: usize) {
+        let slot = if cap > 0 && self.ring.len() >= cap {
             // Sweep: clear set bits until a clear one is found. The
             // second pass must find one, so this terminates.
             loop {
@@ -184,27 +181,20 @@ impl<K: Hash + Eq + Clone, V> Shard<K, V> {
             self.ring[slot] = key.clone();
             self.refbit[slot] = false;
             self.hand = slot + 1;
-            (slot, 1)
+            self.stats.evictions += 1;
+            slot
         } else {
             self.ring.push(key.clone());
             self.refbit.push(false);
-            (self.ring.len() - 1, 0)
+            self.ring.len() - 1
         };
         self.map.insert(key, Entry::Ready(value, slot));
-        evicted
-    }
-
-    /// Drops `key` only if it is still in flight (the abort path when
-    /// the computing closure unwinds).
-    fn abort_flight(&mut self, key: &K) {
-        if matches!(self.map.get(key), Some(Entry::InFlight(_))) {
-            self.map.remove(key);
-        }
     }
 }
 
 /// Removes the in-flight entry and poisons its flight if the computing
-/// closure unwinds, so waiters retry instead of blocking forever.
+/// closure or the landing unwinds, so waiters retry instead of blocking
+/// forever.
 struct FlightGuard<'a, K: Hash + Eq + Clone, V> {
     cache: &'a MemoCache<K, V>,
     key: &'a K,
@@ -217,87 +207,62 @@ impl<K: Hash + Eq + Clone, V> Drop for FlightGuard<'_, K, V> {
         if self.landed {
             return;
         }
-        let mut shard = self.cache.shard(self.key).lock().expect("cache shard poisoned");
-        shard.abort_flight(self.key);
-        drop(shard);
+        let mut table = self.cache.lock();
+        if matches!(table.map.get(self.key), Some(Entry::InFlight(_))) {
+            table.map.remove(self.key);
+        }
+        drop(table);
         self.flight.finish(None);
     }
 }
 
-/// Sharded concurrent memoization cache with single-flight semantics
-/// and optional second-chance eviction.
-///
-/// Keys hash to one of [`MemoCache::SHARDS`] independently locked maps,
-/// so unrelated keys never contend. See the module docs for the
-/// coalescing and eviction contracts.
+/// Concurrent memoization cache with single-flight semantics and an
+/// optional exact bound enforced by second-chance eviction. See the
+/// module docs for the coalescing and eviction contracts.
 pub struct MemoCache<K, V> {
-    shards: Vec<Mutex<Shard<K, V>>>,
-    /// Landed entries allowed per shard; 0 means unbounded.
-    shard_cap: usize,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    coalesced: AtomicU64,
-    evictions: AtomicU64,
-}
-
-impl<K: Hash + Eq + Clone, V> Default for MemoCache<K, V> {
-    fn default() -> Self {
-        MemoCache::new()
-    }
+    table: Mutex<Table<K, V>>,
+    /// Landed entries allowed; 0 means unbounded.
+    capacity: usize,
 }
 
 impl<K, V> std::fmt::Debug for MemoCache<K, V> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let stats = CacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            coalesced: self.coalesced.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
-        };
+        let stats = self.table.lock().unwrap_or_else(PoisonError::into_inner).stats;
         f.debug_struct("MemoCache")
             .field("stats", &stats)
-            .field("shard_cap", &self.shard_cap)
+            .field("capacity", &self.capacity)
             .finish_non_exhaustive()
     }
 }
 
 impl<K: Hash + Eq + Clone, V> MemoCache<K, V> {
-    /// Number of independently locked shards.
-    pub const SHARDS: usize = 16;
-
-    /// An empty unbounded cache (never evicts).
-    pub fn new() -> MemoCache<K, V> {
-        MemoCache::with_capacity(0)
-    }
-
-    /// An empty cache bounded at roughly `capacity` landed entries;
-    /// 0 means unbounded. The bound is enforced per shard at
-    /// `ceil(capacity / SHARDS)` entries, so the effective total
-    /// rounds up to the next multiple of [`MemoCache::SHARDS`] and a
-    /// pathologically skewed key distribution evicts earlier than a
-    /// uniform one.
+    /// An empty cache holding at most `capacity` landed entries; 0
+    /// means unbounded.
     pub fn with_capacity(capacity: usize) -> MemoCache<K, V> {
-        let shard_cap = if capacity == 0 { 0 } else { capacity.div_ceil(Self::SHARDS) };
         MemoCache {
-            shards: (0..Self::SHARDS).map(|_| Mutex::new(Shard::new())).collect(),
-            shard_cap,
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            coalesced: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
+            table: Mutex::new(Table {
+                map: HashMap::new(),
+                ring: Vec::new(),
+                refbit: Vec::new(),
+                hand: 0,
+                stats: CacheStats::default(),
+            }),
+            capacity,
         }
     }
 
-    /// The effective landed-entry bound (`shard cap × SHARDS`); 0
-    /// means unbounded.
+    /// The landed-entry bound; 0 means unbounded.
     pub fn capacity(&self) -> usize {
-        self.shard_cap * Self::SHARDS
+        self.capacity
     }
 
-    fn shard(&self, key: &K) -> &Mutex<Shard<K, V>> {
-        let mut hasher = DefaultHasher::new();
-        key.hash(&mut hasher);
-        &self.shards[(hasher.finish() as usize) % self.shards.len()]
+    /// Locks the table, recovering a poisoned guard. Its holders run no
+    /// caller code but the key's and the value's own impls, and a panic
+    /// in one of those can only lose an entry or leave a ring slot
+    /// naming a key that is gone: it never maps a key to another key's
+    /// value.
+    fn lock(&self) -> MutexGuard<'_, Table<K, V>> {
+        self.table.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Returns the cached value for `key`, computing it with `f` on a
@@ -314,60 +279,51 @@ impl<K: Hash + Eq + Clone, V> MemoCache<K, V> {
     where
         F: FnOnce() -> V,
     {
-        let mut f = Some(f);
-        loop {
+        let flight = loop {
             let flight = {
-                let mut shard = self.shard(&key).lock().expect("cache shard poisoned");
-                match shard.map.get(&key) {
+                let mut table = self.lock();
+                match table.map.get(&key) {
                     Some(Entry::Ready(v, slot)) => {
                         let (v, slot) = (v.clone(), *slot);
-                        shard.refbit[slot] = true;
-                        self.hits.fetch_add(1, Ordering::Relaxed);
+                        table.refbit[slot] = true;
+                        table.stats.hits += 1;
                         return (v, CacheOutcome::Hit);
                     }
                     Some(Entry::InFlight(flight)) => {
-                        self.coalesced.fetch_add(1, Ordering::Relaxed);
-                        flight.clone()
+                        let flight = flight.clone();
+                        table.stats.coalesced += 1;
+                        flight
                     }
                     None => {
                         let flight = Arc::new(Flight::new());
-                        shard.map.insert(key.clone(), Entry::InFlight(flight.clone()));
-                        self.misses.fetch_add(1, Ordering::Relaxed);
-                        drop(shard);
-
-                        let mut guard =
-                            FlightGuard { cache: self, key: &key, flight: &flight, landed: false };
-                        let value = Arc::new((f.take().expect("closure available on miss"))());
-                        guard.landed = true;
-                        drop(guard);
-
-                        let mut shard = self.shard(&key).lock().expect("cache shard poisoned");
-                        let evicted =
-                            shard.insert_ready(key.clone(), value.clone(), self.shard_cap);
-                        drop(shard);
-                        if evicted > 0 {
-                            self.evictions.fetch_add(evicted, Ordering::Relaxed);
-                        }
-                        flight.finish(Some(value.clone()));
-                        return (value, CacheOutcome::Miss);
+                        table.map.insert(key.clone(), Entry::InFlight(flight.clone()));
+                        table.stats.misses += 1;
+                        break flight;
                     }
                 }
             };
             if let Some(value) = flight.wait() {
                 return (value, CacheOutcome::Coalesced);
             }
-            // The flight was poisoned (the computer panicked). If this
-            // call still owns its closure it can retry and compute;
-            // otherwise keep looping until some caller lands the value.
-        }
+            // The flight was poisoned (its computer panicked): look
+            // again, and compute if no other caller has taken over.
+        };
+
+        // This call owns the flight; compute outside the lock.
+        let mut guard = FlightGuard { cache: self, key: &key, flight: &flight, landed: false };
+        let value = Arc::new(f());
+        self.lock().insert_ready(key.clone(), value.clone(), self.capacity);
+        guard.landed = true;
+        drop(guard);
+        flight.finish(Some(value.clone()));
+        (value, CacheOutcome::Miss)
     }
 
     /// The cached value for `key`, if it has landed. Never waits on an
     /// in-flight computation, does not count as a hit or miss, and
     /// does not touch the reference bit.
     pub fn peek(&self, key: &K) -> Option<Arc<V>> {
-        let shard = self.shard(key).lock().expect("cache shard poisoned");
-        match shard.map.get(key) {
+        match self.lock().map.get(key) {
             Some(Entry::Ready(v, _)) => Some(v.clone()),
             _ => None,
         }
@@ -375,7 +331,7 @@ impl<K: Hash + Eq + Clone, V> MemoCache<K, V> {
 
     /// Number of landed entries (in-flight computations excluded).
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().expect("cache shard poisoned").ring.len()).sum()
+        self.lock().ring.len()
     }
 
     /// Whether no entry has landed yet.
@@ -385,24 +341,19 @@ impl<K: Hash + Eq + Clone, V> MemoCache<K, V> {
 
     /// A snapshot of the traffic counters.
     pub fn stats(&self) -> CacheStats {
-        CacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            coalesced: self.coalesced.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
-        }
+        self.lock().stats
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicUsize;
+    use std::sync::atomic::{AtomicUsize, Ordering};
     use std::thread;
 
     #[test]
     fn hit_after_miss_returns_shared_value() {
-        let cache: MemoCache<u32, String> = MemoCache::new();
+        let cache: MemoCache<u32, String> = MemoCache::with_capacity(0);
         let (a, oa) = cache.get_or_compute(1, || "one".to_string());
         let (b, ob) = cache.get_or_compute(1, || unreachable!("must be cached"));
         assert_eq!(oa, CacheOutcome::Miss);
@@ -414,7 +365,7 @@ mod tests {
 
     #[test]
     fn distinct_keys_compute_independently() {
-        let cache: MemoCache<u32, u32> = MemoCache::new();
+        let cache: MemoCache<u32, u32> = MemoCache::with_capacity(0);
         for k in 0..100 {
             let (v, o) = cache.get_or_compute(k, || k * 2);
             assert_eq!(*v, k * 2);
@@ -427,7 +378,7 @@ mod tests {
 
     #[test]
     fn concurrent_identical_keys_compute_exactly_once() {
-        let cache: MemoCache<u32, u64> = MemoCache::new();
+        let cache: MemoCache<u32, u64> = MemoCache::with_capacity(0);
         let computes = AtomicUsize::new(0);
         let barrier = std::sync::Barrier::new(8);
         thread::scope(|scope| {
@@ -453,7 +404,7 @@ mod tests {
 
     #[test]
     fn poisoned_flight_lets_a_waiter_retry() {
-        let cache: Arc<MemoCache<u32, u32>> = Arc::new(MemoCache::new());
+        let cache: Arc<MemoCache<u32, u32>> = Arc::new(MemoCache::with_capacity(0));
         let attempts = Arc::new(AtomicUsize::new(0));
 
         // First caller panics mid-flight; a concurrent caller must
@@ -483,7 +434,7 @@ mod tests {
 
     #[test]
     fn stats_deltas_subtract() {
-        let cache: MemoCache<u32, u32> = MemoCache::new();
+        let cache: MemoCache<u32, u32> = MemoCache::with_capacity(0);
         cache.get_or_compute(1, || 1);
         let before = cache.stats();
         cache.get_or_compute(1, || 1);
@@ -494,13 +445,32 @@ mod tests {
     }
 
     #[test]
-    fn capacity_rounds_up_to_shard_multiples() {
-        let unbounded: MemoCache<u32, u32> = MemoCache::new();
-        assert_eq!(unbounded.capacity(), 0);
-        let tiny: MemoCache<u32, u32> = MemoCache::with_capacity(1);
-        assert_eq!(tiny.capacity(), MemoCache::<u32, u32>::SHARDS);
-        let even: MemoCache<u32, u32> = MemoCache::with_capacity(256);
-        assert_eq!(even.capacity(), 256);
+    fn capacity_is_exactly_the_bound_asked_for() {
+        assert_eq!(MemoCache::<u32, u32>::with_capacity(0).capacity(), 0);
+        assert_eq!(MemoCache::<u32, u32>::with_capacity(1).capacity(), 1);
+        let one: MemoCache<u32, u32> = MemoCache::with_capacity(1);
+        one.get_or_compute(1, || 1);
+        one.get_or_compute(2, || 2);
+        assert_eq!((one.len(), one.stats().evictions), (1, 1));
+        assert!(one.peek(&2).is_some(), "the newest key holds the one slot");
+    }
+
+    #[test]
+    fn a_cache_bounded_at_16_keeps_any_16_keys() {
+        for keys in [(0..16).collect::<Vec<u32>>(), (0..16).map(|k| k * 7_919 + 3).collect()] {
+            let cache: MemoCache<u32, u32> = MemoCache::with_capacity(16);
+            for &k in &keys {
+                cache.get_or_compute(k, || k);
+            }
+            let before = cache.stats();
+            for &k in &keys {
+                let (v, outcome) = cache.get_or_compute(k, || unreachable!("{k} was evicted"));
+                assert_eq!((*v, outcome), (k, CacheOutcome::Hit));
+            }
+            let delta = cache.stats().since(&before);
+            assert_eq!((delta.hits, delta.evictions), (16, 0), "keys {keys:?}");
+            assert_eq!(cache.stats().evictions, 0);
+        }
     }
 
     #[test]
@@ -541,34 +511,34 @@ mod tests {
 
     #[test]
     fn clock_sweep_gives_referenced_entries_a_second_chance() {
-        // Drive one Shard directly: MemoCache's key→shard hash is
-        // opaque, but the sweep itself must be exactly second-chance.
-        let mut shard: Shard<&str, u32> = Shard::new();
-        assert_eq!(shard.insert_ready("a", Arc::new(1), 3), 0);
-        assert_eq!(shard.insert_ready("b", Arc::new(2), 3), 0);
-        assert_eq!(shard.insert_ready("c", Arc::new(3), 3), 0);
+        let cache: MemoCache<&str, u32> = MemoCache::with_capacity(3);
+        let alive = |cache: &MemoCache<&str, u32>| {
+            ["a", "b", "c", "d", "e", "f"]
+                .into_iter()
+                .filter(|k| cache.peek(k).is_some())
+                .collect::<Vec<_>>()
+        };
+        for (k, v) in [("a", 1), ("b", 2), ("c", 3)] {
+            cache.get_or_compute(k, || v);
+        }
         // A hit on "a" sets its reference bit (slot 0).
-        shard.refbit[0] = true;
+        assert_eq!(cache.get_or_compute("a", || 0).1, CacheOutcome::Hit);
 
-        // Full shard: the hand clears "a"'s bit (second chance) and
-        // evicts "b", the first unreferenced key.
-        assert_eq!(shard.insert_ready("d", Arc::new(4), 3), 1);
-        assert!(shard.map.contains_key("a"), "referenced key survives the sweep");
-        assert!(!shard.map.contains_key("b"), "unreferenced key is the victim");
-        assert!(shard.map.contains_key("c") && shard.map.contains_key("d"));
-        assert_eq!(shard.ring, vec!["a", "d", "c"], "victim slot is reused in place");
+        // Full cache: the hand clears "a"'s bit (second chance) and
+        // evicts "b", the first unreferenced key, reusing its slot 1.
+        cache.get_or_compute("d", || 4);
+        assert_eq!(alive(&cache), ["a", "c", "d"], "referenced key survives the sweep");
+        assert_eq!(cache.stats().evictions, 1);
 
-        // Next insert: hand is at "c" (slot 2), whose bit is clear.
-        assert_eq!(shard.insert_ready("e", Arc::new(5), 3), 1);
-        assert!(!shard.map.contains_key("c"));
-        assert!(shard.map.contains_key("a"), "hand moved past a without evicting it");
-        assert_eq!(shard.ring, vec!["a", "d", "e"]);
+        // Next insert: the hand is at "c" (slot 2), whose bit is clear.
+        cache.get_or_compute("e", || 5);
+        assert_eq!(alive(&cache), ["a", "d", "e"], "hand moved past a without evicting it");
 
         // Now every bit is clear and the hand wraps to slot 0: "a"'s
         // second chance is spent.
-        assert_eq!(shard.insert_ready("f", Arc::new(6), 3), 1);
-        assert!(!shard.map.contains_key("a"));
-        assert_eq!(shard.ring, vec!["f", "d", "e"]);
+        cache.get_or_compute("f", || 6);
+        assert_eq!(alive(&cache), ["d", "e", "f"]);
+        assert_eq!(cache.stats().evictions, 3);
     }
 
     #[test]
@@ -597,6 +567,6 @@ mod tests {
         let (v, outcome) = slow.join().expect("slow flight joins");
         assert_eq!((*v, outcome), (7, CacheOutcome::Miss));
         assert_eq!(*cache.peek(&1_000).expect("the flight landed despite churn"), 7);
-        assert!(cache.len() <= 16 + 1);
+        assert_eq!(cache.len(), 16);
     }
 }

@@ -1,4 +1,4 @@
-//! A work-stealing request executor for long-running services.
+//! A FIFO request executor for long-running services.
 //!
 //! [`par_map`](crate::par_map) is a *batch* helper: it spawns scoped
 //! workers, drains one input slice, and joins. A query
@@ -14,100 +14,73 @@
 //!   once serves every task on every worker. `with_body` returns once
 //!   the workers have started, so that state is ready before the first
 //!   task is submitted.
-//! - Submitted tasks are distributed round-robin across per-worker
-//!   deques; a worker drains its own deque LIFO (fresh tasks are
-//!   cache-hot) and **steals FIFO from its siblings** when its own runs
-//!   dry, so a burst landing on one deque spreads across the pool.
-//! - Idle workers park on a condvar guarded by a pending-task count —
-//!   a semaphore, not a timeout loop — so wakeups are prompt and an
-//!   idle pool burns no CPU.
+//! - Submitted tasks wait in **one FIFO queue** under one lock, and the
+//!   workers start them in submission order. Every task arrives from
+//!   outside the pool, so there is no per-worker locality to keep.
+//! - Idle workers park on a condvar over that queue — not a timeout
+//!   loop — so wakeups are prompt and an idle pool burns no CPU.
 //! - A task is any `Send` value of the pool's task type; what it means
 //!   is the handler's business (the serving layer pairs each request
 //!   with a channel).
 //!
-//! The executor never promises an execution *order* — services built on
-//! it must make each task a pure function of its own inputs, which is
-//! exactly the contract the memoization layer ([`crate::cache`])
-//! enforces for query results.
+//! Tasks start in order but, on more than one worker, may finish in any
+//! order — services built on the pool must make each task a pure
+//! function of its own inputs, which is exactly the contract the
+//! memoization layer ([`crate::cache`]) enforces for query results.
 
 use std::collections::VecDeque;
 use std::panic;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Condvar, Mutex, PoisonError};
+use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread;
+
+/// Everything the pool's one lock guards.
+struct Queue<T> {
+    /// Submitted tasks not yet started, oldest first.
+    tasks: VecDeque<T>,
+    /// Set once by [`Executor::drop`]; workers exit when `tasks` is
+    /// drained.
+    shutdown: bool,
+    /// The workers' thread ids, so an executor dropped by one of its
+    /// own tasks knows not to wait for the thread it is running on.
+    workers: Vec<thread::ThreadId>,
+}
 
 /// Shared pool state.
 struct Inner<T> {
-    /// Per-worker deques. Owners pop from the back (LIFO), thieves
-    /// steal from the front (FIFO), so a stolen task is the oldest —
-    /// the one least likely to be cache-hot on its home worker.
-    queues: Vec<Mutex<VecDeque<T>>>,
-    /// Count of submitted-but-unclaimed tasks; the parking semaphore.
-    pending: Mutex<usize>,
-    /// Signals parked workers that `pending` grew or shutdown began.
+    queue: Mutex<Queue<T>>,
+    /// Signals parked workers that a task arrived or shutdown began.
     available: Condvar,
-    /// Set once by [`Executor::drop`]; workers exit when the queues
-    /// are drained.
-    shutdown: AtomicBool,
-    /// Round-robin cursor for task placement.
-    next_queue: AtomicUsize,
-    /// The workers' thread ids, so an executor dropped by one of its
-    /// own tasks knows not to wait for the thread it is running on.
-    workers: Mutex<Vec<thread::ThreadId>>,
+    /// Number of worker threads.
+    threads: usize,
 }
 
 impl<T> Inner<T> {
-    /// Claims one task: own deque first (back), then siblings (front).
-    /// Called only after winning a `pending` credit, so a task exists
-    /// *somewhere*; a miss means its push is still landing and the
-    /// caller should spin briefly.
-    fn claim(&self, own: usize) -> Option<T> {
-        if let Some(task) = self.queues[own].lock().expect("queue poisoned").pop_back() {
-            return Some(task);
-        }
-        let n = self.queues.len();
-        for offset in 1..n {
-            let victim = (own + offset) % n;
-            if let Some(task) = self.queues[victim].lock().expect("queue poisoned").pop_front() {
-                return Some(task);
-            }
-        }
-        None
+    /// Locks the queue. Every update under the lock is one push, pop or
+    /// store, so a guard poisoned by a panicking holder still guards a
+    /// whole queue and is recovered rather than raised.
+    fn lock(&self) -> MutexGuard<'_, Queue<T>> {
+        self.queue.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// The worker loop: wait for a credit, claim a task, hand it to
-    /// `handle`.
-    fn work(&self, own: usize, handle: &impl Fn(T)) {
-        self.workers.lock().expect("worker list poisoned").push(thread::current().id());
+    /// The worker loop: take the oldest task and hand it to `handle`,
+    /// parking while the queue is empty; return once it is empty after
+    /// shutdown.
+    fn work(&self, handle: &impl Fn(T)) {
+        self.lock().workers.push(thread::current().id());
         loop {
-            {
-                let mut pending = self.pending.lock().expect("pending lock poisoned");
-                while *pending == 0 {
-                    if self.shutdown.load(Ordering::Acquire) {
-                        return;
-                    }
-                    pending = self.available.wait(pending).expect("pending lock poisoned");
-                }
-                *pending -= 1;
-            }
-            // The credit guarantees a task was pushed before the count
-            // rose; another worker may race us to that *specific* task,
-            // but credits == pushes, so one task per credit is always
-            // reachable once its push lands.
-            let task = loop {
-                match self.claim(own) {
-                    Some(task) => break task,
-                    None => thread::yield_now(),
-                }
-            };
+            let mut queue = self
+                .available
+                .wait_while(self.lock(), |queue| queue.tasks.is_empty() && !queue.shutdown)
+                .unwrap_or_else(PoisonError::into_inner);
+            let Some(task) = queue.tasks.pop_front() else { return };
+            drop(queue);
             handle(task);
         }
     }
 }
 
 /// A resident pool of worker threads serving submitted tasks of type
-/// `T`; see the module docs for the owner thread and the scheduling
-/// discipline.
+/// `T` in submission order; see the module docs for the owner thread.
 ///
 /// Dropping the executor shuts the pool down: the workers finish every
 /// already-submitted task and exit, the body returns, and the owner
@@ -129,9 +102,7 @@ pub struct Workers<T> {
 
 impl<T> std::fmt::Debug for Executor<T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Executor")
-            .field("workers", &self.inner.queues.len())
-            .finish_non_exhaustive()
+        f.debug_struct("Executor").field("workers", &self.inner.threads).finish_non_exhaustive()
     }
 }
 
@@ -148,19 +119,26 @@ impl<T: Send + 'static> Executor<T> {
     ///
     /// Re-raises a panic of `body` that comes before it runs its
     /// workers, and panics if `body` returns without running them:
-    /// such a pool could never serve a task.
+    /// such a pool could never serve a task. Panics if the operating
+    /// system cannot start the owner thread.
+    #[allow(
+        clippy::expect_used,
+        reason = "a pool without its owner thread can serve nothing, and the caller has no \
+                  fallback to run instead"
+    )]
     pub fn with_body<B>(threads: usize, body: B) -> Executor<T>
     where
         B: FnOnce(Workers<T>) + Send + 'static,
     {
         let threads = threads.max(1);
         let inner = Arc::new(Inner {
-            queues: (0..threads).map(|_| Mutex::new(VecDeque::new())).collect(),
-            pending: Mutex::new(0),
+            queue: Mutex::new(Queue {
+                tasks: VecDeque::new(),
+                shutdown: false,
+                workers: Vec::with_capacity(threads),
+            }),
             available: Condvar::new(),
-            shutdown: AtomicBool::new(false),
-            next_queue: AtomicUsize::new(0),
-            workers: Mutex::new(Vec::with_capacity(threads)),
+            threads,
         });
         let (started, on_start) = mpsc::sync_channel(1);
         let workers = Workers { inner: Arc::clone(&inner), started };
@@ -180,37 +158,42 @@ impl<T: Send + 'static> Executor<T> {
 
     /// Number of worker threads.
     pub fn threads(&self) -> usize {
-        self.inner.queues.len()
+        self.inner.threads
     }
 
-    /// Submits one task for asynchronous execution.
+    /// Submits one task, to start after every task submitted before it.
     pub fn spawn(&self, task: T) {
-        let i = self.inner.next_queue.fetch_add(1, Ordering::Relaxed) % self.inner.queues.len();
-        self.inner.queues[i].lock().expect("queue poisoned").push_back(task);
-        let mut pending = self.inner.pending.lock().expect("pending lock poisoned");
-        *pending += 1;
-        drop(pending);
+        self.inner.lock().tasks.push_back(task);
         self.inner.available.notify_one();
     }
 }
 
 impl<T: Send> Workers<T> {
-    /// Runs the pool's workers, each handing every task it claims to
+    /// Runs the pool's workers, each handing every task it takes to
     /// `handle`, until the executor is dropped and every submitted task
     /// has been handled.
     ///
     /// The workers are scoped threads of this call, so `handle` may
     /// borrow anything the body owns. A panic in `handle` ends its
-    /// worker (the others steal its queue) and is re-raised here once
-    /// the pool shuts down, unwinding the body.
+    /// worker (the others keep serving the queue) and is re-raised here
+    /// once the pool shuts down, unwinding the body.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the operating system cannot start a worker thread.
+    #[allow(
+        clippy::expect_used,
+        reason = "a pool short of its workers breaks the thread budget its caller chose, and \
+                  the body has no fallback to run instead"
+    )]
     pub fn run(self, handle: impl Fn(T) + Sync) {
         let Workers { inner, started } = self;
         let (inner, handle) = (&*inner, &handle);
         thread::scope(|scope| {
-            for own in 0..inner.queues.len() {
+            for own in 0..inner.threads {
                 thread::Builder::new()
                     .name(format!("sc-par-pool-worker-{own}"))
-                    .spawn_scoped(scope, move || inner.work(own, handle))
+                    .spawn_scoped(scope, move || inner.work(handle))
                     .expect("worker thread spawns");
             }
             // `with_body` holds the receiver until this signal lands.
@@ -221,20 +204,18 @@ impl<T: Send> Workers<T> {
 
 impl<T> Drop for Executor<T> {
     fn drop(&mut self) {
-        {
-            // Setting the flag under the pending lock closes the race
-            // with a worker between its shutdown check and cv.wait —
-            // it holds the lock across that window, so it either sees
-            // the flag or is woken by the notify below. Both locks
-            // guard values that every update leaves whole, so a
-            // poisoned guard is recovered rather than panicking here.
-            let _pending = self.inner.pending.lock().unwrap_or_else(PoisonError::into_inner);
-            self.inner.shutdown.store(true, Ordering::Release);
-        }
+        // Setting the flag under the queue's lock closes the race with a
+        // worker between its emptiness check and its wait: it holds the
+        // lock across that window, so it either sees the flag or is
+        // woken by the notify below.
+        let on_worker = {
+            let mut queue = self.inner.lock();
+            queue.shutdown = true;
+            queue.workers.contains(&thread::current().id())
+        };
         self.inner.available.notify_all();
         let Some(owner) = self.owner.take() else { return };
-        let current = thread::current().id();
-        if self.inner.workers.lock().unwrap_or_else(PoisonError::into_inner).contains(&current) {
+        if on_worker {
             // Dropped by one of the pool's own tasks: the owner waits
             // for this very thread, so joining it would deadlock. The
             // owner is detached and exits once this task returns.
@@ -250,7 +231,7 @@ impl<T> Drop for Executor<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicU64;
+    use std::sync::atomic::{AtomicU64, Ordering};
     use std::time::{Duration, Instant};
 
     type Job = Box<dyn FnOnce() + Send>;
@@ -295,9 +276,33 @@ mod tests {
     }
 
     #[test]
-    fn skewed_bursts_are_stolen_by_idle_workers() {
-        // One long task pins its home worker; the burst behind it must
-        // complete anyway because siblings steal it.
+    fn tasks_start_in_submission_order() {
+        let exec = closure_pool(1);
+        let (started, on_started) = mpsc::channel();
+        let (release, wait_for_release) = mpsc::channel::<()>();
+        exec.spawn(Box::new(move || {
+            started.send(()).expect("test alive");
+            wait_for_release.recv().expect("test alive");
+        }));
+        // The one worker is held by the first task, so the next ten
+        // queue up behind it.
+        on_started.recv_timeout(Duration::from_secs(10)).expect("first task starts");
+        let (tx, rx) = mpsc::channel();
+        for i in 0..10u32 {
+            let tx = tx.clone();
+            exec.spawn(Box::new(move || tx.send(i).expect("receiver alive")));
+        }
+        release.send(()).expect("first task alive");
+        let order: Vec<u32> = (0..10)
+            .map(|_| rx.recv_timeout(Duration::from_secs(10)).expect("task completes"))
+            .collect();
+        assert_eq!(order, (0..10).collect::<Vec<_>>(), "oldest task first");
+    }
+
+    #[test]
+    fn a_blocked_task_does_not_hold_up_the_tasks_behind_it() {
+        // One long task pins a worker; the burst behind it must
+        // complete anyway on the other workers.
         let exec = closure_pool(4);
         let (tx, rx) = mpsc::channel();
         let blocker = Arc::new(Mutex::new(()));
@@ -317,7 +322,7 @@ mod tests {
         // All short tasks finish while task 0 is still blocked.
         let mut done = Vec::new();
         for _ in 0..63 {
-            done.push(rx.recv_timeout(Duration::from_secs(10)).expect("stolen task completes"));
+            done.push(rx.recv_timeout(Duration::from_secs(10)).expect("short task completes"));
         }
         assert!(!done.contains(&0));
         drop(held);
@@ -336,7 +341,7 @@ mod tests {
                 }));
             }
         }
-        assert_eq!(count.load(Ordering::Relaxed), 200, "drop drains the queues before joining");
+        assert_eq!(count.load(Ordering::Relaxed), 200, "drop drains the queue before joining");
     }
 
     #[test]

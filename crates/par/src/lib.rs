@@ -16,6 +16,7 @@
 //! runs pay no synchronization cost.
 
 #![warn(missing_docs)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod cache;
 pub mod executor;
@@ -137,6 +138,11 @@ where
 /// The worker loop behind both maps: sequential below `min_items`, at
 /// a budget of 1 or on a worker, else one worker per thread claiming
 /// items through an atomic cursor.
+#[allow(
+    clippy::expect_used,
+    reason = "the cursor hands out each index once and a worker that dies before sending its \
+              result has already re-raised its panic, so every slot is filled"
+)]
 fn map_on_workers<T, R, F>(items: &[T], min_items: usize, f: F) -> Vec<R>
 where
     T: Sync,

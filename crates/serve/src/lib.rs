@@ -33,7 +33,7 @@
 //!
 //! let svc = Arc::new(Service::build(ServeConfig::default()));
 //! let q = Query::parse("point:median_run_min").expect("valid token");
-//! let done = svc.submit(q).wait(); // via the work-stealing executor
+//! let done = svc.submit(q).wait(); // via the FIFO request executor
 //! print!("{}", done.response.body);
 //! ```
 

@@ -18,8 +18,9 @@
 //! - a [`sc_par::MemoCache`] keyed on [`QueryKey`] with single-flight
 //!   dedup — concurrent identical queries coalesce onto one
 //!   computation;
-//! - a [`sc_par::Executor`] (work-stealing, fixed thread budget) that
-//!   runs [`Service::submit`] requests; [`Pending::wait`] joins one.
+//! - a [`sc_par::Executor`] (one FIFO queue, fixed thread budget) that
+//!   runs [`Service::submit`] requests in submission order;
+//!   [`Pending::wait`] joins one.
 //!   Its body runs on an owner thread: it builds `gpu_views` over the
 //!   shared `Arc<SimOutput>` once, before `build` returns, and its
 //!   workers — scoped threads of that body — answer every request from
@@ -56,10 +57,10 @@ pub struct ServeConfig {
     /// Memoize responses. Off serves every request cold — only useful
     /// for baselines and cache-off comparisons.
     pub cache: bool,
-    /// Landed-response bound for the memo cache; 0 means unbounded
-    /// (the pre-eviction behavior). Overflow evicts by the cache's
-    /// deterministic second-chance sweep; an evicted response simply
-    /// recomputes to the same bytes on its next request.
+    /// Landed-response bound for the memo cache, held exactly; 0 means
+    /// unbounded (the pre-eviction behavior). Overflow evicts by the
+    /// cache's deterministic second-chance sweep; an evicted response
+    /// simply recomputes to the same bytes on its next request.
     pub cache_capacity: usize,
     /// Minimum user population, whatever the scale. User-level figures
     /// (10–12, 17) degenerate below a few dozen users.
@@ -131,8 +132,8 @@ pub struct Completed {
     pub latency: Duration,
 }
 
-/// The query service: one frozen world, a memoizing cache, and a
-/// work-stealing request executor.
+/// The query service: one frozen world, a memoizing cache, and a FIFO
+/// request executor.
 pub struct Service {
     config: ServeConfig,
     scenario: String,

@@ -157,8 +157,9 @@ impl Dataset {
     /// # Errors
     ///
     /// A [`json::Error`] naming the byte offset of the first problem:
-    /// malformed JSON, a missing, repeated or mistyped member, or a GPU
-    /// record with no per-GPU aggregates to average.
+    /// malformed JSON, a missing, repeated or mistyped member, a GPU
+    /// record with no per-GPU aggregates to average, or a funnel whose
+    /// counts disagree with the records.
     pub fn from_json(json: &str) -> Result<Dataset, json::Error> {
         let (records, funnel) = release::read(json)?;
         Ok(Dataset::from_parts(records, funnel))

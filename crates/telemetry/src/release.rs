@@ -30,6 +30,8 @@
 //! repeated member, a wrong type (a float where an integer goes), an
 //! integer out of range, a GPU record without per-GPU aggregates, and
 //! anything after the document are errors, each naming its byte offset.
+//! So is a funnel that does not describe the records (see
+//! `check_funnel`), at the funnel's offset.
 
 use crate::aggregate::{Aggregate, GpuAggregates};
 use crate::dataset::DatasetFunnel;
@@ -160,24 +162,26 @@ fn exit_name(e: ExitStatus) -> &'static str {
 
 type Result<T> = std::result::Result<T, Error>;
 
-/// Reads a release document back into its records and funnel.
+/// Reads a release document back into its records and funnel, and
+/// checks the funnel against the records (see [`check_funnel`]).
 pub(crate) fn read(json: &str) -> Result<(Vec<JobRecord>, DatasetFunnel)> {
     let mut r = Reader::new(json);
-    let (mut records, mut funnel) = (Vec::new(), DatasetFunnel::default());
+    let (mut records, mut funnel, mut funnel_at) = (Vec::new(), DatasetFunnel::default(), 0);
     let first = token(&mut r)?;
     object(&mut r, first, &["records", "funnel"], |r, name, v| {
         match name {
             "records" => records = array(r, v, record)?,
-            "funnel" => funnel = read_funnel(r, v)?,
+            "funnel" => (funnel, funnel_at) = read_funnel(r, v)?,
             _ => {}
         }
         Ok(())
     })?;
     // The reader itself refuses anything but whitespace after the value.
-    match r.next()? {
-        None => Ok((records, funnel)),
-        Some(_) => Err(r.error("trailing characters after the dataset")),
+    if r.next()?.is_some() {
+        return Err(r.error("trailing characters after the dataset"));
     }
+    check_funnel(&records, &funnel, funnel_at)?;
+    Ok((records, funnel))
 }
 
 /// Members a release may leave out: a missing `gpu` reads as `null`,
@@ -431,7 +435,8 @@ fn aggregate<'a>(r: &mut Reader<'a>, first: Token<'a>) -> Result<Aggregate> {
     Ok(a)
 }
 
-fn read_funnel<'a>(r: &mut Reader<'a>, first: Token<'a>) -> Result<DatasetFunnel> {
+/// Reads the funnel object that `first` opens, and its offset.
+fn read_funnel<'a>(r: &mut Reader<'a>, first: Token<'a>) -> Result<(DatasetFunnel, usize)> {
     let mut f = DatasetFunnel::default();
     let names = [
         "total_jobs",
@@ -442,7 +447,7 @@ fn read_funnel<'a>(r: &mut Reader<'a>, first: Token<'a>) -> Result<DatasetFunnel
         "gpu_jobs_missing_telemetry",
         "unique_users",
     ];
-    object(r, first, &names, |r, name, v| {
+    let at = object(r, first, &names, |r, name, v| {
         let count = match name {
             "total_jobs" => &mut f.total_jobs,
             "cpu_jobs" => &mut f.cpu_jobs,
@@ -456,7 +461,56 @@ fn read_funnel<'a>(r: &mut Reader<'a>, first: Token<'a>) -> Result<DatasetFunnel
         *count = uint(r, v)?;
         Ok(())
     })?;
-    Ok(f)
+    Ok((f, at))
+}
+
+/// Checks that the funnel at offset `at` describes `records`, as
+/// [`Dataset::join`](crate::Dataset::join) builds both: the CPU jobs,
+/// the GPU jobs and those of them without telemetry are counted over
+/// the records, and the other job counts add up. The records hold every
+/// user with a retained job, so `unique_users` may exceed their count,
+/// by users whose only jobs were filtered out, but not fall below it.
+fn check_funnel(records: &[JobRecord], f: &DatasetFunnel, at: usize) -> Result<()> {
+    let gpu_jobs = records.iter().filter(|r| r.sched.is_gpu_job());
+    let gpu = gpu_jobs.clone().count();
+    let missing = gpu_jobs.filter(|r| r.gpu.is_none()).count();
+    let held = |n: usize| (Some(n), format!("the records hold {n}"));
+    let sum = |a: usize, b: usize, what: &str| {
+        let n = a.checked_add(b);
+        (n, n.map_or(format!("{what} overflows"), |n| format!("{what} is {n}")))
+    };
+    let rules = [
+        ("cpu_jobs", f.cpu_jobs, held(records.len() - gpu)),
+        ("gpu_jobs", f.gpu_jobs, held(gpu)),
+        ("gpu_jobs_missing_telemetry", f.gpu_jobs_missing_telemetry, held(missing)),
+        (
+            "gpu_jobs_unfiltered",
+            f.gpu_jobs_unfiltered,
+            sum(f.gpu_jobs, f.gpu_jobs_filtered_out, "`gpu_jobs` + `gpu_jobs_filtered_out`"),
+        ),
+        (
+            "total_jobs",
+            f.total_jobs,
+            sum(f.cpu_jobs, f.gpu_jobs_unfiltered, "`cpu_jobs` + `gpu_jobs_unfiltered`"),
+        ),
+    ];
+    for (name, value, (want, why)) in rules {
+        if Some(value) != want {
+            return Err(Error::new(format!("funnel `{name}` is {value}, but {why}"), at));
+        }
+    }
+    let mut users: Vec<UserId> = records.iter().map(|r| r.sched.user).collect();
+    users.sort_unstable();
+    users.dedup();
+    if f.unique_users < users.len() {
+        let message = format!(
+            "funnel `unique_users` is {}, fewer than the {} in the records",
+            f.unique_users,
+            users.len()
+        );
+        return Err(Error::new(message, at));
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -550,14 +604,24 @@ mod tests {
         #[test]
         fn datasets_round_trip_bit_exactly(
             specs in proptest::collection::vec((0usize..4, 1usize..9, 0u64..u64::MAX), 0..24),
-            counts in (0u64..u64::MAX, 0u64..u64::MAX, 0u64..1_000_000),
+            dropped in (0usize..1_000_000, 0usize..1_000),
         ) {
-            let records = specs.iter().map(|&(kind, gpus, seed)| record(kind, gpus, seed)).collect();
+            let records: Vec<JobRecord> =
+                specs.iter().map(|&(kind, gpus, seed)| record(kind, gpus, seed)).collect();
+            // The funnel a join would give these records, with `dropped`
+            // short GPU jobs and users of only those filtered out.
+            let gpu = specs.iter().filter(|s| s.0 > 0).count();
+            let mut users: Vec<UserId> = records.iter().map(|r| r.sched.user).collect();
+            users.sort_unstable();
+            users.dedup();
             let funnel = DatasetFunnel {
-                total_jobs: counts.0 as usize,
-                cpu_jobs: counts.1 as usize,
-                gpu_jobs_unfiltered: counts.2 as usize,
-                ..DatasetFunnel::default()
+                total_jobs: records.len() + dropped.0,
+                cpu_jobs: records.len() - gpu,
+                gpu_jobs_unfiltered: gpu + dropped.0,
+                gpu_jobs_filtered_out: dropped.0,
+                gpu_jobs: gpu,
+                gpu_jobs_missing_telemetry: specs.iter().filter(|s| s.0 == 1).count(),
+                unique_users: users.len() + dropped.1,
             };
             let ds = Dataset::from_parts(records, funnel);
             let json = ds.to_json();
@@ -575,9 +639,12 @@ mod tests {
     const AGG: &str = r#"{"min":1.0,"mean":2.0,"max":3.0,"count":4}"#;
 
     /// A one-record release: the scheduler members `sched`, then `rest`
-    /// of the record.
+    /// of the record, under a funnel that counts the record as a GPU job
+    /// without telemetry unless `rest` carries per-GPU aggregates.
     fn release(sched: &str, rest: &str) -> String {
-        format!(r#"{{"records":[{{"sched":{{{sched}}}{rest}}}],"funnel":{{{FUNNEL}}}}}"#)
+        let missing = u8::from(!rest.contains("per_gpu"));
+        let funnel = FUNNEL.replace("telemetry\":0", &format!("telemetry\":{missing}"));
+        format!(r#"{{"records":[{{"sched":{{{sched}}}{rest}}}],"funnel":{{{funnel}}}}}"#)
     }
 
     /// The `gpu` member of a one-GPU record whose `sm_util` is `sm`.
@@ -585,6 +652,14 @@ mod tests {
         format!(
             r#","gpu":{{"job_id":7,"per_gpu":[{{"sm_util":{sm},"mem_util":{AGG},"mem_size_util":{AGG},"pcie_tx":{AGG},"pcie_rx":{AGG},"power_w":{AGG}}}]}}"#
         )
+    }
+
+    /// `json` with its last member named `member` set to `value`.
+    fn with_member(json: &str, member: &str, value: &str) -> String {
+        let key = format!("\"{member}\":");
+        let start = json.rfind(&key).unwrap() + key.len();
+        let end = start + json[start..].find([',', '}']).unwrap();
+        format!("{}{value}{}", &json[..start], &json[end..])
     }
 
     /// The error `json` gives, as message and offset.
@@ -648,6 +723,45 @@ mod tests {
         assert_eq!(error(&json).0, "unknown variant `Nope`");
         let json = release(&SCHED.replace("16.0", "null"), "");
         assert_eq!(error(&json).0, "expected a number, found null");
+    }
+
+    #[test]
+    fn funnels_that_disagree_with_their_records_are_errors() {
+        let json = release(SCHED, &gpu(AGG));
+        assert!(Dataset::from_json(&json).is_ok());
+        let at = json.find("\"funnel\":").unwrap() + "\"funnel\":".len();
+        for (member, value, message) in [
+            ("cpu_jobs", "1", "funnel `cpu_jobs` is 1, but the records hold 0"),
+            ("gpu_jobs", "999999", "funnel `gpu_jobs` is 999999, but the records hold 1"),
+            (
+                "gpu_jobs_missing_telemetry",
+                "1",
+                "funnel `gpu_jobs_missing_telemetry` is 1, but the records hold 0",
+            ),
+            (
+                "gpu_jobs_filtered_out",
+                "2",
+                "funnel `gpu_jobs_unfiltered` is 1, but `gpu_jobs` + `gpu_jobs_filtered_out` is 3",
+            ),
+            (
+                "gpu_jobs_filtered_out",
+                "18446744073709551615",
+                "funnel `gpu_jobs_unfiltered` is 1, but `gpu_jobs` + `gpu_jobs_filtered_out` \
+                 overflows",
+            ),
+            (
+                "total_jobs",
+                "2",
+                "funnel `total_jobs` is 2, but `cpu_jobs` + `gpu_jobs_unfiltered` is 1",
+            ),
+            ("unique_users", "0", "funnel `unique_users` is 0, fewer than the 1 in the records"),
+        ] {
+            let edited = with_member(&json, member, value);
+            assert_eq!(error(&edited), (message.to_string(), at), "{member}: {value}");
+        }
+        // Users whose only jobs were filtered out count too.
+        let more = with_member(&json, "unique_users", "5");
+        assert_eq!(Dataset::from_json(&more).unwrap().funnel().unique_users, 5);
     }
 
     #[test]

@@ -91,6 +91,10 @@ impl GpuSampler {
     /// per-GPU time series. The sample at `k * period` is taken while
     /// `k * period < duration`, matching a poller that starts with the
     /// job and is killed by the epilog.
+    ///
+    /// Every tick is one `gpu_state` call, with no shortcut: this is the
+    /// reference the streaming producers are checked against bit for
+    /// bit.
     pub fn sample_series<S: MetricSource + ?Sized>(
         &self,
         source: &S,
@@ -98,25 +102,7 @@ impl GpuSampler {
     ) -> GpuTimeSeries {
         let n = self.sample_count(duration_secs);
         let per_gpu = (0..source.gpu_count())
-            .map(|g| {
-                let mut samples = Vec::with_capacity(n);
-                let mut k = 0;
-                while k < n {
-                    let t = k as f64 * self.period_secs;
-                    let sample = source.gpu_state(g, t);
-                    samples.push(sample);
-                    k += 1;
-                    // Constant-span fast path: reuse the sample for
-                    // every tick the source guarantees is identical.
-                    if let Some(end) = source.gpu_constant_until(g, t) {
-                        while k < n && (k as f64) * self.period_secs < end {
-                            samples.push(sample);
-                            k += 1;
-                        }
-                    }
-                }
-                samples
-            })
+            .map(|g| (0..n).map(|k| source.gpu_state(g, k as f64 * self.period_secs)).collect())
             .collect();
         GpuTimeSeries { period_secs: self.period_secs, per_gpu }
     }
@@ -192,8 +178,7 @@ mod tests {
 
     #[test]
     fn aggregates_match_series_reduction() {
-        // The constant-span fast path folds the same samples as a poll
-        // at every tick.
+        // The series folds the same samples as a poll at every tick.
         let s = GpuSampler::new();
         let src = source(2, 33.0);
         let from_series = s.sample_series(&src, 2.0).aggregates();

@@ -25,18 +25,6 @@ pub trait MetricSource {
     ///
     /// Implementations may panic if `gpu_index >= gpu_count()`.
     fn gpu_state(&self, gpu_index: u32, t: f64) -> GpuMetricSample;
-
-    /// If the state of `gpu_index` is known to be constant over a span
-    /// starting at `t`, returns `Some(end)` such that `gpu_state(g, t')
-    /// == gpu_state(g, t)` for every `t <= t' < end`. Returns `None`
-    /// when no such span is known (the conservative default).
-    ///
-    /// This is purely an optimization contract: the samplers use it to
-    /// reuse one `gpu_state` call across every tick inside the span, so
-    /// a wrong span changes results while a `None` merely costs speed.
-    fn gpu_constant_until(&self, _gpu_index: u32, _t: f64) -> Option<f64> {
-        None
-    }
 }
 
 /// A trivial source with constant utilization on every GPU — useful in
@@ -57,10 +45,6 @@ impl MetricSource for ConstantSource {
     fn gpu_state(&self, gpu_index: u32, _t: f64) -> GpuMetricSample {
         assert!(gpu_index < self.gpus, "gpu index {gpu_index} out of range");
         self.gpu
-    }
-
-    fn gpu_constant_until(&self, _gpu_index: u32, _t: f64) -> Option<f64> {
-        Some(f64::INFINITY)
     }
 }
 

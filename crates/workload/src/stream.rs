@@ -366,12 +366,11 @@ impl JobGroundTruth {
                 span = span.min(end);
                 constant &= c;
             }
-            // Ticks covered by the sub-span — every tick strictly
-            // before `span`: replicate the batch fast path's
-            // `while k < n && k * period < end` exactly (the float
-            // estimate is corrected against the defining inequality in
-            // both directions). Spans end strictly after `t`, so
-            // `kb > k` and the walk always progresses.
+            // Ticks covered by the sub-span — every tick `j < n` with
+            // `j * period < span`, the inequality `tick_count` defines
+            // (the float estimate is corrected against it in both
+            // directions). Spans end strictly after `t`, so `kb > k`
+            // and the walk always progresses.
             let kb = if span.is_finite() {
                 let mut j = ((span / period_secs).ceil() as usize).clamp(k + 1, n);
                 while j > k + 1 && ((j - 1) as f64) * period_secs >= span {

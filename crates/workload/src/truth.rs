@@ -243,38 +243,6 @@ impl GpuGroundTruth {
         &self.phases[idx.min(self.phases.len() - 1)]
     }
 
-    /// If the process is constant over a span starting at `t`, returns
-    /// the span's end: `state_at(t') == state_at(t)` for all
-    /// `t <= t' < end`. Idle phases are constant for their whole
-    /// length; active phases are constant between spike boundaries
-    /// whenever every resource's wave amplitude is zero (short phases
-    /// never complete a wave cycle and are suppressed by
-    /// [`Phase::amplitude`]). Returns `None` for waving phases.
-    ///
-    /// This feeds [`MetricSource::gpu_constant_until`], letting the
-    /// 100 ms sampler take one `state_at` call per constant span
-    /// instead of one per tick.
-    pub fn constant_until(&self, t: f64) -> Option<f64> {
-        let phase = self.phase_at(t);
-        if !phase.active {
-            return Some(phase.end());
-        }
-        if GpuResource::UTILIZATION.iter().any(|&r| phase.amplitude(r) != 0.0) {
-            return None;
-        }
-        // Flat base levels: the state only changes at spike edges.
-        let rel = t - phase.start;
-        let mut end = phase.end();
-        for s in &phase.spikes {
-            for boundary in [s.offset, s.offset + s.len] {
-                if boundary > rel {
-                    end = end.min(phase.start + boundary);
-                }
-            }
-        }
-        Some(end)
-    }
-
     /// Ground-truth sample at time `t`.
     pub fn state_at(&self, t: f64, power: &PowerModel) -> GpuMetricSample {
         let phase = self.phase_at(t);
@@ -581,10 +549,6 @@ impl MetricSource for JobGroundTruth {
     fn gpu_state(&self, gpu_index: u32, t: f64) -> GpuMetricSample {
         self.gpus[gpu_index as usize].state_at(t, &self.power)
     }
-
-    fn gpu_constant_until(&self, gpu_index: u32, t: f64) -> Option<f64> {
-        self.gpus[gpu_index as usize].constant_until(t)
-    }
 }
 
 #[cfg(test)]
@@ -707,65 +671,6 @@ mod tests {
         let b = truth.gpu_state(0, 123.456);
         assert_eq!(a, b);
         assert!(a.is_valid());
-    }
-
-    /// Delegates `gpu_state` but hides the constant-span hint, forcing
-    /// the sampler onto its tick-by-tick slow path.
-    struct NoHint<'a>(&'a JobGroundTruth);
-
-    impl MetricSource for NoHint<'_> {
-        fn gpu_count(&self) -> u32 {
-            self.0.gpu_count()
-        }
-        fn gpu_state(&self, gpu_index: u32, t: f64) -> GpuMetricSample {
-            self.0.gpu_state(gpu_index, t)
-        }
-    }
-
-    #[test]
-    fn constant_span_fast_path_is_bit_identical() {
-        // The fast path folds the same sample value through the same
-        // aggregation loop, so series and aggregates must match the
-        // slow path exactly — not approximately.
-        for seed in [11u64, 12, 13] {
-            let mut rng = StdRng::seed_from_u64(seed);
-            let p = TruthParams {
-                duration: 900.0,
-                active_fraction: 0.5,
-                spike_resources: vec![GpuResource::Sm, GpuResource::Memory],
-                ..Default::default()
-            };
-            let truth = JobGroundTruth::generate(&mut rng, &p, 3, 1, 0.05);
-            let sampler = GpuSampler::new();
-            let fast = sampler.sample_series(&truth, 900.0);
-            let slow = sampler.sample_series(&NoHint(&truth), 900.0);
-            assert_eq!(fast, slow, "seed {seed}: series diverged");
-        }
-    }
-
-    #[test]
-    fn constant_until_spans_respect_their_contract() {
-        let mut rng = StdRng::seed_from_u64(14);
-        let p = TruthParams {
-            duration: 1200.0,
-            spike_resources: vec![GpuResource::Sm],
-            ..Default::default()
-        };
-        let truth = JobGroundTruth::generate(&mut rng, &p, 1, 0, 0.0);
-        let g = &truth.gpus[0];
-        let mut t = 0.0;
-        while t < 1200.0 {
-            match g.constant_until(t) {
-                Some(end) => {
-                    assert!(end > t, "span must advance past {t}");
-                    let reference = g.state_at(t, &truth.power);
-                    let probe = (end.min(1200.0) - t) * 0.37 + t;
-                    assert_eq!(g.state_at(probe, &truth.power), reference);
-                    t = end.min(1200.0).max(t + 0.05);
-                }
-                None => t += 0.05,
-            }
-        }
     }
 
     #[test]
