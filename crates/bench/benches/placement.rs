@@ -54,7 +54,7 @@ fn contended_passes(
         for (idx, alloc) in &pass.started {
             let job = &jobs[*idx];
             if let Some(p) = policy.as_deref_mut() {
-                black_box(p.dispatch(job, alloc, 0.0));
+                black_box(p.dispatch(job, alloc));
             }
             sched.mark_running(
                 job.job_id,

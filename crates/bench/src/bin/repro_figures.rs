@@ -235,24 +235,22 @@ fn parse_args() -> Args {
             }
             "--policy" => {
                 let arm = value("--policy");
-                if let Err(e) = PolicySpec::parse(&arm) {
+                policy = Some(PolicySpec::parse(&arm).unwrap_or_else(|e| {
                     usage_error(&match e {
                         PolicyParseError::BadWatts(_) => format!("bad watts in --policy {arm:?}"),
                         PolicyParseError::WattsOutOfRange(_) => format!("--policy {e}"),
                         PolicyParseError::UnknownName(_) => e.to_string(),
-                    });
-                }
-                policy = Some(arm);
+                    })
+                }));
             }
             "--data-quality" => {
                 let name = value("--data-quality");
-                if DataQualityProfile::parse(&name).is_none() {
+                data_quality = Some(DataQualityProfile::parse(&name).unwrap_or_else(|| {
                     usage_error(&format!(
                         "unknown --data-quality profile {name} (expected {})",
                         DataQualityProfile::NAMES
-                    ));
-                }
-                data_quality = Some(name);
+                    ))
+                }));
             }
             "--classify" => classify = true,
             "--classifier-json" => classifier_json = Some(value("--classifier-json")),
@@ -471,8 +469,7 @@ fn main() {
     let (scale, seed) = (sc.scale, sc.seed);
     let spec = sc.scaled_spec(scale);
     let sim_config = sc.sim_config(scale, seed);
-    let policy = sc.policy_spec();
-    let data_quality = sc.data_quality_profile();
+    let (policy, data_quality) = (sc.policy, sc.data_quality);
     let classifier_cfg = sc.classifier_config();
     let svg_dir = args.svg_dir.as_deref().map(Path::new);
     eprintln!("scenario {} (hash {:016x})", sc.name, sc.hash());
@@ -641,7 +638,8 @@ fn main() {
                     classifier_cfg.trees, classifier_cfg.seed
                 );
                 let t0 = Instant::now();
-                let (_, eval) = ArchetypePredictor::train(&trace, &classifier_cfg);
+                let (_, eval) = ArchetypePredictor::train(&trace, &classifier_cfg)
+                    .unwrap_or_else(|e| fail(&format!("workload classifier: {e}")));
                 eprintln!("classifier trained in {:?}", t0.elapsed());
                 eval
             }

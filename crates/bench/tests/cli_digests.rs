@@ -6,10 +6,13 @@
 //! wall-clock timings. The tools round every figure statistic they
 //! print, so one more row pins the report's statistics at full
 //! precision. The reliability study's JSON is pinned with its
-//! wall-clock members masked. A change to any figure statistic, its rendering or its
-//! SVG moves a row, and the failure names every row that moved. An
-//! intended change is regenerated with `scripts/update_golden.sh` (or
-//! `SC_REGEN_GOLDEN=1`) and reviewed as a diff of named rows.
+//! wall-clock members masked. Each policy arm's A/B runs under a
+//! stressed fleet, and the classifier's JSON report is pinned on its
+//! own and beside the predicted arm. A change to any figure statistic,
+//! its rendering or its SVG moves a row, and the failure names every
+//! row that moved. An intended change is regenerated with
+//! `scripts/update_golden.sh` (or `SC_REGEN_GOLDEN=1`) and reviewed as
+//! a diff of named rows.
 
 use sc_cluster::Simulation;
 use sc_core::AnalysisReport;
@@ -75,6 +78,26 @@ fn repro_rows(rows: &mut Rows, world: &[&str]) {
         args.extend_from_slice(world);
         let command = format!("repro_figures {} --svg-dir D", args.join(" "));
         args.extend(["--svg-dir", dir.to_str().expect("UTF-8 path")]);
+        rows.push(&command, "stdout", &stdout_of(env!("CARGO_BIN_EXE_repro_figures"), &args));
+        rows.push_files(&command, &dir);
+        std::fs::remove_dir_all(&dir).expect("scratch removed");
+    }
+}
+
+/// `repro_figures --scale 0.02 --seed 42` with `world`, at 1 and 2
+/// threads: its stdout and, with `classifier_json`, the report that
+/// `--classifier-json D/c.json` writes.
+fn run_rows(rows: &mut Rows, world: &[&str], classifier_json: bool) {
+    for threads in ["1", "2"] {
+        let dir = scratch(&format!("run_t{threads}_{}", world.join("_")));
+        let json = dir.join("c.json");
+        let mut args = vec!["--scale", "0.02", "--seed", "42", "--threads", threads];
+        args.extend_from_slice(world);
+        let mut command = format!("repro_figures {}", args.join(" "));
+        if classifier_json {
+            command.push_str(" --classifier-json D/c.json");
+            args.extend(["--classifier-json", json.to_str().expect("UTF-8 path")]);
+        }
         rows.push(&command, "stdout", &stdout_of(env!("CARGO_BIN_EXE_repro_figures"), &args));
         rows.push_files(&command, &dir);
         std::fs::remove_dir_all(&dir).expect("scratch removed");
@@ -156,6 +179,11 @@ fn cli_output_matches_committed_digests() {
     repro_rows(&mut rows, &[]);
     repro_rows(&mut rows, &["--data-quality", "lossy", "--failure-profile", "stress"]);
     reliability_rows(&mut rows);
+    for arm in ["powercap:150", "coshare", "coshare-predicted", "tiered"] {
+        let world = ["--failure-profile", "stress", "--policy", arm];
+        run_rows(&mut rows, &world, arm == "coshare-predicted");
+    }
+    run_rows(&mut rows, &["--classify"], true);
     dataset_rows(&mut rows);
     statistic_rows(&mut rows);
     let rendered = format!("{HEADER}{}\n", rows.0.join("\n"));

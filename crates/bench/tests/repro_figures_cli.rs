@@ -125,6 +125,27 @@ fn scale_outside_its_range_is_a_usage_error() {
     }
 }
 
+/// A scenario whose train split gets no labeled GPU job cannot train
+/// the classifier: the run exits 1 with the reason instead of
+/// panicking.
+#[test]
+fn empty_classifier_split_is_a_run_error() {
+    let scenario = scratch("empty_train_split.toml");
+    let toml = "[scenario]\nname = \"thin\"\n[classifier]\nenabled = true\n\
+                train_fraction = 0.000001\n";
+    std::fs::write(&scenario, toml).expect("scenario written");
+    let run = Command::new(env!("CARGO_BIN_EXE_repro_figures"))
+        .args(["--threads", "1", "--scale", "0.01", "--scenario", &scenario])
+        .output()
+        .expect("repro_figures runs");
+    let stderr = String::from_utf8_lossy(&run.stderr);
+    assert_eq!(run.status.code(), Some(1), "{stderr}");
+    assert!(
+        stderr.contains("repro_figures: workload classifier: input sample was empty"),
+        "{stderr}"
+    );
+}
+
 #[test]
 fn mtbf_alone_rescales_the_supercloud_taxonomy() {
     assert_eq!(injection_line(&["--mtbf", "0.5"]), "3 classes, checkpoint interval 8752s");

@@ -8,16 +8,14 @@
 //! — so an A/B harness can measure what the analytic models only
 //! predict.
 //!
-//! Hooks are deliberately narrow and deterministic:
+//! Three hooks, deliberately narrow and deterministic:
 //!
-//! - [`Policy::admit`] observes every submission (and resubmission).
 //! - [`Policy::place`] may override placement for one job; returning
 //!   `None` falls through to the cluster's own packing.
 //! - [`Policy::dispatch`] runs once per started attempt and returns a
 //!   [`Dispatch`]: an extra run-time stretch, an optional per-job power
 //!   cap (applied to the job's synthesized telemetry), and the
 //!   [`PolicyDecision`] that the loop records as an `sc-obs` event.
-//! - [`Policy::tick`] observes scheduler wake-ups.
 //! - [`Policy::release`] observes attempts leaving the cluster, so
 //!   stateful policies (co-location slots) can clean up.
 //!
@@ -86,12 +84,6 @@ pub enum PolicyDecision {
 /// it needs. Implementations must be deterministic (see the module
 /// docs).
 pub trait Policy: std::fmt::Debug {
-    /// Short stable name, used in reports and trace labels.
-    fn name(&self) -> &'static str;
-
-    /// A job was submitted (or resubmitted after a failure) at `now`.
-    fn admit(&mut self, _job: &JobSpec, _now: f64) {}
-
     /// Optionally overrides placement for `job`. Returning `None` lets
     /// the cluster's own dense packing run; returning `Some` commits
     /// the allocation as-is (it must fit — the cluster asserts).
@@ -100,16 +92,13 @@ pub trait Policy: std::fmt::Debug {
     }
 
     /// Runs once per started attempt, after placement.
-    fn dispatch(&mut self, _job: &JobSpec, _alloc: &Allocation, _now: f64) -> Dispatch {
+    fn dispatch(&mut self, _job: &JobSpec, _alloc: &Allocation) -> Dispatch {
         Dispatch::default()
     }
 
-    /// A scheduler wake-up at `now` (periodic observation point).
-    fn tick(&mut self, _now: f64, _cluster: &ClusterState) {}
-
     /// The job's current attempt left the cluster (finished or was
-    /// killed) at `now`.
-    fn release(&mut self, _job: JobId, _now: f64) {}
+    /// killed).
+    fn release(&mut self, _job: JobId) {}
 }
 
 #[cfg(test)]
@@ -118,11 +107,7 @@ mod tests {
 
     #[derive(Debug)]
     struct Noop;
-    impl Policy for Noop {
-        fn name(&self) -> &'static str {
-            "noop"
-        }
-    }
+    impl Policy for Noop {}
 
     #[test]
     fn default_dispatch_is_identity() {
@@ -135,7 +120,6 @@ mod tests {
     #[test]
     fn noop_policy_defaults_do_nothing() {
         let mut p = Noop;
-        assert_eq!(p.name(), "noop");
         let cluster = ClusterState::new(crate::spec::ClusterSpec::supercloud());
         let job = sc_workload::JobSpec {
             job_id: JobId(1),
@@ -155,10 +139,8 @@ mod tests {
             checkpointable: false,
             max_restarts: 0,
         };
-        p.admit(&job, 0.0);
         assert!(p.place(&job, &cluster).is_none());
-        assert_eq!(p.dispatch(&job, &Allocation::default(), 0.0), Dispatch::default());
-        p.tick(1.0, &cluster);
-        p.release(JobId(1), 2.0);
+        assert_eq!(p.dispatch(&job, &Allocation::default()), Dispatch::default());
+        p.release(JobId(1));
     }
 }

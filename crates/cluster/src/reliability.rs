@@ -229,47 +229,6 @@ impl ReliabilityStats {
     pub fn total_failures(&self) -> u64 {
         self.buckets.iter().map(|b| b.failures).sum()
     }
-
-    /// Fixed-width text table of the per-size-class metrics, suitable
-    /// for golden tests (deterministic formatting, no wall-clock).
-    pub fn render(&self) -> String {
-        let mut s = String::new();
-        s.push_str("reliability by job size class\n");
-        s.push_str(
-            "  class      jobs  attempts  failures  per-1k-gpu-days  ettf-h  ettr-min  lost/fail-gpu-h  goodput\n",
-        );
-        for (i, b) in self.buckets.iter().enumerate() {
-            let ettf = b
-                .ettf_secs()
-                .map(|v| format!("{:7.2}", v / 3600.0))
-                .unwrap_or_else(|| format!("{:>7}", "-"));
-            let ettr = b
-                .ettr_secs()
-                .map(|v| format!("{:8.2}", v / 60.0))
-                .unwrap_or_else(|| format!("{:>8}", "-"));
-            let overhead = b
-                .restart_overhead_gpu_secs()
-                .map(|v| format!("{:15.3}", v / 3600.0))
-                .unwrap_or_else(|| format!("{:>15}", "-"));
-            let goodput = b
-                .goodput_fraction()
-                .map(|v| format!("{v:7.4}"))
-                .unwrap_or_else(|| format!("{:>7}", "-"));
-            s.push_str(&format!(
-                "  {:<9} {:>5} {:>9} {:>9} {:>16.3} {} {} {} {}\n",
-                self.label(i),
-                b.jobs,
-                b.attempts,
-                b.failures,
-                b.failures_per_1k_gpu_days(),
-                ettf,
-                ettr,
-                overhead,
-                goodput,
-            ));
-        }
-        s
-    }
 }
 
 #[cfg(test)]
@@ -337,14 +296,5 @@ mod tests {
         let expected = 1000.0 / (3000.0 / 86_400.0);
         assert!((b.failures_per_1k_gpu_days() - expected).abs() < 1e-6);
         assert_eq!(r.total_failures(), 1);
-    }
-
-    #[test]
-    fn empty_classes_render_dashes() {
-        let r = ReliabilityStats::default();
-        let text = r.render();
-        assert!(text.contains("reliability by job size class"));
-        assert!(text.contains(">8 GPU"));
-        assert!(text.contains(" - "));
     }
 }

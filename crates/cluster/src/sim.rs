@@ -379,11 +379,11 @@ impl Simulation {
     /// changes no result, and with [`Obs::off`] each instrumentation
     /// site costs one enum compare.
     ///
-    /// The policy sees every admission, scheduler tick, and release;
-    /// may override placement; and its dispatch directives (stretch,
-    /// per-job power cap) change the simulated outcomes. Each decision
-    /// is recorded as an `sc-obs` event (`cap_throttle`,
-    /// `coshare_place`, `tier_route`) and counted in [`SimStats`].
+    /// The policy may override placement and sees every attempt start
+    /// and leave; its dispatch directives (stretch, per-job power cap)
+    /// change the simulated outcomes. Each decision is recorded as an
+    /// `sc-obs` event (`cap_throttle`, `coshare_place`, `tier_route`)
+    /// and counted in [`SimStats`].
     pub fn replay(
         &self,
         trace: &Trace,
@@ -396,7 +396,8 @@ impl Simulation {
             let pass = match popped {
                 Popped::Fault(f) => replay.fault(now, f),
                 Popped::Event(Event::Submit(idx)) => replay.submit(now, idx),
-                Popped::Event(Event::Tick) => replay.tick(now),
+                // The scheduler wakes up.
+                Popped::Event(Event::Tick) => true,
                 Popped::Event(Event::Finish { trace_idx, attempt, exit }) => {
                     replay.finish(now, trace_idx, attempt, exit)
                 }
@@ -674,20 +675,9 @@ impl<'a, 'p> EventLoop<'a, 'p> {
                 ("requeued", u64::from(requeued).into()),
             ]
         });
-        if let Some(p) = self.policy.as_deref_mut() {
-            p.admit(job, now);
-        }
         self.scheduler.submit(idx, now);
         self.queue.push(now + SCHED_LATENCY_SECS, Event::Tick);
         false
-    }
-
-    /// The scheduler wakes up.
-    fn tick(&mut self, now: f64) -> bool {
-        if let Some(p) = self.policy.as_deref_mut() {
-            p.tick(now, &self.cluster);
-        }
-        true
     }
 
     /// Attempt `attempt` of job `idx` reaches the end decided when it
@@ -795,7 +785,7 @@ impl<'a, 'p> EventLoop<'a, 'p> {
         // (DVFS throttling, co-location interference) and impose a
         // per-job power cap on its telemetry.
         let directive = match self.policy.as_deref_mut() {
-            Some(p) => p.dispatch(job, &alloc, now),
+            Some(p) => p.dispatch(job, &alloc),
             None => Dispatch::default(),
         };
         let stretch = tier_stretch * directive.stretch.max(1.0);
@@ -877,7 +867,7 @@ impl<'a, 'p> EventLoop<'a, 'p> {
         let running = self.scheduler.finish(job);
         self.cluster.release(&running.alloc);
         if let Some(p) = self.policy.as_deref_mut() {
-            p.release(job, now);
+            p.release(job);
         }
         let spec = &self.jobs[running.trace_idx];
         self.settle_attempt(spec, now - running.start_time, failure);
@@ -1395,8 +1385,8 @@ mod tests {
         for b in rel.buckets.iter().filter(|b| b.recoveries > 0) {
             assert!(b.ettr_secs().unwrap() >= 60.0, "ETTR below base backoff");
         }
-        // Rendering is pure text and deterministic across runs.
-        assert_eq!(out.reliability.render(), sim.run(&trace).reliability.render());
+        // The ledger is deterministic across runs.
+        assert_eq!(out.reliability, sim.run(&trace).reliability);
     }
 
     #[test]

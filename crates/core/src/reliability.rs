@@ -388,6 +388,14 @@ mod tests {
     }
 
     #[test]
+    fn empty_classes_render_dashes() {
+        let text = ReliabilitySizeFig::compute(&ReliabilityStats::default()).render();
+        assert!(text.contains("Reliability vs job size"));
+        assert!(text.contains(">8 GPU"));
+        assert!(text.contains(" - "));
+    }
+
+    #[test]
     fn frontier_degrades_with_mtbf() {
         let (trace, base, model) = stress_setup();
         let fig = goodput_frontier(&trace, &base, &model, &[1.0, 0.05]);

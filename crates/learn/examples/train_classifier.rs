@@ -12,6 +12,11 @@ fn main() {
     let spec = WorkloadSpec::supercloud().scaled(0.02);
     let trace = Trace::generate(&spec, 7);
     let cfg = ClassifierConfig::default();
-    let (_, report) = ArchetypePredictor::train(&trace, &cfg);
-    println!("{}", report.to_fig().render());
+    match ArchetypePredictor::train(&trace, &cfg) {
+        Ok((_, report)) => println!("{}", report.to_fig().render()),
+        Err(e) => {
+            eprintln!("train_classifier: {e}");
+            std::process::exit(1);
+        }
+    }
 }

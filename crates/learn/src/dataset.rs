@@ -65,25 +65,25 @@ impl Dataset {
 /// at most [`max_jobs`](ClassifierConfig::max_jobs) labeled GPU jobs,
 /// parallel feature extraction, hash-based train/test split.
 pub fn build_dataset(trace: &Trace, cfg: &ClassifierConfig) -> Dataset {
-    let candidates: Vec<&JobSpec> =
-        trace.jobs().iter().filter(|j| j.archetype.is_some() && j.truth_params.is_some()).collect();
+    let candidates: Vec<(&JobSpec, WorkloadArchetype)> = trace
+        .jobs()
+        .iter()
+        .filter(|j| j.truth_params.is_some())
+        .filter_map(|j| Some((j, j.archetype?)))
+        .collect();
     if candidates.is_empty() {
         return Dataset::default();
     }
     let keep_prob = (cfg.max_jobs as f64 / candidates.len() as f64).min(1.0);
-    let selected: Vec<&JobSpec> = candidates
+    let selected: Vec<(&JobSpec, WorkloadArchetype)> = candidates
         .into_iter()
-        .filter(|j| hash_unit(j.truth_seed ^ SUBSAMPLE_SALT) < keep_prob)
+        .filter(|(j, _)| hash_unit(j.truth_seed ^ SUBSAMPLE_SALT) < keep_prob)
         .collect();
-    let features = sc_par::par_map(&selected, |j| job_features(j, cfg));
+    let features = sc_par::par_map(&selected, |(j, _)| job_features(j, cfg));
     let mut out = Dataset::default();
-    for (job, feats) in selected.iter().zip(features) {
+    for (&(job, label), feats) in selected.iter().zip(features) {
         let Some(features) = feats else { continue };
-        let sample = Sample {
-            job_id: job.job_id,
-            label: job.archetype.expect("candidates were filtered on archetype"),
-            features,
-        };
+        let sample = Sample { job_id: job.job_id, label, features };
         if hash_unit(job.truth_seed ^ SPLIT_SALT) < cfg.train_fraction {
             out.train.push(sample);
         } else {

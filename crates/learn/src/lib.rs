@@ -28,6 +28,10 @@
 //! extraction is index-ordered — so reports are byte-identical at any
 //! `SC_PAR_THREADS` budget.
 
+// Library code must surface degenerate inputs as typed errors, not
+// panics; tests are exempt (unwrap there is an assertion).
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 pub mod centroid;
 pub mod dataset;
 pub mod eval;

@@ -1,5 +1,6 @@
 //! The trained classifier packaged for closed-loop use.
 
+use sc_stats::StatsError;
 use sc_workload::{JobSpec, Trace, WorkloadArchetype};
 
 use crate::centroid::NearestCentroid;
@@ -22,21 +23,22 @@ impl ArchetypePredictor {
     /// deterministic dataset and returns the predictor together with
     /// its held-out evaluation.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if the trace yields no labeled GPU jobs to train on.
-    pub fn train(trace: &Trace, cfg: &ClassifierConfig) -> (ArchetypePredictor, EvalReport) {
+    /// [`StatsError::EmptyInput`] when the trace leaves either split
+    /// without a labeled GPU job.
+    pub fn train(
+        trace: &Trace,
+        cfg: &ClassifierConfig,
+    ) -> Result<(ArchetypePredictor, EvalReport), StatsError> {
         let dataset = build_dataset(trace, cfg);
-        assert!(
-            !dataset.train.is_empty() && !dataset.test.is_empty(),
-            "classifier needs labeled GPU jobs in both splits (got {} train / {} test)",
-            dataset.train.len(),
-            dataset.test.len()
-        );
+        if dataset.train.is_empty() || dataset.test.is_empty() {
+            return Err(StatsError::EmptyInput);
+        }
         let forest = Forest::train(&dataset.train, cfg.trees, cfg.seed);
         let centroid = NearestCentroid::train(&dataset.train);
         let report = evaluate(&forest, &centroid, &dataset);
-        (ArchetypePredictor { forest, cfg: cfg.clone() }, report)
+        Ok((ArchetypePredictor { forest, cfg: cfg.clone() }, report))
     }
 
     /// Predicts the archetype of one job from its streamed telemetry
@@ -63,7 +65,8 @@ mod tests {
     #[test]
     fn trains_and_beats_chance_by_a_wide_margin() {
         let trace = small_trace();
-        let (predictor, report) = ArchetypePredictor::train(&trace, &ClassifierConfig::default());
+        let (predictor, report) =
+            ArchetypePredictor::train(&trace, &ClassifierConfig::default()).unwrap();
         assert!(
             report.accuracy > 0.6,
             "archetypes should be recognizable from their signatures: {:?}",
@@ -78,7 +81,8 @@ mod tests {
     #[test]
     fn cpu_jobs_have_no_prediction() {
         let trace = small_trace();
-        let (predictor, _) = ArchetypePredictor::train(&trace, &ClassifierConfig::default());
+        let (predictor, _) =
+            ArchetypePredictor::train(&trace, &ClassifierConfig::default()).unwrap();
         let cpu = trace.jobs().iter().find(|j| j.truth_params.is_none()).expect("cpu job");
         assert_eq!(predictor.predict_job(cpu), None);
     }
@@ -87,8 +91,8 @@ mod tests {
     fn training_is_deterministic() {
         let trace = small_trace();
         let cfg = ClassifierConfig::default();
-        let (_, a) = ArchetypePredictor::train(&trace, &cfg);
-        let (_, b) = ArchetypePredictor::train(&trace, &cfg);
+        let (_, a) = ArchetypePredictor::train(&trace, &cfg).unwrap();
+        let (_, b) = ArchetypePredictor::train(&trace, &cfg).unwrap();
         assert_eq!(a, b, "same trace + config must evaluate identically");
     }
 }

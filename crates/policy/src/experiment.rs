@@ -13,12 +13,11 @@
 //! on identical capacity, rather than confounding routing with a
 //! hardware change.
 
-use crate::coshare::CosharePolicy;
-use crate::predicted::PredictedClassPolicy;
+use crate::coshare::{CosharePolicy, ShareGate};
 use crate::PolicySpec;
-use sc_cluster::{Policy, SimConfig, SimOutput, Simulation, SlowTierSpec};
+use sc_cluster::{SimConfig, SimOutput, Simulation, SlowTierSpec};
 use sc_core::figures::PolicyAbFig;
-use sc_learn::{ArchetypePredictor, ClassifierConfig, EvalReport};
+use sc_learn::{ClassifierConfig, EvalReport};
 use sc_obs::Obs;
 use sc_stats::StatsError;
 use sc_workload::Trace;
@@ -113,32 +112,29 @@ impl PolicyExperiment {
     /// # Errors
     ///
     /// Returns [`StatsError::EmptyInput`] when an arm produced no
-    /// records (an empty trace).
+    /// records (an empty trace), or when the predicted arm's classifier
+    /// has no labeled GPU job to train or test on (see
+    /// [`PolicySpec::build`]).
     pub fn run_observed(
         &self,
         trace: &Trace,
         obs: &Obs<'_>,
     ) -> Result<ExperimentResult, StatsError> {
         let cfg = self.config();
+        let mut arm = self.spec.build(&cfg.cluster, trace, &self.classifier)?;
         let baseline = Simulation::new(cfg.clone()).run(trace);
-        let mut classifier_eval = None;
-        let mut arm: Option<Box<dyn Policy>> = if self.spec == PolicySpec::CosharePredicted {
-            let (predictor, eval) = ArchetypePredictor::train(trace, &self.classifier);
-            classifier_eval = Some(eval);
-            Some(Box::new(PredictedClassPolicy::coshare(predictor)))
-        } else {
-            self.spec.build(&cfg.cluster)
-        };
-        let (policy, _) = Simulation::new(cfg.clone()).run_observed(trace, obs, arm.as_deref_mut());
+        let (policy, _) =
+            Simulation::new(cfg.clone()).run_observed(trace, obs, arm.policy.as_deref_mut());
         let fig = PolicyAbFig::try_compute(&self.spec.label(), &baseline, &policy)?;
         let (oracle, oracle_fig) = if self.spec == PolicySpec::CosharePredicted {
-            let mut p = CosharePolicy::label_gated();
+            let mut p = CosharePolicy::with_gate(ShareGate::ArchetypeLabel);
             let (out, _) = Simulation::new(cfg).run_observed(trace, &Obs::off(), Some(&mut p));
             let fig = PolicyAbFig::try_compute("coshare-oracle", &baseline, &out)?;
             (Some(out), Some(fig))
         } else {
             (None, None)
         };
+        let classifier_eval = arm.classifier_eval;
         Ok(ExperimentResult { baseline, policy, fig, oracle, oracle_fig, classifier_eval })
     }
 }

@@ -14,13 +14,16 @@
 //!   report capped telemetry.
 //! - [`CosharePolicy`]: packs predicted-low-utilization single-GPU jobs
 //!   two per GPU, with interference drawn from the
-//!   [`sc_opportunity::colocation`] phase-overlap model.
-//! - [`TieredPolicy`]: routes jobs between fast and slow tiers by
-//!   lifecycle class using [`sc_opportunity::tiering::RoutingPolicy`].
-//! - [`PredictedClassPolicy`]: wraps any of the above and replaces each
-//!   job's ground-truth labels with an `sc-learn` classifier's
-//!   predictions, so an A/B against the oracle-label arm isolates the
-//!   cost of classifier error.
+//!   [`sc_opportunity::colocation`] phase-overlap model. Its
+//!   [`ShareGate`] decides which jobs share: ground-truth mean SM
+//!   utilization (`coshare`), or archetype labels — an `sc-learn`
+//!   classifier's predictions for `coshare-predicted`, the ground truth
+//!   for that arm's oracle twin, so the A/B between the two isolates
+//!   the cost of classifier error.
+//! - [`TieredPolicy`]: routes non-mature lifecycle classes to the slow
+//!   tier ([`sc_opportunity::tiering::RoutingPolicy::DemoteNonMature`]).
+//!
+//! [`PolicySpec::build`] builds every arm, and never panics.
 //!
 //! Every policy is a pure function of the simulation state it observes
 //! (ground truth is regenerated from per-job seeds), so policy runs are
@@ -28,22 +31,25 @@
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
+// Building and running an arm surfaces degenerate input as a typed
+// error, never a panic; tests are exempt (unwrap there is an assertion).
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod coshare;
 pub mod experiment;
 pub mod powercap;
-pub mod predicted;
 pub mod tiered;
 
 pub use coshare::{shareable_archetype, CosharePolicy, ShareGate};
 pub use experiment::{ExperimentResult, PolicyExperiment};
 pub use powercap::PowerCapPolicy;
-pub use predicted::{lifecycle_for_archetype, PredictedClassPolicy};
 pub use tiered::TieredPolicy;
 
 use sc_cluster::{ClusterSpec, Policy};
-use sc_opportunity::tiering::RoutingPolicy;
+use sc_learn::{ArchetypePredictor, ClassifierConfig, EvalReport};
+use sc_stats::StatsError;
 use sc_telemetry::gpu_power::V100_IDLE_W;
+use sc_workload::Trace;
 
 /// A parsed `--policy` selection, as accepted by `repro_figures`.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -122,30 +128,47 @@ impl PolicySpec {
         }
     }
 
-    /// Builds the policy object, or `None` for [`PolicySpec::Off`].
+    /// Builds the arm.
     ///
     /// `cluster` must be the spec the simulation will actually run with
     /// (tier routing reads its slow-tier layout).
+    /// [`PolicySpec::CosharePredicted`] first trains its classifier on
+    /// `trace` with `classifier`; every other arm ignores both.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics for [`PolicySpec::CosharePredicted`], which needs a trace
-    /// to train its classifier on — use
-    /// [`PolicyExperiment::run_observed`], which trains the predictor
-    /// and runs the oracle arm alongside.
-    pub fn build(&self, cluster: &ClusterSpec) -> Option<Box<dyn Policy>> {
-        match *self {
+    /// [`StatsError::EmptyInput`] when the predicted arm's trace leaves
+    /// a classifier split without a labeled GPU job.
+    pub fn build(
+        &self,
+        cluster: &ClusterSpec,
+        trace: &Trace,
+        classifier: &ClassifierConfig,
+    ) -> Result<Arm, StatsError> {
+        let mut classifier_eval = None;
+        let policy: Option<Box<dyn Policy>> = match *self {
             PolicySpec::Off => None,
-            PolicySpec::PowerCap { cap_w } => Some(Box::new(PowerCapPolicy::new(cap_w))),
+            PolicySpec::PowerCap { cap_w } => Some(Box::new(PowerCapPolicy { cap_w })),
             PolicySpec::Coshare => Some(Box::new(CosharePolicy::default())),
             PolicySpec::CosharePredicted => {
-                panic!("coshare-predicted trains on a trace; run it through PolicyExperiment")
+                let (predictor, eval) = ArchetypePredictor::train(trace, classifier)?;
+                classifier_eval = Some(eval);
+                Some(Box::new(CosharePolicy::with_gate(ShareGate::PredictedLabel(predictor))))
             }
-            PolicySpec::Tiered => {
-                Some(Box::new(TieredPolicy::new(RoutingPolicy::DemoteNonMature, cluster.clone())))
-            }
-        }
+            PolicySpec::Tiered => Some(Box::new(TieredPolicy::new(cluster.clone()))),
+        };
+        Ok(Arm { policy, classifier_eval })
     }
+}
+
+/// One built policy arm, as [`PolicySpec::build`] returns it.
+#[derive(Debug)]
+pub struct Arm {
+    /// The policy; `None` for [`PolicySpec::Off`].
+    pub policy: Option<Box<dyn Policy>>,
+    /// Held-out evaluation of the classifier the arm trained
+    /// ([`PolicySpec::CosharePredicted`] only).
+    pub classifier_eval: Option<EvalReport>,
 }
 
 /// Why a selector is not a [`PolicySpec`]. The message names no entry
@@ -183,6 +206,7 @@ impl std::error::Error for PolicyParseError {}
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sc_workload::WorkloadSpec;
 
     #[test]
     fn parse_accepts_the_cli_matrix() {
@@ -210,10 +234,19 @@ mod tests {
     fn predicted_label_round_trips_but_build_needs_a_trace() {
         assert_eq!(PolicySpec::parse("coshare-predicted").unwrap(), PolicySpec::CosharePredicted);
         assert_eq!(PolicySpec::CosharePredicted.label(), "coshare-predicted");
-        let built = std::panic::catch_unwind(|| {
-            PolicySpec::CosharePredicted.build(&ClusterSpec::supercloud())
-        });
-        assert!(built.is_err(), "building without a trace must panic");
+        let (cluster, cfg) = (ClusterSpec::supercloud(), ClassifierConfig::default());
+        // No GPU job, so nothing to train on: a typed error, no panic.
+        let mut spec = WorkloadSpec::supercloud().scaled(0.002);
+        spec.gpu_job_fraction = 0.0;
+        let cpu_only = Trace::generate(&spec, 5);
+        let built = PolicySpec::CosharePredicted.build(&cluster, &cpu_only, &cfg);
+        assert_eq!(built.err(), Some(StatsError::EmptyInput));
+        let trace = Trace::generate(&WorkloadSpec::supercloud().scaled(0.004), 5);
+        let arm = PolicySpec::CosharePredicted.build(&cluster, &trace, &cfg).unwrap();
+        assert!(format!("{:?}", arm.policy).contains("PredictedLabel"), "{arm:?}");
+        assert!(
+            arm.classifier_eval.expect("the predicted arm reports its classifier").test_count > 0
+        );
     }
 
     #[test]
@@ -244,12 +277,18 @@ mod tests {
     #[test]
     fn build_matches_spec() {
         let cluster = ClusterSpec::supercloud();
-        assert!(PolicySpec::Off.build(&cluster).is_none());
+        let trace = Trace::generate(&WorkloadSpec::supercloud().scaled(0.002), 5);
+        let build = |spec: PolicySpec| {
+            let arm = spec.build(&cluster, &trace, &ClassifierConfig::default()).unwrap();
+            assert!(arm.classifier_eval.is_none(), "only the predicted arm trains a classifier");
+            arm.policy.map(|p| format!("{p:?}"))
+        };
+        assert_eq!(build(PolicySpec::Off), None);
         assert_eq!(
-            PolicySpec::PowerCap { cap_w: 250.0 }.build(&cluster).unwrap().name(),
-            "powercap"
+            build(PolicySpec::PowerCap { cap_w: 250.0 }).unwrap(),
+            "PowerCapPolicy { cap_w: 250.0 }"
         );
-        assert_eq!(PolicySpec::Coshare.build(&cluster).unwrap().name(), "coshare");
-        assert_eq!(PolicySpec::Tiered.build(&cluster).unwrap().name(), "tiered");
+        assert!(build(PolicySpec::Coshare).unwrap().contains("gate: MeanSm"));
+        assert!(build(PolicySpec::Tiered).unwrap().starts_with("TieredPolicy"));
     }
 }

@@ -17,28 +17,13 @@ use sc_workload::JobSpec;
 /// Enforces one facility-wide per-GPU power cap.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PowerCapPolicy {
-    /// The enforced per-GPU cap, watts.
+    /// The enforced per-GPU cap, watts. [`crate::PolicySpec::parse`]
+    /// admits only caps at or above the V100's idle draw.
     pub cap_w: f64,
 }
 
-impl PowerCapPolicy {
-    /// Builds the policy.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `cap_w` is positive.
-    pub fn new(cap_w: f64) -> Self {
-        assert!(cap_w > 0.0, "power cap must be positive watts");
-        PowerCapPolicy { cap_w }
-    }
-}
-
 impl Policy for PowerCapPolicy {
-    fn name(&self) -> &'static str {
-        "powercap"
-    }
-
-    fn dispatch(&mut self, job: &JobSpec, _alloc: &Allocation, _now: f64) -> Dispatch {
+    fn dispatch(&mut self, job: &JobSpec, _alloc: &Allocation) -> Dispatch {
         // CPU jobs draw no board power; nothing to cap.
         let Some(truth) = job.ground_truth() else { return Dispatch::default() };
         // Score the same analytic aggregates the epilog will record, over
@@ -99,8 +84,8 @@ mod tests {
 
     #[test]
     fn hot_job_throttles_under_a_tight_cap() {
-        let mut p = PowerCapPolicy::new(120.0);
-        let d = p.dispatch(&gpu_job(90.0), &Allocation::default(), 0.0);
+        let mut p = PowerCapPolicy { cap_w: 120.0 };
+        let d = p.dispatch(&gpu_job(90.0), &Allocation::default());
         assert!(d.stretch > 1.0, "a 90% SM job must throttle under 120 W, got {}", d.stretch);
         assert_eq!(d.power_cap_w, Some(120.0));
         assert!(matches!(d.decision, Some(PolicyDecision::CapThrottle { .. })));
@@ -108,8 +93,8 @@ mod tests {
 
     #[test]
     fn generous_cap_leaves_jobs_alone() {
-        let mut p = PowerCapPolicy::new(300.0);
-        let d = p.dispatch(&gpu_job(30.0), &Allocation::default(), 0.0);
+        let mut p = PowerCapPolicy { cap_w: 300.0 };
+        let d = p.dispatch(&gpu_job(30.0), &Allocation::default());
         assert_eq!(d.stretch, 1.0);
         // Telemetry is still tagged: a capped facility caps every board.
         assert_eq!(d.power_cap_w, Some(300.0));
@@ -118,10 +103,10 @@ mod tests {
 
     #[test]
     fn cpu_jobs_pass_through() {
-        let mut p = PowerCapPolicy::new(120.0);
+        let mut p = PowerCapPolicy { cap_w: 120.0 };
         let mut job = gpu_job(90.0);
         job.gpus = 0;
         job.truth_params = None;
-        assert_eq!(p.dispatch(&job, &Allocation::default(), 0.0), Dispatch::default());
+        assert_eq!(p.dispatch(&job, &Allocation::default()), Dispatch::default());
     }
 }

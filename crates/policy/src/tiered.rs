@@ -4,8 +4,8 @@
 //! (interactive sessions go slow). The paper's recommendation routes by
 //! *lifecycle class* — non-mature work tolerates slower GPUs. This
 //! policy overrides placement with
-//! [`sc_cluster::ClusterState::try_place_gpu_routed`] using an
-//! [`sc_opportunity::tiering::RoutingPolicy`], and reports a
+//! [`sc_cluster::ClusterState::try_place_gpu_routed`] under
+//! [`RoutingPolicy::DemoteNonMature`], and reports a
 //! `tier_route` decision whenever the class-based route differs from the
 //! interface-based default. The slow tier's run-time stretch is the
 //! simulator's own physics (`active/speed + (1 - active)`), identical in
@@ -20,11 +20,10 @@ use sc_opportunity::tiering::RoutingPolicy;
 use sc_telemetry::record::SubmissionInterface;
 use sc_workload::JobSpec;
 
-/// Routes GPU jobs between tiers by lifecycle class.
+/// Routes GPU jobs between tiers by lifecycle class: every class but
+/// mature work goes slow.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TieredPolicy {
-    /// Which classes go slow.
-    pub routing: RoutingPolicy,
     spec: ClusterSpec,
 }
 
@@ -32,27 +31,23 @@ impl TieredPolicy {
     /// Builds the policy over the cluster spec the simulation runs with
     /// (the spec's slow-tier layout decides which nodes are slow). With
     /// no slow tier configured the policy is a no-op.
-    pub fn new(routing: RoutingPolicy, spec: ClusterSpec) -> Self {
-        TieredPolicy { routing, spec }
+    pub fn new(spec: ClusterSpec) -> Self {
+        TieredPolicy { spec }
     }
 }
 
 impl Policy for TieredPolicy {
-    fn name(&self) -> &'static str {
-        "tiered"
-    }
-
     fn place(&mut self, job: &JobSpec, cluster: &ClusterState) -> Option<Allocation> {
         if job.gpus == 0 || self.spec.slow_tier.is_none() {
             return None;
         }
-        let demote = job.class.is_some_and(|c| self.routing.demotes(c));
+        let demote = job.class.is_some_and(|c| RoutingPolicy::DemoteNonMature.demotes(c));
         // Preferred tier full -> None, and the scheduler falls back to
         // the cluster's interface-based routing (spillover, not starve).
         cluster.try_place_gpu_routed(job, demote)
     }
 
-    fn dispatch(&mut self, job: &JobSpec, alloc: &Allocation, _now: f64) -> Dispatch {
+    fn dispatch(&mut self, job: &JobSpec, alloc: &Allocation) -> Dispatch {
         if job.gpus == 0 || self.spec.slow_tier.is_none() {
             return Dispatch::default();
         }
@@ -102,12 +97,12 @@ mod tests {
     #[test]
     fn development_jobs_go_slow_and_report_the_route() {
         let spec = two_tier_spec();
-        let mut p = TieredPolicy::new(RoutingPolicy::DemoteNonMature, spec.clone());
+        let mut p = TieredPolicy::new(spec.clone());
         let cluster = ClusterState::new(spec.clone());
         let dev = job(LifecycleClass::Development);
         let alloc = p.place(&dev, &cluster).expect("slow tier has room");
         assert!(spec.is_slow_node(alloc.parts[0].node.0), "non-mature work is demoted");
-        let d = p.dispatch(&dev, &alloc, 0.0);
+        let d = p.dispatch(&dev, &alloc);
         assert_eq!(d.decision, Some(PolicyDecision::TierRoute { slow: true }));
         assert_eq!(d.stretch, 1.0, "the simulator's tier physics applies the slowdown");
     }
@@ -115,18 +110,18 @@ mod tests {
     #[test]
     fn mature_jobs_stay_fast_without_a_decision() {
         let spec = two_tier_spec();
-        let mut p = TieredPolicy::new(RoutingPolicy::DemoteNonMature, spec.clone());
+        let mut p = TieredPolicy::new(spec.clone());
         let cluster = ClusterState::new(spec.clone());
         let mature = job(LifecycleClass::Mature);
         let alloc = p.place(&mature, &cluster).expect("fast tier has room");
         assert!(!spec.is_slow_node(alloc.parts[0].node.0));
-        assert_eq!(p.dispatch(&mature, &alloc, 0.0), Dispatch::default());
+        assert_eq!(p.dispatch(&mature, &alloc), Dispatch::default());
     }
 
     #[test]
     fn single_tier_cluster_is_a_no_op() {
         let spec = ClusterSpec::supercloud();
-        let mut p = TieredPolicy::new(RoutingPolicy::DemoteNonMature, spec.clone());
+        let mut p = TieredPolicy::new(spec.clone());
         let cluster = ClusterState::new(spec.clone());
         let dev = job(LifecycleClass::Development);
         assert!(p.place(&dev, &cluster).is_none());

@@ -107,8 +107,8 @@ pub struct ClassifierScenario {
     pub trees: Option<usize>,
     /// Override: forest-training seed.
     pub seed: Option<u64>,
-    /// Override: train-split fraction, in (0, 1) so both splits stay
-    /// populated.
+    /// Override: train-split fraction, in (0, 1). A split left without
+    /// a labeled GPU job fails training with a typed error.
     pub train_fraction: Option<f64>,
 }
 
@@ -172,11 +172,11 @@ pub struct Scenario {
     pub arrivals: ArrivalProcess,
     /// Failure injection.
     pub failures: FailureScenario,
-    /// Data-quality corruption profile name (`off` skips the stage).
-    pub data_quality: String,
-    /// Policy A/B arm in CLI syntax (`off`, `powercap:W`, `coshare`,
-    /// `coshare-predicted`, `tiered`).
-    pub policy: String,
+    /// Data-quality corruption profile ([`DataQualityProfile::Off`]
+    /// skips the stage).
+    pub data_quality: DataQualityProfile,
+    /// Policy A/B arm ([`PolicySpec::Off`] skips the stage).
+    pub policy: PolicySpec,
     /// Workload-classification stage.
     pub classifier: ClassifierScenario,
     /// Reliability-study stage.
@@ -422,10 +422,7 @@ impl Scenario {
         let workload = Self::parse_workload(&doc)?;
         let arrivals = Self::parse_arrivals(&doc)?;
         let failures = Self::parse_failures(&doc)?;
-        let data_quality =
-            Self::parse_profile_section(&doc, "data_quality", DataQualityProfile::NAMES, |name| {
-                DataQualityProfile::parse(name).is_some()
-            })?;
+        let data_quality = Self::parse_data_quality(&doc)?;
         let policy = Self::parse_policy(&doc)?;
         let classifier = Self::parse_classifier(&doc)?;
         let reliability = Self::parse_reliability(&doc, &failures)?;
@@ -709,45 +706,33 @@ impl Scenario {
         Ok(f)
     }
 
-    /// Parses a one-key `[name] profile = "..."` section validated by
-    /// `accepts`.
-    fn parse_profile_section(
-        doc: &crate::toml::TomlDoc,
-        section: &'static str,
-        names: &str,
-        accepts: impl Fn(&str) -> bool,
-    ) -> Result<String, ScenarioError> {
-        let Some(sec) = doc.section(section) else {
-            return Ok("off".to_string());
+    fn parse_data_quality(doc: &crate::toml::TomlDoc) -> Result<DataQualityProfile, ScenarioError> {
+        let Some(sec) = doc.section("data_quality") else {
+            return Ok(DataQualityProfile::Off);
         };
         let r = Reader { sec };
         r.check_keys(&["profile"])?;
-        match r.str_opt("profile")? {
-            None => Ok("off".to_string()),
-            Some((profile, line)) => {
-                if !accepts(&profile) {
-                    return Err(ScenarioError::new(
-                        line,
-                        format!("[{section}] profile"),
-                        ErrorKind::UnknownName(format!("{profile} (expected {names})")),
-                    ));
-                }
-                Ok(profile)
-            }
-        }
+        let Some((profile, line)) = r.str_opt("profile")? else {
+            return Ok(DataQualityProfile::Off);
+        };
+        DataQualityProfile::parse(&profile).ok_or_else(|| {
+            let names = DataQualityProfile::NAMES;
+            let kind = ErrorKind::UnknownName(format!("{profile} (expected {names})"));
+            ScenarioError::new(line, "[data_quality] profile", kind)
+        })
     }
 
-    fn parse_policy(doc: &crate::toml::TomlDoc) -> Result<String, ScenarioError> {
+    fn parse_policy(doc: &crate::toml::TomlDoc) -> Result<PolicySpec, ScenarioError> {
         let Some(sec) = doc.section("policy") else {
-            return Ok("off".to_string());
+            return Ok(PolicySpec::Off);
         };
         let r = Reader { sec };
         r.check_keys(&["arm"])?;
         match r.str_opt("arm")? {
-            None => Ok("off".to_string()),
+            None => Ok(PolicySpec::Off),
             Some((arm, line)) => {
                 let kind = match PolicySpec::parse(&arm) {
-                    Ok(_) => return Ok(arm),
+                    Ok(spec) => return Ok(spec),
                     Err(PolicyParseError::UnknownName(_)) => {
                         ErrorKind::UnknownName(format!("{arm} (expected {})", PolicySpec::NAMES))
                     }
@@ -1022,16 +1007,6 @@ impl Scenario {
         cfg
     }
 
-    /// The policy A/B arm.
-    pub fn policy_spec(&self) -> PolicySpec {
-        PolicySpec::parse(&self.policy).expect("policy validated at parse time")
-    }
-
-    /// The data-quality corruption profile.
-    pub fn data_quality_profile(&self) -> DataQualityProfile {
-        DataQualityProfile::parse(&self.data_quality).expect("profile validated at parse time")
-    }
-
     /// Canonical TOML serialization: only explicit overrides are
     /// emitted, so `parse(to_toml(s)) == s` exactly (floats render via
     /// `{:?}`, which round-trips `f64`).
@@ -1091,10 +1066,10 @@ impl Scenario {
         push_opt_f64(&mut out, "mtbf_factor", self.failures.mtbf_factor);
 
         out.push_str("\n[data_quality]\n");
-        push_kv(&mut out, "profile", &TomlValue::String(self.data_quality.clone()));
+        push_kv(&mut out, "profile", &TomlValue::String(self.data_quality.label().to_string()));
 
         out.push_str("\n[policy]\n");
-        push_kv(&mut out, "arm", &TomlValue::String(self.policy.clone()));
+        push_kv(&mut out, "arm", &TomlValue::String(self.policy.label()));
 
         out.push_str("\n[classifier]\n");
         push_kv(&mut out, "enabled", &TomlValue::Bool(self.classifier.enabled));
@@ -1185,8 +1160,8 @@ impl Scenario {
             Some(f) => out.push_str(&format!(" (mtbf x {f})\n")),
             None => out.push('\n'),
         }
-        out.push_str(&format!("  data-quality: {}\n", self.data_quality));
-        out.push_str(&format!("  policy:       {}\n", self.policy));
+        out.push_str(&format!("  data-quality: {}\n", self.data_quality.label()));
+        out.push_str(&format!("  policy:       {}\n", self.policy.label()));
         if self.classifier.enabled {
             let cfg = self.classifier_config();
             out.push_str(&format!(
@@ -1253,8 +1228,8 @@ mod tests {
         assert_eq!(s.scale, 1.0);
         assert_eq!(s.arrivals, ArrivalProcess::Diurnal);
         assert_eq!(s.failures.profile, "off");
-        assert_eq!(s.data_quality, "off");
-        assert_eq!(s.policy, "off");
+        assert_eq!(s.data_quality, DataQualityProfile::Off);
+        assert_eq!(s.policy, PolicySpec::Off);
         assert_eq!(s.workload_spec(), WorkloadSpec::supercloud());
         assert_eq!(s.cluster_spec(), ClusterSpec::supercloud());
     }
@@ -1518,5 +1493,17 @@ mod tests {
         let a = Scenario::parse(MINIMAL).expect("valid");
         let b = Scenario::parse("[scenario]\nname = \"minimal\"\nseed = 43\n").expect("valid");
         assert_ne!(a.hash(), b.hash());
+    }
+
+    #[test]
+    fn arms_serialize_and_hash_by_their_canonical_label() {
+        let arm = |a: &str| {
+            Scenario::parse(&format!("[scenario]\nname = \"x\"\n[policy]\narm = \"{a}\"\n"))
+                .expect("valid")
+        };
+        let (written, canonical) = (arm("powercap:150.0"), arm("powercap:150"));
+        assert_eq!(written, canonical);
+        assert!(written.to_toml().contains("arm = \"powercap:150\"\n"), "{}", written.to_toml());
+        assert_eq!(written.hash(), canonical.hash());
     }
 }

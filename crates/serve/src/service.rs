@@ -504,6 +504,29 @@ mod tests {
     }
 
     #[test]
+    fn predicted_arm_without_gpu_jobs_is_an_error_body_and_the_pool_lives_on() {
+        // No GPU job to train the classifier on. Computed on the
+        // calling thread first, so a panic fails here instead of
+        // taking a pool worker down and leaving the waits below hung.
+        let mut sc = Scenario::default();
+        sc.workload.gpu_job_fraction = Some(0.0);
+        let s = Arc::new(Service::build(ServeConfig {
+            scale: 0.002,
+            users_floor: 1,
+            threads: 1,
+            cache: false,
+            scenario: sc,
+            ..ServeConfig::default()
+        }));
+        let q = Query::parse("ab:coshare-predicted").unwrap();
+        let blocking = s.query_blocking(&q).body;
+        assert!(blocking.starts_with("ERROR ab:coshare-predicted: "), "{blocking}");
+        assert_eq!(s.submit(q).wait().response.body, blocking, "the pool computes the same error");
+        let point = s.submit(Query::Point(PointStat::JobsAnalyzed)).wait().response.body;
+        assert_eq!(*point, "jobs_analyzed = 0.000000\n");
+    }
+
+    #[test]
     fn bounded_cache_evicts_and_recomputes_identical_bytes() {
         let s = Service::build(ServeConfig {
             scale: 0.0001,

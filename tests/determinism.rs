@@ -524,7 +524,8 @@ fn classifier_report(seed: u64) -> ClassifierFig {
     let mut spec = WorkloadSpec::supercloud().scaled(0.01);
     spec.users = 32;
     let trace = Trace::generate(&spec, seed);
-    let (_, eval) = ArchetypePredictor::train(&trace, &ClassifierConfig::default());
+    let (_, eval) = ArchetypePredictor::train(&trace, &ClassifierConfig::default())
+        .expect("the 1%-scale world has labeled GPU jobs in both splits");
     eval.to_fig()
 }
 
@@ -635,7 +636,13 @@ fn policy_arm_digests(seed: u64) -> String {
         ..Default::default()
     };
     let mut lines = String::new();
-    for s in [PolicySpec::PowerCap { cap_w: 150.0 }, PolicySpec::Coshare, PolicySpec::Tiered] {
+    let arms = [
+        PolicySpec::PowerCap { cap_w: 150.0 },
+        PolicySpec::Coshare,
+        PolicySpec::CosharePredicted,
+        PolicySpec::Tiered,
+    ];
+    for s in arms {
         let sink = JsonlSink::new(TraceLevel::Events, Vec::new());
         PolicyExperiment::new(base.clone(), s)
             .run_observed(&trace, &Obs::new(&sink))
@@ -649,8 +656,8 @@ fn policy_arm_digests(seed: u64) -> String {
 
 /// Golden policy-arm regression: each arm's decision trace under
 /// failures must match the committed length and digest exactly. This
-/// is the path the event loop's policy hooks (`admit`, `place`,
-/// `dispatch`, `tick`, `release`) and its kill/requeue handling share,
+/// is the path the event loop's policy hooks (`place`, `dispatch`,
+/// `release`) and its kill/requeue handling share,
 /// so a reordering there shows up as a changed digest. Intentional
 /// changes regenerate via `scripts/update_golden.sh` (or
 /// `SC_REGEN_GOLDEN=1`) and justify the diff in review.
@@ -827,7 +834,10 @@ fn replay_equals_the_full_run_whatever_the_detailed_subset() {
         let sim = |detailed_series_jobs| {
             Simulation::new(SimConfig { detailed_series_jobs, ..cfg.clone() })
         };
-        let arm = || policy.and_then(|p| p.build(&cfg.cluster));
+        let arm = || {
+            let built = policy.map(|p| p.build(&cfg.cluster, &trace, &ClassifierConfig::default()));
+            built.and_then(|b| b.expect("the arm builds").policy)
+        };
         let replay = sim(0).replay(&trace, &Obs::off(), arm().as_deref_mut());
         assert!(replay.stats.injected_failures > 0, "{world}: no failure fired");
         assert!(replay.stats.requeues > 0, "{world}: no job was requeued");

@@ -28,8 +28,18 @@ fn preset_text(idx: usize) -> String {
 /// the default, so the sweep covers both "explicit default" and
 /// "overridden" serializations.
 const FAILURE_PROFILES: [&str; 4] = ["off", "supercloud", "stress", "transient"];
-const DQ_PROFILES: [&str; 4] = ["off", "supercloud", "lossy", "hostile"];
-const POLICIES: [&str; 4] = ["off", "powercap:200", "coshare", "tiered"];
+const DQ_PROFILES: [DataQualityProfile; 4] = [
+    DataQualityProfile::Off,
+    DataQualityProfile::Supercloud,
+    DataQualityProfile::Lossy,
+    DataQualityProfile::Hostile,
+];
+const POLICIES: [PolicySpec; 4] = [
+    PolicySpec::Off,
+    PolicySpec::PowerCap { cap_w: 200.0 },
+    PolicySpec::Coshare,
+    PolicySpec::Tiered,
+];
 const WORKLOAD_PRESETS: [&str; 2] = ["supercloud", "philly"];
 
 /// One of the four arrival processes from swept knobs, each knob kept
@@ -65,8 +75,8 @@ proptest! {
             seed,
             scale: scale_milli as f64 / 1_000.0,
             arrivals: arrivals_from(arr_idx, period, frac, amp),
-            data_quality: DQ_PROFILES[dq_idx].to_string(),
-            policy: POLICIES[policy_idx].to_string(),
+            data_quality: DQ_PROFILES[dq_idx],
+            policy: POLICIES[policy_idx],
             ..Scenario::default()
         };
         sc.failures.profile = FAILURE_PROFILES[fail_idx].to_string();
@@ -261,8 +271,8 @@ fn preset_defaults_match_cli_defaults() {
     let sc = Scenario::preset("supercloud").expect("preset");
     assert_eq!(sc.seed, 42);
     assert_eq!(sc.scale, 1.0);
-    assert_eq!(sc.policy_spec(), PolicySpec::Off);
-    assert_eq!(sc.data_quality_profile(), DataQualityProfile::Off);
+    assert_eq!(sc.policy, PolicySpec::Off);
+    assert_eq!(sc.data_quality, DataQualityProfile::Off);
     assert!(sc.failure_model(42).is_none());
 }
 
